@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 
-import networkx as nx
-
 from .semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
@@ -66,13 +64,44 @@ def dependency_graph(p: Program) -> DependencyGraph:
 
 
 def _scc_index(nodes, edges) -> dict:
-    g = nx.DiGraph()
-    g.add_nodes_from(nodes)
-    g.add_edges_from(edges)
-    index = {}
-    for i, scc in enumerate(nx.strongly_connected_components(g)):
-        for node in scc:
-            index[node] = i
+    """Number the strongly connected components and map each node to its
+    component, by an iterative form of Tarjan's algorithm."""
+    succ: dict = {v: [] for v in nodes}
+    for a, b in edges:
+        succ[a].append(b)
+    order: dict = {}
+    low: dict = {}
+    index: dict = {}
+    path: list = []
+    components = 0
+    for root in succ:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        path.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, targets = work[-1]
+            for w in targets:
+                if w not in order:
+                    order[w] = low[w] = len(order)
+                    path.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w not in index:  # still on the path stack
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    while True:
+                        w = path.pop()
+                        index[w] = components
+                        if w == v:
+                            break
+                    components += 1
     return index
 
 

@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .analysis import check_super_consistent, is_odd_cycle_free, is_stratified
 from .harness import (
+    Mismatch,
     benchmark_json,
     benchmark_table,
     check_equivalence,
@@ -147,11 +148,6 @@ def _load_program(path: str) -> Program:
     return parse_program(Path(path).read_text(encoding="utf-8"))
 
 
-def _answer_set_lines(sets) -> list[str]:
-    ordered = sorted(sets, key=lambda m: (len(m), tuple(sorted(str(a) for a in m))))
-    return ["{" + ", ".join(str(a) for a in sorted(m)) + "}" for m in ordered]
-
-
 def _cmd_rewrite(args: argparse.Namespace) -> int:
     p = _load_program(args.program)
     q = parse_query(args.query)
@@ -168,25 +164,20 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     report = answer_sets(
         p, ground_cap=args.ground_cap, candidate_cap=args.candidate_cap
     )
-    lines = _answer_set_lines(report.answer_sets)
-    if args.max is not None:
-        lines = lines[: args.max]
+    ordered = sorted(
+        report.answer_sets,
+        key=lambda m: (len(m), tuple(sorted(str(a) for a in m))),
+    )[: args.max]
     if args.format == "structured":
-        ordered = sorted(
-            report.answer_sets,
-            key=lambda m: (len(m), tuple(sorted(str(a) for a in m))),
-        )
         records = [sorted(str(a) for a in m) for m in ordered]
-        if args.max is not None:
-            records = records[: args.max]
         print(json.dumps({
             "answer_sets": records,
             "count": len(report.answer_sets),
             "candidates_examined": report.candidates_examined,
         }, indent=2))
     else:
-        for line in lines:
-            print(line)
+        for m in ordered:
+            print("{" + ", ".join(str(a) for a in sorted(m)) + "}")
     return 0
 
 
@@ -300,22 +291,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             "query": str(report.query),
             "fact_sets_tested": report.fact_sets_tested,
             "skipped": list(report.skipped),
-            "brave_mismatches": [
-                {
-                    "facts": [str(a) for a in m.fact_set],
-                    "only_original": [str(s) for s in m.only_original],
-                    "only_rewritten": [str(s) for s in m.only_rewritten],
-                }
-                for m in report.brave_mismatches
-            ],
-            "cautious_mismatches": [
-                {
-                    "facts": [str(a) for a in m.fact_set],
-                    "only_original": [str(s) for s in m.only_original],
-                    "only_rewritten": [str(s) for s in m.only_rewritten],
-                }
-                for m in report.cautious_mismatches
-            ],
+            "brave_mismatches": _mismatch_records(report.brave_mismatches),
+            "cautious_mismatches": _mismatch_records(report.cautious_mismatches),
             "ok": report.ok,
         }, indent=2))
     else:
@@ -336,6 +313,17 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         if report.ok:
             print("no mismatches")
     return 0 if report.ok else 1
+
+
+def _mismatch_records(mismatches: Sequence[Mismatch]) -> list[dict]:
+    return [
+        {
+            "facts": [str(a) for a in m.fact_set],
+            "only_original": [str(s) for s in m.only_original],
+            "only_rewritten": [str(s) for s in m.only_rewritten],
+        }
+        for m in mismatches
+    ]
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

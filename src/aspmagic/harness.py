@@ -8,6 +8,7 @@ original program and its rewriting, or time both on growing instances.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import multiprocessing
@@ -28,7 +29,6 @@ from .semantics import (
     SolverCapError,
     Substitution,
     answer_sets,
-    ground,
     substitutions_brave,
     substitutions_cautious,
 )
@@ -371,9 +371,7 @@ def check_equivalence(
             skipped.append(f"trial {t}: {exc}")
             continue
         tested += 1
-        counts.append(
-            (len(ground(side_a, ground_cap).rules), len(ground(side_b, ground_cap).rules))
-        )
+        counts.append((report_a.ground_rules, report_b.ground_rules))
         timings.append(((t1 - t0) * 1000.0, (t2 - t1) * 1000.0))
         mm = _diff(
             substitutions_brave(report_a, q, domain),
@@ -428,7 +426,7 @@ def _bench_worker(conn, program_text: str, query_text: str, mode: str,
         payload = {
             "status": "ok",
             "time_ms": elapsed_ms,
-            "ground_rules": len(ground(target, ground_cap).rules),
+            "ground_rules": report.ground_rules,
             "candidates": report.candidates_examined,
             "answer": answer,
         }
@@ -503,15 +501,18 @@ def run_benchmark(
 
 
 def benchmark_table(cells: Iterable[BenchmarkCell]) -> str:
-    """The cells as comma-separated text, one row per repetition."""
+    """The cells as comma-separated text, one row per repetition; empty
+    fields are values a timed-out or capped cell does not have."""
     out = StringIO()
-    out.write("n,mode,time_ms,ground_rules,candidates,answer\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ("n", "mode", "status", "time_ms", "ground_rules", "candidates", "answer")
+    )
     for c in cells:
-        time_ms = "" if c.time_ms is None else f"{c.time_ms:.1f}"
-        ground_rules = "" if c.ground_rules is None else str(c.ground_rules)
-        candidates = "" if c.candidates is None else str(c.candidates)
-        answer = c.answer or ""
-        out.write(f"{c.n},{c.mode},{time_ms},{ground_rules},{candidates},{answer}\n")
+        time_ms = None if c.time_ms is None else f"{c.time_ms:.1f}"
+        writer.writerow(
+            (c.n, c.mode, c.status, time_ms, c.ground_rules, c.candidates, c.answer)
+        )
     return out.getvalue()
 
 

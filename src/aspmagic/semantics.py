@@ -142,6 +142,7 @@ class AnswerSetReport:
     answer_sets: frozenset[Interpretation]
     candidates_examined: int
     method: SolveMethod
+    ground_rules: int
 
 
 class _Budget:
@@ -177,25 +178,15 @@ def _index_rules(
     return atoms, pos_of, masked
 
 
-def _possible_atoms(masked: list[tuple[int, int, int]]) -> int:
-    """Least fixpoint of head derivability, ignoring negative bodies."""
-    possible = 0
-    changed = True
-    while changed:
-        changed = False
-        for h, p, _ in masked:
-            if p & ~possible == 0 and h & ~possible:
-                possible |= h
-                changed = True
-    return possible
-
-
-def _closure_normal(normal: list[tuple[int, int]], start: int) -> int:
+def _closure(rules: Sequence[tuple[int, int]], start: int = 0) -> int:
+    """The least superset of ``start`` closed under ``rules``: a
+    ``(head, pos)`` pair whose positive body lies inside the set adds its
+    head."""
     i = start
     changed = True
     while changed:
         changed = False
-        for h, p in normal:
+        for h, p in rules:
             if p & ~i == 0 and h & ~i:
                 i |= h
                 changed = True
@@ -210,30 +201,30 @@ def _minimal_models_masks(
     Models are produced by closing under single-head rules and branching on
     each head atom of the first unsatisfied disjunctive rule; every minimal
     model arises this way, so filtering the collected closures down to the
-    inclusion-minimal ones is exact.
+    inclusion-minimal ones is exact.  The explicit stack visits the branches
+    lowest atom first, in the order of a recursive depth-first walk.
     """
     normal = [(h, p) for h, p in rules if h & (h - 1) == 0]
     disjunctive = [(h, p) for h, p in rules if h & (h - 1) != 0]
     found: set[int] = set()
     expanded: set[int] = set()
-
-    def explore(i: int) -> None:
+    stack = [0]
+    while stack:
         budget.spend()
-        i = _closure_normal(normal, i)
+        i = _closure(normal, stack.pop())
         if i in expanded:
-            return
+            continue
         expanded.add(i)
         for h, p in disjunctive:
             if p & ~i == 0 and h & i == 0:
                 choice = h
                 while choice:
-                    bit = choice & -choice
-                    explore(i | bit)
+                    bit = 1 << (choice.bit_length() - 1)
+                    stack.append(i | bit)
                     choice ^= bit
-                return
-        found.add(i)
-
-    explore(0)
+                break
+        else:
+            found.add(i)
     models = sorted(found, key=lambda m: (m.bit_count(), m))
     minimal: list[int] = []
     for m in models:
@@ -253,7 +244,8 @@ def _stable_models(
     (by single-head rules whose negative body is already all-false) must not
     be assumed false.  Each surviving leaf fixes the reduct; its minimal
     models that reproduce the assumed assignment are exactly the stable
-    models there.
+    models there.  The explicit stack visits the true branch before the
+    false one, in the order of a recursive depth-first walk.
     """
     nb_mask = 0
     for _, _, n in masked:
@@ -262,26 +254,10 @@ def _stable_models(
     results: list[int] = []
 
     def upper(t: int) -> int:
-        possible = 0
-        changed = True
-        while changed:
-            changed = False
-            for h, p, n in masked:
-                if n & t == 0 and p & ~possible == 0 and h & ~possible:
-                    possible |= h
-                    changed = True
-        return possible
+        return _closure([(h, p) for h, p, n in masked if n & t == 0])
 
     def lower(f: int) -> int:
-        cert = 0
-        changed = True
-        while changed:
-            changed = False
-            for h, p, n in normal:
-                if n & ~f == 0 and p & ~cert == 0 and h & ~cert:
-                    cert |= h
-                    changed = True
-        return cert
+        return _closure([(h, p) for h, p, n in normal if n & ~f == 0])
 
     def leaf(t: int) -> None:
         red = [(h, p) for h, p, n in masked if n & t == 0]
@@ -289,15 +265,17 @@ def _stable_models(
             if m & nb_mask == t:
                 results.append(m)
 
-    def search(t: int, f: int) -> None:
+    stack = [(0, 0)]
+    while stack:
+        t, f = stack.pop()
         budget.spend()
         while True:
             possible = upper(t)
             if t & ~possible:
-                return
+                break
             cert = lower(f)
             if cert & f:
-                return
+                break
             undecided = nb_mask & ~t & ~f
             force_true = undecided & cert
             force_false = undecided & ~possible
@@ -305,16 +283,13 @@ def _stable_models(
                 t |= force_true
                 f |= force_false
                 continue
+            if undecided == 0:
+                leaf(t)
+            else:
+                bit = undecided & -undecided
+                stack.append((t, f | bit))
+                stack.append((t | bit, f))
             break
-        open_atoms = nb_mask & ~t & ~f
-        if open_atoms == 0:
-            leaf(t)
-            return
-        bit = open_atoms & -open_atoms
-        search(t | bit, f)
-        search(t, f | bit)
-
-    search(0, 0)
     return results
 
 
@@ -333,7 +308,7 @@ def answer_sets(
     """
     g = ground(p, ground_cap)
     atoms, _, masked = _index_rules(g.rules)
-    possible = _possible_atoms(masked)
+    possible = _closure([(h, p_) for h, p_, _ in masked])
     pruned = [
         (h, p_, n & possible)
         for h, p_, n in masked
@@ -348,6 +323,7 @@ def answer_sets(
         answer_sets=out,
         candidates_examined=budget.spent,
         method=SolveMethod.REDUCT_MINIMALITY,
+        ground_rules=len(g.rules),
     )
 
 
@@ -453,6 +429,7 @@ def answer_sets_via_unfounded(
         answer_sets=out,
         candidates_examined=2 ** len(head_atoms),
         method=SolveMethod.UNFOUNDED_FREE,
+        ground_rules=len(g.rules),
     )
 
 

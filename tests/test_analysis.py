@@ -1,7 +1,8 @@
 """Dependency classification checks.
 
-The odd-cycle test is compared against a brute-force oracle that walks
-every simple cycle of the predicate graph and counts its negative edges.
+The odd-cycle and stratification tests are compared against a
+brute-force oracle that walks every simple cycle of the predicate graph
+and counts its negative edges.
 """
 
 import pytest
@@ -20,22 +21,33 @@ from aspmagic import (
 )
 
 
-def _odd_simple_cycle_exists(p) -> bool:
+def _simple_cycle_negative_counts(p) -> set[int]:
+    """How many negative edges each simple cycle of the dependency graph
+    crosses."""
     dg = dependency_graph(p)
     adj: dict[str, list[tuple[str, int]]] = {}
     for e in dg.edges:
         adj.setdefault(e.source, []).append((e.target, 1 if e.negative else 0))
+    counts: set[int] = set()
 
-    def walk(start: str, node: str, parity: int, visited: frozenset) -> bool:
-        for nxt, flip in adj.get(node, ()):
-            if nxt == start and (parity + flip) % 2 == 1:
-                return True
-            if nxt not in visited and nxt != start:
-                if walk(start, nxt, parity + flip, visited | {nxt}):
-                    return True
-        return False
+    def walk(start: str, node: str, negatives: int, visited: frozenset) -> None:
+        for nxt, neg in adj.get(node, ()):
+            if nxt == start:
+                counts.add(negatives + neg)
+            elif nxt not in visited:
+                walk(start, nxt, negatives + neg, visited | {nxt})
 
-    return any(walk(n, n, 0, frozenset({n})) for n in dg.nodes)
+    for n in dg.nodes:
+        walk(n, n, 0, frozenset({n}))
+    return counts
+
+
+def _odd_simple_cycle_exists(p) -> bool:
+    return any(c % 2 for c in _simple_cycle_negative_counts(p))
+
+
+def _negative_simple_cycle_exists(p) -> bool:
+    return any(c > 0 for c in _simple_cycle_negative_counts(p))
 
 
 def test_dependency_graph_of_ancestry(ancestry):
@@ -82,6 +94,13 @@ def test_choice_with_odd_loop_classification(choice_with_odd_loop):
 def test_odd_cycle_check_matches_cycle_enumeration(profile, seed):
     p = random_program(seed, profile)
     assert is_odd_cycle_free(p) == (not _odd_simple_cycle_exists(p))
+
+
+@pytest.mark.parametrize("profile", ["odd_cycle_free", "arbitrary", "stratified"])
+@pytest.mark.parametrize("seed", range(25))
+def test_stratification_matches_cycle_enumeration(profile, seed):
+    p = random_program(seed, profile)
+    assert is_stratified(p) == (not _negative_simple_cycle_exists(p))
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,14 @@
 """End-to-end runs of the command-line front end through ``main``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aspmagic
 from aspmagic.cli import main
 
 ANCESTRY = """\
@@ -219,8 +224,8 @@ def test_bench_writes_csv_and_report(write, capsys, tmp_path):
     ])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "n,mode,time_ms,ground_rules,candidates,answer"
-    assert lines[1].startswith("1,plain,")
+    assert lines[0] == "n,mode,status,time_ms,ground_rules,candidates,answer"
+    assert lines[1].startswith("1,plain,ok,")
     assert lines[1].endswith(",no")
     payload = json.loads(out_path.read_text(encoding="utf-8"))
     assert payload["cells"][0]["status"] == "ok"
@@ -255,6 +260,18 @@ def test_help_exits_0(capsys):
 def test_cap_exhaustion_exits_3(write, capsys):
     assert main(["solve", write(GUARDED), "--candidate-cap", "1"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_import_loads_no_graph_library():
+    # networkx may be installed, so only a fresh interpreter shows whether
+    # the package pulls it in.
+    code = "import sys, aspmagic, aspmagic.cli; print('networkx' in sys.modules)"
+    src = str(Path(aspmagic.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_unsafe_program_exits_2(write, capsys):

@@ -14,7 +14,9 @@ from aspmagic import (
     benchmark_table,
     check_equivalence,
     const,
+    dms,
     gen_related_instance,
+    ground,
     is_odd_cycle_free,
     is_stratified,
     parse_query,
@@ -151,6 +153,21 @@ def test_equivalence_holds_on_the_genealogy_program(ancestry):
     assert len(report.program_id) == 12
 
 
+def test_equivalence_counts_the_ground_rules_of_both_sides(ancestry):
+    q = parse_query("ancestor(p1,X)?")
+    report = check_equivalence(ancestry, q, trials=3, seed=0)
+    assert report.fact_sets_tested == 3
+    rewritten = dms(q, ancestry)
+    expected = []
+    for t in range(3):  # trial t of seed 0 samples its facts with seed t
+        facts = random_edb(ancestry, t, 0.3)
+        expected.append((
+            len(ground(ancestry.with_facts(facts)).rules),
+            len(ground(rewritten.with_facts(facts)).rules),
+        ))
+    assert report.ground_rule_counts == tuple(expected)
+
+
 def test_equivalence_flags_the_odd_loop_program(choice_with_odd_loop):
     # dropping the unqueried constraint-like rule changes the brave answer
     q = parse_query("q(a)?")
@@ -230,9 +247,9 @@ def test_benchmark_table_format():
         BenchmarkCell(3, "dms", 0, "timeout"),
     )
     lines = benchmark_table(cells).splitlines()
-    assert lines[0] == "n,mode,time_ms,ground_rules,candidates,answer"
-    assert lines[1] == "1,plain,1.2,10,3,no"
-    assert lines[2] == "3,dms,,,,"
+    assert lines[0] == "n,mode,status,time_ms,ground_rules,candidates,answer"
+    assert lines[1] == "1,plain,ok,1.2,10,3,no"
+    assert lines[2] == "3,dms,timeout,,,,"
 
 
 def test_benchmark_json_round_trips():

@@ -5,6 +5,8 @@ Expected answer sets in this file were worked out by hand from the
 definitions before the solver existed; they are frozen here as literals.
 """
 
+import sys
+
 import pytest
 
 from aspmagic import (
@@ -169,6 +171,34 @@ def test_candidate_cap_trips(guarded_pair):
         answer_sets(guarded_pair, candidate_cap=2)
 
 
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " ".join(f"a{i} :- not b{i}. b{i} :- not a{i}." for i in range(300)),
+        " ".join(f"a{i} v b{i}." for i in range(300)),
+    ],
+    ids=["even_loops", "disjunctions"],
+)
+def test_deep_search_hits_the_cap_not_the_stack(text):
+    # Both searches branch 300 levels deep; under a stack limit far below
+    # that, only a search that does not recurse per level gets to the cap.
+    p = parse_program(text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 120)
+    try:
+        with pytest.raises(CandidateSpaceTooLarge):
+            answer_sets(p, candidate_cap=600)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 # ---------------------------------------------------------- unfounded sets
 
 
@@ -216,6 +246,7 @@ def test_both_characterizations_agree(profile, seed):
     fast = answer_sets(p)
     slow = answer_sets_via_unfounded(p)
     assert fast.answer_sets == slow.answer_sets
+    assert fast.ground_rules == slow.ground_rules == len(ground(p).rules)
     facts = random_edb(p, seed, 0.3, fresh_constants=1, max_facts=4)
     pf = p.with_facts(facts)
     assert answer_sets(pf).answer_sets == answer_sets_via_unfounded(pf).answer_sets
