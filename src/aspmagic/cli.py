@@ -47,6 +47,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must not be negative")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError("must lie in [0, 1]")
+    return value
+
+
 def _size_list(text: str) -> list[int]:
     try:
         sizes = [int(part) for part in text.split(",") if part.strip()]
@@ -61,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
         "--ground-cap", type=_positive_int, default=GROUND_CAP_DEFAULT,
-        help="largest allowed number of ground rule instances",
+        help="largest allowed number of ground rule instances; only "
+             "instances whose positive body is derivable are counted",
     )
     shared.add_argument(
         "--candidate-cap", type=_positive_int, default=CANDIDATE_CAP_DEFAULT,
@@ -125,9 +140,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_diff.add_argument("program")
     p_diff.add_argument("--query", required=True)
-    p_diff.add_argument("--trials", type=int, default=5)
+    p_diff.add_argument("--trials", type=_nonnegative_int, default=5)
     p_diff.add_argument("--seed", type=int, default=0)
-    p_diff.add_argument("--density", type=float, default=0.3)
+    p_diff.add_argument("--density", type=_probability, default=0.3,
+                        help="probability of each candidate fact, in [0, 1]")
     p_diff.set_defaults(func=_cmd_diff)
 
     p_bench = sub.add_parser(
@@ -145,7 +161,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_program(path: str) -> Program:
-    return parse_program(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProgramError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_program(text)
 
 
 def _cmd_rewrite(args: argparse.Namespace) -> int:

@@ -1,12 +1,16 @@
 """Reference evaluation: grounding, reducts, answer sets, query answering.
 
-Two independent routes compute answer sets.  The primary one branches over
-the atoms that occur in negative bodies, keeps monotone lower and upper
-bounds to cut hopeless branches early, and enumerates the minimal models of
-the positive remainder at each leaf.  The cross-check route enumerates
-candidate interpretations outright and accepts those that are models
-containing no nonempty unfounded subset.  Both are exhaustive and
-deterministic; neither is meant to compete with a real solver.
+Two independent routes compute answer sets.  The primary one grounds by
+relevance: a semi-naive join builds only the rule instances whose positive
+body is derivable with negation ignored, so the magic predicates of a
+rewritten program cut what is instantiated.  It then branches over the
+atoms that occur in negative bodies, keeps monotone lower and upper bounds
+to cut hopeless branches early, and enumerates the minimal models of the
+positive remainder at each leaf.  The cross-check route grounds every rule
+over the whole universe, enumerates candidate interpretations outright and
+accepts those that are models containing no nonempty unfounded subset.
+Both searches are exhaustive and deterministic; neither is meant to
+compete with a real solver.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rewriter import AdornedPredicate, dms_with_details, magic_atom, split_magic_name
 from .syntax import (
@@ -89,7 +93,125 @@ class GroundProgram:
 
 
 def ground(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> GroundProgram:
-    """All instances of the rules of ``p`` over its universe.
+    """The relevant instances of the rules of ``p``: those whose positive
+    body lies in the least set of atoms closed under the rules of ``p``
+    with negative bodies ignored.
+
+    No other instance can fire in an answer set, so these are exactly the
+    instances the search needs.  They are found by a semi-naive join:
+    bodiless rules are ground by safety and come first; after that, each
+    round matches every positive body against the atoms derived so far,
+    indexed by predicate, with at least one body atom on an atom new in
+    the previous round, and the heads of the new instances join the
+    derived atoms.  The result keeps the order of the exhaustive
+    grounding: source rule first, then the binding tuple over the sorted
+    variable names, the first copy winning when instances collide.
+
+    ``ground_cap`` bounds the number of distinct instances as they are
+    emitted; crossing it raises :class:`GroundingTooLarge`.
+    """
+    derived: dict[str, list[tuple[Term, ...]]] = {}
+    known: set[Atom] = set()
+    pending: list[Atom] = []
+    found: list[dict[tuple[Term, ...], Rule]] = [{} for _ in p.rules]
+    distinct: set[Rule] = set()
+
+    def emit(index: int, key: tuple[Term, ...], instance: Rule) -> None:
+        found[index][key] = instance
+        if instance in distinct:
+            return
+        distinct.add(instance)
+        if len(distinct) > ground_cap:
+            raise GroundingTooLarge(
+                f"grounding needs more than {ground_cap} instances"
+            )
+        for a in instance.head:
+            if a not in known:
+                known.add(a)
+                pending.append(a)
+
+    joined = []
+    for index, rule in enumerate(p.rules):
+        if rule.pos_body:
+            patterns = [_pattern(a) for a in rule.pos_body]
+            joined.append((index, rule, sorted(rule.variables()), patterns))
+        else:
+            emit(index, (), rule)
+    while pending:
+        mark = {pred: len(rows) for pred, rows in derived.items()}
+        for a in pending:
+            derived.setdefault(a.predicate, []).append(a.args)
+        pending.clear()
+        for index, rule, names, patterns in joined:
+            body = rule.pos_body
+            for i, atom in enumerate(body):
+                rows = derived.get(atom.predicate, [])
+                start = mark.get(atom.predicate, 0)
+                if len(rows) == start:
+                    continue
+                # Atoms before the new one match old atoms only, so each
+                # new combination is found once.
+                steps = [(patterns[i], rows[start:])]
+                for j, other in enumerate(body):
+                    if j != i:
+                        rows_j = derived.get(other.predicate, [])
+                        if j < i:
+                            rows_j = rows_j[: mark.get(other.predicate, 0)]
+                        steps.append((patterns[j], rows_j))
+                for binding in _joins(steps, {}):
+                    key = tuple(binding[v] for v in names)
+                    if key not in found[index]:
+                        emit(index, key, rule.substitute(binding))
+    out: dict[Rule, None] = {}
+    for by_key in found:
+        for key in sorted(by_key):
+            out.setdefault(by_key[key])
+    return GroundProgram(rules=tuple(out), source=p)
+
+
+# A body atom's arguments, each with its variable name or None for a constant.
+_Pattern = tuple[tuple[str | None, Term], ...]
+
+
+def _pattern(atom: Atom) -> _Pattern:
+    return tuple((t.name if t.is_variable else None, t) for t in atom.args)
+
+
+def _joins(
+    steps: Sequence[tuple[_Pattern, Sequence[tuple[Term, ...]]]],
+    binding: dict[str, Term],
+) -> Iterator[dict[str, Term]]:
+    """The extensions of ``binding`` that match, for each step, its pattern
+    against one of its argument tuples."""
+    if not steps:
+        yield binding
+        return
+    pattern, rows = steps[0]
+    rest = steps[1:]
+    for args in rows:
+        b = binding
+        for (name, term), c in zip(pattern, args):
+            if name is None:
+                if term != c:
+                    break
+            else:
+                bound = b.get(name)
+                if bound is None:
+                    if b is binding:
+                        b = dict(binding)
+                    b[name] = c
+                elif bound != c:
+                    break
+        else:
+            yield from _joins(rest, b)
+
+
+def _ground_exhaustive(
+    p: Program, ground_cap: int = GROUND_CAP_DEFAULT
+) -> GroundProgram:
+    """Every instance of the rules of ``p`` over its universe, relevant or
+    not: the grounding of the reference oracles, which must see rules whose
+    bodies nothing derives.
 
     The instance count is bounded before any instance is materialized;
     crossing ``ground_cap`` raises :class:`GroundingTooLarge`.
@@ -139,6 +261,13 @@ def is_model(i: Interpretation, g: GroundProgram) -> bool:
 
 @dataclass(frozen=True)
 class AnswerSetReport:
+    """The answer sets of a program and what it took to find them.
+
+    ``ground_rules`` is the size of the grounding the solver searched: the
+    relevant instances for :func:`answer_sets`, every instance over the
+    universe for :func:`answer_sets_via_unfounded`.
+    """
+
     answer_sets: frozenset[Interpretation]
     candidates_examined: int
     method: SolveMethod
@@ -236,7 +365,7 @@ def _minimal_models_masks(
 def _stable_models(
     masked: list[tuple[int, int, int]], budget: _Budget
 ) -> list[int]:
-    """All stable models of a pruned ground program, in mask form.
+    """All stable models of a relevant ground program, in mask form.
 
     The search assigns a truth value to every atom occurring in a negative
     body.  At each node two monotone bounds prune the branch: atoms assumed
@@ -302,20 +431,21 @@ def answer_sets(
     """Every answer set of ``p``: the interpretations that are subset-minimal
     models of their own reduct.
 
-    Only atoms derivable when all negative literals are ignored can appear
-    in an answer set, so the search space is pruned to those up front.
-    ``candidate_cap`` bounds the number of search states examined.
+    The search runs over the relevant grounding (see :func:`ground`), whose
+    head atoms are exactly the atoms derivable when all negative literals
+    are ignored; no other atom can appear in an answer set, so negative
+    bodies are cut down to those atoms.  ``candidate_cap`` bounds the number
+    of search states examined.
     """
     g = ground(p, ground_cap)
     atoms, _, masked = _index_rules(g.rules)
-    possible = _closure([(h, p_) for h, p_, _ in masked])
-    pruned = [
-        (h, p_, n & possible)
-        for h, p_, n in masked
-        if p_ & ~possible == 0
-    ]
+    derivable = 0
+    for h, _, _ in masked:
+        derivable |= h
     budget = _Budget(candidate_cap)
-    models = _stable_models(pruned, budget)
+    models = _stable_models(
+        [(h, p_, n & derivable) for h, p_, n in masked], budget
+    )
     out = frozenset(
         frozenset(a for i, a in enumerate(atoms) if m >> i & 1) for m in models
     )
@@ -345,8 +475,11 @@ def is_unfounded_set(
 ) -> bool:
     """Whether ``x`` is unfounded with respect to ``i``: every rule with a
     head atom in ``x`` is either blocked under ``i``, consumes an atom of
-    ``x`` positively, or is already satisfied by ``i`` outside ``x``."""
-    g = p if isinstance(p, GroundProgram) else ground(p)
+    ``x`` positively, or is already satisfied by ``i`` outside ``x``.
+
+    A :class:`Program` is ground over its whole universe, since ``x`` and
+    ``i`` may hold atoms that nothing derives."""
+    g = p if isinstance(p, GroundProgram) else _ground_exhaustive(p)
     for rule in g.rules:
         if not any(a in x for a in rule.head):
             continue
@@ -373,8 +506,9 @@ def answer_sets_via_unfounded(
 
     This route enumerates every subset of the ground head atoms, so it only
     suits small programs; it exists as an independent oracle for the primary
-    solver."""
-    g = ground(p, ground_cap)
+    solver.  It grounds exhaustively, so it does not share the primary
+    solver's relevance cut either."""
+    g = _ground_exhaustive(p, ground_cap)
     atoms, pos_of, masked = _index_rules(g.rules)
     head_atoms = sorted({a for r in g.rules for a in r.head})
     if 2 ** len(head_atoms) > candidate_cap:
@@ -570,7 +704,9 @@ def magic_variant(
     ground magic rules whose bodies are satisfied (the seed enters through
     its empty body)."""
     details = dms_with_details(q, p)
-    g = ground(details.program, ground_cap)
+    # ``i`` need not be derivable in the rewritten program, so magic rules
+    # whose bodies only ``i`` satisfies must be instantiated too.
+    g = _ground_exhaustive(details.program, ground_cap)
     magic_ground = [
         r
         for r in g.rules

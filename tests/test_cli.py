@@ -252,6 +252,24 @@ def test_usage_errors_exit_2(write, capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_program_exits_2(tmp_path, capsys):
+    path = tmp_path / "program.dl"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    assert main(["solve", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--trials", "-3"], ["--density", "5"], ["--density", "nan"],
+     ["--density", "-0.1"]],
+)
+def test_diff_rejects_out_of_range_sampling(write, capsys, flags):
+    argv = ["diff", write(ANCESTRY), "--query", "ancestor(p1,X)?", *flags]
+    assert main(argv) == 2
+    assert "no mismatches" not in capsys.readouterr().out
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "rewrite" in capsys.readouterr().out
@@ -260,6 +278,15 @@ def test_help_exits_0(capsys):
 def test_cap_exhaustion_exits_3(write, capsys):
     assert main(["solve", write(GUARDED), "--candidate-cap", "1"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_ground_cap_counts_only_derivable_instances(write, capsys):
+    # 202 constants put the product bound far above the cap; only the
+    # 206 relevant instances count against it
+    text = "".join(f"c(k{i}).\n" for i in range(200))
+    path = write(text + "e(a). e(b).\np(X,Y) :- e(X), e(Y).\n")
+    assert main(["solve", path, "--ground-cap", "1000"]) == 0
+    assert "p(a,b)" in capsys.readouterr().out
 
 
 def test_import_loads_no_graph_library():

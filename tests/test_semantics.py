@@ -34,11 +34,13 @@ from aspmagic import (
     parse_query,
     random_edb,
     random_program,
+    random_query,
     reduct,
     substitutions_brave,
     substitutions_cautious,
     universe,
 )
+from aspmagic.semantics import _ground_exhaustive
 
 
 def _sets(report):
@@ -77,6 +79,46 @@ def test_ground_cap_is_checked_before_materializing():
     with pytest.raises(GroundingTooLarge):
         ground(p, ground_cap=20)
     assert len(ground(p, ground_cap=30).rules) == 30
+
+
+def test_ground_cap_counts_instantiated_rules():
+    # 202 constants, but only the 2 x 2 instances over e are derivable
+    text = " ".join(f"c(k{i})." for i in range(200))
+    p = parse_program(text + " e(a). e(b). p(X,Y) :- e(X), e(Y).")
+    assert len(ground(p, ground_cap=1000).rules) == 206
+    with pytest.raises(GroundingTooLarge):
+        ground(p, ground_cap=205)
+
+
+def _derivable(rules):
+    """The atoms derivable from ``rules`` with negative bodies ignored, by
+    naive iteration to the least fixpoint."""
+    derived = set()
+    changed = True
+    while changed:
+        changed = False
+        for r in rules:
+            if set(r.pos_body) <= derived and not set(r.head) <= derived:
+                derived.update(r.head)
+                changed = True
+    return derived
+
+
+@pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
+@pytest.mark.parametrize("seed", range(20))
+def test_ground_keeps_exactly_the_relevant_instances(profile, seed):
+    p = random_program(seed, profile)
+    facts = random_edb(p, seed, 0.3, fresh_constants=1, max_facts=4)
+    for side in (p, dms(random_query(p, seed), p)):
+        pf = side.with_facts(facts)
+        exhaustive = _ground_exhaustive(pf).rules
+        derivable = _derivable(exhaustive)
+        relevant = tuple(r for r in exhaustive if set(r.pos_body) <= derivable)
+        got = ground(pf).rules
+        assert got == relevant
+        # same first copies too, atom order included
+        assert [str(r) for r in got] == [str(r) for r in relevant]
+        assert answer_sets(pf).answer_sets == answer_sets_via_unfounded(pf).answer_sets
 
 
 def test_ground_program_rejects_open_rules():
@@ -246,7 +288,8 @@ def test_both_characterizations_agree(profile, seed):
     fast = answer_sets(p)
     slow = answer_sets_via_unfounded(p)
     assert fast.answer_sets == slow.answer_sets
-    assert fast.ground_rules == slow.ground_rules == len(ground(p).rules)
+    assert fast.ground_rules == len(ground(p).rules)
+    assert slow.ground_rules == len(_ground_exhaustive(p).rules)
     facts = random_edb(p, seed, 0.3, fresh_constants=1, max_facts=4)
     pf = p.with_facts(facts)
     assert answer_sets(pf).answer_sets == answer_sets_via_unfounded(pf).answer_sets
