@@ -6,7 +6,7 @@ rewriting applied automatically when it is known safe), classify a
 program, differential-test the rewriting, and run the grid benchmark.
 
 Exit codes: 0 success, 1 differential mismatch, 2 usage or input errors,
-3 resource cap exceeded.
+3 resource cap exceeded, 4 internal error (the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .rewriter import dms
 from .semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
+    QueryAnswer,
     SolverCapError,
+    answer_query,
     answer_sets,
-    substitutions_brave,
-    substitutions_cautious,
 )
 from .syntax import Program, ProgramError, Query, universe
 
@@ -204,6 +204,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     p = _load_program(args.program)
     q = parse_query(args.query)
+    arity = p.predicates.get(q.atom.predicate)
+    if arity is not None and arity != q.atom.arity:
+        raise ProgramError(
+            f"query {q} has {q.atom.arity} arguments, but {q.atom.predicate} "
+            f"has arity {arity} in the program"
+        )
     bound = any(t.is_constant for t in q.atom.args)
     if args.rewrite == "on":
         apply_rewriting = True
@@ -219,35 +225,33 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         apply_rewriting = False
     target = dms(q, p) if apply_rewriting else p
-    report = answer_sets(
-        target, ground_cap=args.ground_cap, candidate_cap=args.candidate_cap
-    )
-    domain = universe(target) | {t for t in q.atom.args if t.is_constant}
-    if args.brave:
-        subs = substitutions_brave(report, q, domain)
-    else:
-        subs = substitutions_cautious(report, q, domain)
-    return _print_query_result(args, q, subs, apply_rewriting)
-
-
-def _print_query_result(args, q: Query, subs, rewritten: bool) -> int:
     mode = "brave" if args.brave else "cautious"
+    answer = answer_query(
+        target, q, mode,
+        domain=universe(target) | {t for t in q.atom.args if t.is_constant},
+        ground_cap=args.ground_cap, candidate_cap=args.candidate_cap,
+    )
+    return _print_query_result(args, q, mode, answer, apply_rewriting)
+
+
+def _print_query_result(
+    args, q: Query, mode: str, answer: QueryAnswer, rewritten: bool
+) -> int:
+    record = {
+        "query": str(q), "mode": mode, "rewriting_applied": rewritten,
+        "candidates_examined": answer.candidates_examined,
+    }
     if q.is_ground:
-        answer = "yes" if subs else "no"
+        text = "yes" if answer.substitutions else "no"
         if args.format == "structured":
-            print(json.dumps({
-                "query": str(q), "mode": mode,
-                "rewriting_applied": rewritten, "answer": answer,
-            }, indent=2))
+            print(json.dumps({**record, "answer": text}, indent=2))
         else:
-            print(answer)
+            print(text)
         return 0
-    ordered = sorted(subs)
+    ordered = sorted(answer.substitutions)
     if args.format == "structured":
         print(json.dumps({
-            "query": str(q), "mode": mode,
-            "rewriting_applied": rewritten,
-            "substitutions": [dict(s.bindings) for s in ordered],
+            **record, "substitutions": [dict(s.bindings) for s in ordered],
         }, indent=2))
     else:
         for s in ordered:
@@ -383,6 +387,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        import traceback  # here, so that calls which succeed skip its import
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

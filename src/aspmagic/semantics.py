@@ -9,8 +9,14 @@ to cut hopeless branches early, and enumerates the minimal models of the
 positive remainder at each leaf.  The cross-check route grounds every rule
 over the whole universe, enumerates candidate interpretations outright and
 accepts those that are models containing no nonempty unfounded subset.
-Both searches are exhaustive and deterministic; neither is meant to
-compete with a real solver.
+Both are deterministic; neither is meant to compete with a real solver.
+
+Query answering uses the primary search.  A ground query directs it: a
+brave query looks for one answer set containing the atom, pruning every
+branch whose upper bound lacks it, and a cautious query looks for one
+answer set lacking the atom, pruning every branch whose lower bound holds
+it; the first such answer set decides the answer.  A query with variables
+enumerates every answer set and matches the query atom against its atoms.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rewriter import AdornedPredicate, dms_with_details, magic_atom, split_magic_name
 from .syntax import (
@@ -52,6 +58,8 @@ __all__ = [
     "answer_sets_via_unfounded",
     "substitutions_brave",
     "substitutions_cautious",
+    "QueryAnswer",
+    "answer_query",
     "brave",
     "cautious",
     "killed_atoms",
@@ -169,7 +177,7 @@ def ground(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> GroundProgram:
     return GroundProgram(rules=tuple(out), source=p)
 
 
-# A body atom's arguments, each with its variable name or None for a constant.
+# An atom's arguments, each with its variable name or None for a constant.
 _Pattern = tuple[tuple[str | None, Term], ...]
 
 
@@ -363,24 +371,32 @@ def _minimal_models_masks(
 
 
 def _stable_models(
-    masked: list[tuple[int, int, int]], budget: _Budget
-) -> list[int]:
-    """All stable models of a relevant ground program, in mask form.
+    masked: list[tuple[int, int, int]],
+    budget: _Budget,
+    need: int = 0,
+    avoid: int = 0,
+) -> Iterator[int]:
+    """The stable models of a relevant ground program that contain every
+    atom of ``need`` and no atom of ``avoid``, in mask form, as the search
+    finds them.
 
     The search assigns a truth value to every atom occurring in a negative
     body.  At each node two monotone bounds prune the branch: atoms assumed
     true must stay optimistically derivable, and atoms certainly derivable
     (by single-head rules whose negative body is already all-false) must not
-    be assumed false.  Each surviving leaf fixes the reduct; its minimal
-    models that reproduce the assumed assignment are exactly the stable
-    models there.  The explicit stack visits the true branch before the
-    false one, in the order of a recursive depth-first walk.
+    be assumed false.  Every stable model below a node lies between the two
+    bounds, so a node whose upper bound lacks an atom of ``need``, or whose
+    lower bound holds an atom of ``avoid``, is pruned too.  Each surviving
+    leaf fixes the reduct; its minimal models that reproduce the assumed
+    assignment are exactly the stable models there.  The explicit stack
+    visits the true branch before the false one, in the order of a
+    recursive depth-first walk, so with both masks empty every stable model
+    is produced, in the same order.
     """
     nb_mask = 0
     for _, _, n in masked:
         nb_mask |= n
     normal = [(h, p, n) for h, p, n in masked if h & (h - 1) == 0]
-    results: list[int] = []
 
     def upper(t: int) -> int:
         return _closure([(h, p) for h, p, n in masked if n & t == 0])
@@ -388,22 +404,16 @@ def _stable_models(
     def lower(f: int) -> int:
         return _closure([(h, p) for h, p, n in normal if n & ~f == 0])
 
-    def leaf(t: int) -> None:
-        red = [(h, p) for h, p, n in masked if n & t == 0]
-        for m in _minimal_models_masks(red, budget):
-            if m & nb_mask == t:
-                results.append(m)
-
     stack = [(0, 0)]
     while stack:
         t, f = stack.pop()
         budget.spend()
         while True:
             possible = upper(t)
-            if t & ~possible:
+            if (t | need) & ~possible:
                 break
             cert = lower(f)
-            if cert & f:
+            if cert & (f | avoid):
                 break
             undecided = nb_mask & ~t & ~f
             force_true = undecided & cert
@@ -413,13 +423,34 @@ def _stable_models(
                 f |= force_false
                 continue
             if undecided == 0:
-                leaf(t)
+                red = [(h, p) for h, p, n in masked if n & t == 0]
+                for m in _minimal_models_masks(red, budget):
+                    if m & nb_mask == t and need & ~m == 0 and m & avoid == 0:
+                        yield m
             else:
                 bit = undecided & -undecided
                 stack.append((t, f | bit))
                 stack.append((t | bit, f))
             break
-    return results
+
+
+def _relevant_search(
+    p: Program, ground_cap: int
+) -> tuple[GroundProgram, list[Atom], dict[Atom, int], list[tuple[int, int, int]], int]:
+    """The relevant grounding of ``p`` in the mask form the search takes,
+    with its atoms, their bit positions and the mask of derivable atoms.
+
+    The head atoms of the relevant grounding are exactly the atoms
+    derivable when all negative literals are ignored; no other atom can
+    appear in an answer set, so negative bodies are cut down to those
+    atoms."""
+    g = ground(p, ground_cap)
+    atoms, pos_of, masked = _index_rules(g.rules)
+    derivable = 0
+    for h, _, _ in masked:
+        derivable |= h
+    masked = [(h, p_, n & derivable) for h, p_, n in masked]
+    return g, atoms, pos_of, masked, derivable
 
 
 def answer_sets(
@@ -431,23 +462,14 @@ def answer_sets(
     """Every answer set of ``p``: the interpretations that are subset-minimal
     models of their own reduct.
 
-    The search runs over the relevant grounding (see :func:`ground`), whose
-    head atoms are exactly the atoms derivable when all negative literals
-    are ignored; no other atom can appear in an answer set, so negative
-    bodies are cut down to those atoms.  ``candidate_cap`` bounds the number
-    of search states examined.
+    The search runs over the relevant grounding (see :func:`ground`) and
+    collects every stable model.  ``candidate_cap`` bounds the number of
+    search states examined.
     """
-    g = ground(p, ground_cap)
-    atoms, _, masked = _index_rules(g.rules)
-    derivable = 0
-    for h, _, _ in masked:
-        derivable |= h
+    g, atoms, _, masked, _ = _relevant_search(p, ground_cap)
     budget = _Budget(candidate_cap)
-    models = _stable_models(
-        [(h, p_, n & derivable) for h, p_, n in masked], budget
-    )
     out = frozenset(
-        frozenset(a for i, a in enumerate(atoms) if m >> i & 1) for m in models
+        _interpretation(atoms, m) for m in _stable_models(masked, budget)
     )
     return AnswerSetReport(
         answer_sets=out,
@@ -455,6 +477,10 @@ def answer_sets(
         method=SolveMethod.REDUCT_MINIMALITY,
         ground_rules=len(g.rules),
     )
+
+
+def _interpretation(atoms: Sequence[Atom], m: int) -> Interpretation:
+    return frozenset(a for i, a in enumerate(atoms) if m >> i & 1)
 
 
 def minimal_models(g: GroundProgram) -> frozenset[Interpretation]:
@@ -465,9 +491,7 @@ def minimal_models(g: GroundProgram) -> frozenset[Interpretation]:
     atoms, _, masked = _index_rules(g.rules)
     budget = _Budget(CANDIDATE_CAP_DEFAULT)
     models = _minimal_models_masks([(h, p) for h, p, _ in masked], budget)
-    return frozenset(
-        frozenset(a for i, a in enumerate(atoms) if m >> i & 1) for m in models
-    )
+    return frozenset(_interpretation(atoms, m) for m in models)
 
 
 def is_unfounded_set(
@@ -591,40 +615,111 @@ class Substitution:
         return ", ".join(f"{v} = {c}" for v, c in self.bindings)
 
 
-def _ground_instances(
-    q: Query, domain: Iterable[Term]
-) -> list[tuple[Substitution, Atom]]:
-    names = sorted(q.variables())
-    terms = sorted(set(domain))
-    out = []
-    for combo in product(terms, repeat=len(names)):
-        binding = dict(zip(names, combo))
-        out.append((Substitution.of(binding), q.atom.substitute(binding)))
-    return out
+def _matches(
+    q: Query, m: Interpretation, domain: frozenset[Term]
+) -> set[Substitution]:
+    """The substitutions into ``domain`` under which the query holds in
+    ``m``, found by matching the query atom against the atoms of ``m``."""
+    pred, arity = q.atom.predicate, q.atom.arity
+    rows = [a.args for a in m if a.predicate == pred and len(a.args) == arity]
+    return {
+        Substitution.of(binding)
+        for binding in _joins([(_pattern(q.atom), rows)], {})
+        if all(c in domain for c in binding.values())
+    }
+
+
+def _identity_if(holds: bool) -> frozenset[Substitution]:
+    """The answer to a ground query: the identity substitution or none."""
+    return frozenset({Substitution()}) if holds else frozenset()
 
 
 def substitutions_brave(
     report: AnswerSetReport, q: Query, domain: Iterable[Term]
 ) -> frozenset[Substitution]:
-    """Substitutions whose query instance holds in at least one answer set.
-    An inconsistent program bravely entails nothing."""
-    out = set()
-    for sub, atom in _ground_instances(q, domain):
-        if any(atom in m for m in report.answer_sets):
-            out.add(sub)
+    """Substitutions into ``domain`` whose query instance holds in at least
+    one answer set.  An inconsistent program bravely entails nothing."""
+    if q.is_ground:
+        return _identity_if(any(q.atom in m for m in report.answer_sets))
+    terms = frozenset(domain)
+    out: set[Substitution] = set()
+    for m in report.answer_sets:
+        out |= _matches(q, m, terms)
     return frozenset(out)
 
 
 def substitutions_cautious(
     report: AnswerSetReport, q: Query, domain: Iterable[Term]
 ) -> frozenset[Substitution]:
-    """Substitutions whose query instance holds in every answer set.  An
-    inconsistent program cautiously entails every instance."""
-    out = set()
-    for sub, atom in _ground_instances(q, domain):
-        if all(atom in m for m in report.answer_sets):
-            out.add(sub)
+    """Substitutions into ``domain`` whose query instance holds in every
+    answer set.  An inconsistent program cautiously entails every instance,
+    the only case that enumerates the domain."""
+    if q.is_ground:
+        return _identity_if(all(q.atom in m for m in report.answer_sets))
+    terms = frozenset(domain)
+    if not report.answer_sets:
+        names = sorted(q.variables())
+        return frozenset(
+            Substitution.of(dict(zip(names, combo)))
+            for combo in product(sorted(terms), repeat=len(names))
+        )
+    models = iter(report.answer_sets)
+    out = _matches(q, next(models), terms)
+    for m in models:
+        if not out:
+            break
+        out &= _matches(q, m, terms)
     return frozenset(out)
+
+
+class QueryAnswer(NamedTuple):
+    """The substitutions that answer a brave or cautious query, and the
+    number of search states the answer took."""
+
+    substitutions: frozenset[Substitution]
+    candidates_examined: int
+
+
+def answer_query(
+    p: Program,
+    q: Query,
+    mode: str,
+    *,
+    domain: Iterable[Term] | None = None,
+    ground_cap: int = GROUND_CAP_DEFAULT,
+    candidate_cap: int = CANDIDATE_CAP_DEFAULT,
+) -> QueryAnswer:
+    """Answer ``q`` over ``p`` bravely (``mode="brave"``) or cautiously
+    (``mode="cautious"``).
+
+    A ground query directs the search instead of enumerating every answer
+    set.  Brave asks for one answer set that contains the query atom, so
+    the search prunes every branch whose upper bound lacks it and stops at
+    the first model; an atom that no relevant rule derives is answered
+    without a search.  Cautious asks for one answer set that lacks the atom,
+    so the search prunes every branch whose lower bound holds it; the answer
+    is yes exactly when there is none, which covers inconsistent programs.
+    A query with variables enumerates the answer sets and matches the query
+    atom against each; substitutions range over ``domain``, the universe of
+    ``p`` by default.
+    """
+    if mode not in ("brave", "cautious"):
+        raise ValueError(f"unknown query mode {mode!r}")
+    if not q.is_ground:
+        report = answer_sets(p, ground_cap=ground_cap, candidate_cap=candidate_cap)
+        pick = substitutions_brave if mode == "brave" else substitutions_cautious
+        subs = pick(report, q, universe(p) if domain is None else domain)
+        return QueryAnswer(subs, report.candidates_examined)
+    _, _, pos_of, masked, derivable = _relevant_search(p, ground_cap)
+    bit = 1 << pos_of[q.atom] if q.atom in pos_of else 0
+    budget = _Budget(candidate_cap)
+    if mode == "brave":
+        holds = bool(bit & derivable) and (
+            next(_stable_models(masked, budget, need=bit), None) is not None
+        )
+    else:
+        holds = next(_stable_models(masked, budget, avoid=bit), None) is None
+    return QueryAnswer(_identity_if(holds), budget.spent)
 
 
 def brave(
@@ -635,8 +730,12 @@ def brave(
     ground_cap: int = GROUND_CAP_DEFAULT,
     candidate_cap: int = CANDIDATE_CAP_DEFAULT,
 ) -> frozenset[Substitution]:
-    report = answer_sets(p, ground_cap=ground_cap, candidate_cap=candidate_cap)
-    return substitutions_brave(report, q, universe(p) if domain is None else domain)
+    """The substitutions under which ``q`` holds in some answer set of
+    ``p`` (see :func:`answer_query`)."""
+    return answer_query(
+        p, q, "brave",
+        domain=domain, ground_cap=ground_cap, candidate_cap=candidate_cap,
+    ).substitutions
 
 
 def cautious(
@@ -647,8 +746,12 @@ def cautious(
     ground_cap: int = GROUND_CAP_DEFAULT,
     candidate_cap: int = CANDIDATE_CAP_DEFAULT,
 ) -> frozenset[Substitution]:
-    report = answer_sets(p, ground_cap=ground_cap, candidate_cap=candidate_cap)
-    return substitutions_cautious(report, q, universe(p) if domain is None else domain)
+    """The substitutions under which ``q`` holds in every answer set of
+    ``p`` (see :func:`answer_query`)."""
+    return answer_query(
+        p, q, "cautious",
+        domain=domain, ground_cap=ground_cap, candidate_cap=candidate_cap,
+    ).substitutions
 
 
 def _magic_lookup(n: Interpretation) -> dict[tuple[str, str], set[tuple[Term, ...]]]:

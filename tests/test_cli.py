@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import aspmagic
+import aspmagic.cli
+from aspmagic import gen_related_instance, print_program
 from aspmagic.cli import main
 
 ANCESTRY = """\
@@ -141,6 +143,54 @@ def test_structured_query_reports_the_rewriting_flag(write, capsys):
     assert payload["answer"] == "yes"
     assert payload["mode"] == "brave"
     assert payload["rewriting_applied"] is True
+
+
+def test_structured_query_reports_the_states_searched(write, capsys):
+    path = write(ANCESTRY)
+    assert main(["solve", path, "--format", "structured"]) == 0
+    full = json.loads(capsys.readouterr().out)["candidates_examined"]
+    for query, rewrite in (("ancestor(p1,X)?", "off"), ("ancestor(p1,p2)?", "off"),
+                           ("ancestor(p1,p2)?", "auto")):
+        code = main([
+            "query", path, "--query", query, "--brave", "--rewrite", rewrite,
+            "--format", "structured",
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["candidates_examined"] > 0
+        if rewrite == "off" and query.endswith("X)?"):
+            # a query with variables enumerates every answer set
+            assert payload["candidates_examined"] == full
+    # the text output does not change
+    assert main(["query", path, "--query", "ancestor(p1,p2)?", "--brave"]) == 0
+    assert capsys.readouterr().out == "yes\n"
+
+
+@pytest.mark.parametrize("rewrite", ["off", "auto"])
+def test_grid_4_corner_query_stays_under_a_small_cap(write, capsys, rewrite):
+    # Enumerating the answer sets of the 4-grid takes far more than 1000
+    # states; the directed search needs a few dozen.
+    inst = gen_related_instance(4)
+    path = write(print_program(inst.program))
+    code = main([
+        "query", path, "--query", str(inst.query), "--brave",
+        "--candidate-cap", "1000", "--rewrite", rewrite,
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == "yes\n"
+
+
+@pytest.mark.parametrize("rewrite", ["auto", "on", "off"])
+@pytest.mark.parametrize("query", ["p(X,Y)?", "p(a,b)?", "p(X,X)?", "p?"])
+def test_query_arity_mismatch_exits_2(write, capsys, rewrite, query):
+    path = write("e(a).\np(X) :- e(X).\n")
+    for mode in ("--brave", "--cautious"):
+        code = main(["query", path, "--query", query, mode, "--rewrite", rewrite])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "arity 1" in captured.err
 
 
 # --------------------------------------------------------------------- check
@@ -299,6 +349,24 @@ def test_import_loads_no_graph_library():
         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
     ).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "command, stage",
+    [(["solve"], "answer_sets"),
+     (["query", "--query", "p(a)?", "--brave"], "answer_query"),
+     (["rewrite", "--query", "p(a)?"], "dms")],
+)
+def test_internal_errors_exit_4(write, capsys, monkeypatch, command, stage):
+    def broken(*args, **kwargs):
+        raise RuntimeError("stage broke")
+
+    monkeypatch.setattr(aspmagic.cli, stage, broken)
+    path = write("e(a).\np(X) :- e(X).\n")
+    assert main([command[0], path, *command[1:]]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == "internal error: RuntimeError: stage broke"
 
 
 def test_unsafe_program_exits_2(write, capsys):

@@ -5,7 +5,9 @@ Expected answer sets in this file were worked out by hand from the
 definitions before the solver existed; they are frozen here as literals.
 """
 
+import random
 import sys
+from itertools import product
 
 import pytest
 
@@ -15,15 +17,19 @@ from aspmagic import (
     GroundingTooLarge,
     GroundProgram,
     ProgramError,
+    Query,
     SolveMethod,
     Substitution,
+    answer_query,
     answer_sets,
     answer_sets_via_unfounded,
     brave,
+    base,
     cautious,
     const,
     dms,
     dms_with_details,
+    gen_related_instance,
     ground,
     is_model,
     is_unfounded_set,
@@ -39,6 +45,7 @@ from aspmagic import (
     substitutions_brave,
     substitutions_cautious,
     universe,
+    var,
 )
 from aspmagic.semantics import _ground_exhaustive
 
@@ -332,6 +339,127 @@ def test_domain_parameter_widens_the_instances():
     assert wide_brave == {Substitution((("X", "a"),))}
     # the zz instance is false in the single answer set
     assert Substitution((("X", "zz"),)) not in wide_cautious
+
+
+@pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
+def test_directed_ground_queries_match_full_enumeration(profile):
+    # Ground atoms come from the base, so many have no deriving rule; the
+    # sampled facts make some arbitrary programs inconsistent.
+    mismatches = []
+    checked = inconsistent = 0
+    for seed in range(40):
+        p = random_program(seed, profile)
+        facts = random_edb(p, seed, 0.3, fresh_constants=1, max_facts=4)
+        rewritten = dms(random_query(p, seed), p)
+        for label, side in (("original", p), ("dms", rewritten)):
+            side = side.with_facts(facts)
+            models = answer_sets(side).answer_sets
+            inconsistent += not models
+            rng = random.Random(f"{profile}:{seed}:{label}")
+            pool = sorted(base(side))
+            held = sorted({a for m in models for a in m})
+            atoms = rng.sample(pool, min(8, len(pool)))
+            atoms += rng.sample(held, min(4, len(held)))
+            for atom in atoms:
+                q = Query(atom)
+                expected = {
+                    "brave": any(atom in m for m in models),
+                    "cautious": all(atom in m for m in models),
+                }
+                for mode, holds in expected.items():
+                    got = answer_query(side, q, mode).substitutions
+                    checked += 1
+                    if got != ({Substitution()} if holds else frozenset()):
+                        mismatches.append((seed, label, str(atom), mode))
+    assert mismatches == []
+    assert checked > 1000
+    if profile == "arbitrary":
+        assert inconsistent > 0
+
+
+def test_directed_brave_skips_the_search_for_underivable_atoms():
+    p = parse_program("e(a). p(X) :- e(X), not q(X). q(X) :- e(X), not p(X).")
+    answer = answer_query(p, parse_query("p(b)?"), "brave")
+    assert answer.substitutions == frozenset()
+    assert answer.candidates_examined == 0
+    # no answer set holds p(b), so any one of them refutes it cautiously
+    answer = answer_query(p, parse_query("p(b)?"), "cautious")
+    assert answer.substitutions == frozenset()
+    assert answer.candidates_examined > 0
+
+
+def test_directed_cautious_on_an_inconsistent_program_says_yes():
+    p = parse_program("e(a). bad :- not bad.")
+    for text in ("e(a)?", "e(b)?", "bad?"):
+        assert cautious(p, parse_query(text)) == {Substitution()}
+        assert brave(p, parse_query(text)) == frozenset()
+
+
+def test_answer_sets_repeat_the_grid_3_counts():
+    inst = gen_related_instance(3)
+    for target, sets, states in (
+        (inst.program, 4096, 12287),
+        (dms(inst.query, inst.program), 385, 1154),
+    ):
+        report = answer_sets(target)
+        assert (len(report.answer_sets), report.candidates_examined) == (sets, states)
+        # the directed search decides the corner query in a few states
+        for mode, holds in (("brave", True), ("cautious", False)):
+            answer = answer_query(target, inst.query, mode)
+            assert bool(answer.substitutions) is holds
+            assert answer.candidates_examined < 50
+
+
+def test_answer_query_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode"):
+        answer_query(parse_program("a."), parse_query("a?"), "sometimes")
+
+
+def _enumerated(report, q, domain, combine):
+    """The substitutions of ``q`` by enumerating every instance over
+    ``domain``: the definition that matching against answer sets must
+    reproduce."""
+    names = sorted(q.variables())
+    out = set()
+    for combo in product(sorted(set(domain)), repeat=len(names)):
+        binding = dict(zip(names, combo))
+        atom = q.atom.substitute(binding)
+        if combine(atom in m for m in report.answer_sets):
+            out.add(Substitution.of(binding))
+    return frozenset(out)
+
+
+def _query_patterns(p):
+    """Every query over the predicates of ``p`` whose arguments are drawn
+    from two variables and one constant, repeated variables included."""
+    terms = (var("X"), var("Y"), sorted(universe(p))[0])
+    for pred, arity in sorted(p.predicates.items()):
+        for args in product(terms, repeat=arity):
+            yield Query(Atom(pred, args))
+
+
+@pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
+def test_matching_equals_instance_enumeration(profile):
+    choices = (
+        "e(a,b). e(b,b). e(b,c). p(X,Y) :- e(X,Y), not q(X,Y). "
+        "q(X,Y) :- e(X,Y), not p(X,Y). s(X,X) :- e(X,X)."
+    )
+    programs = [parse_program(choices), parse_program(choices + " bad :- not bad.")]
+    for seed in range(15):
+        p = random_program(seed, profile)
+        programs.append(p.with_facts(random_edb(p, seed, 0.4, max_facts=4)))
+    for p in programs:
+        report = answer_sets(p)
+        u = sorted(universe(p))
+        domains = (set(u), set(u) | {const("zz"), const("zz2")}, set(u[:1]))
+        for q in _query_patterns(p):
+            for domain in domains:
+                assert substitutions_brave(report, q, domain) == _enumerated(
+                    report, q, domain, any
+                ), (str(q), sorted(map(str, domain)))
+                assert substitutions_cautious(report, q, domain) == _enumerated(
+                    report, q, domain, all
+                ), (str(q), sorted(map(str, domain)))
 
 
 def test_substitution_display():
