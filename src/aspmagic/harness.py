@@ -8,10 +8,7 @@ original program and its rewriting, or time both on growing instances.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import json
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass
@@ -340,6 +337,8 @@ def check_equivalence(
     difference.  Trials tripping a solver cap are skipped and counted.
     """
     if program_id is None:
+        import hashlib  # loaded only here, not by every CLI call
+
         digest = hashlib.sha1(print_program(p).encode()).hexdigest()
         program_id = digest[:12]
     rewritten = dms(q, p)
@@ -458,6 +457,8 @@ def run_benchmark(
     """
     if mode not in ("plain", "dms", "both"):
         raise ValueError(f"unknown mode {mode!r}")
+    import multiprocessing  # loaded only here, not by every CLI call
+
     mode_list = ("plain", "dms") if mode == "both" else (mode,)
     ctx = multiprocessing.get_context("fork")
     cells = []
@@ -503,6 +504,8 @@ def run_benchmark(
 def benchmark_table(cells: Iterable[BenchmarkCell]) -> str:
     """The cells as comma-separated text, one row per repetition; empty
     fields are values a timed-out or capped cell does not have."""
+    import csv  # loaded only here, not by every CLI call
+
     out = StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(

@@ -3,28 +3,34 @@
 Two independent routes compute answer sets.  The primary one grounds by
 relevance: a semi-naive join builds only the rule instances whose positive
 body is derivable with negation ignored, so the magic predicates of a
-rewritten program cut what is instantiated.  It then branches over the
-atoms that occur in negative bodies, keeps monotone lower and upper bounds
-to cut hopeless branches early, and enumerates the minimal models of the
-positive remainder at each leaf.  The cross-check route grounds every rule
-over the whole universe, enumerates candidate interpretations outright and
-accepts those that are models containing no nonempty unfounded subset.
-Both are deterministic; neither is meant to compete with a real solver.
+rewritten program cut what is instantiated.  The join reads each body atom
+through an argument index on the positions already bound, and it codes
+atoms as integer ids and instances as tuples of ids, which the search
+turns straight into bitmasks; :func:`ground` decodes the same instances
+into rules.  The search then branches over the atoms that occur in
+negative bodies, keeps monotone lower and upper bounds to cut hopeless
+branches early, and enumerates the minimal models of the positive
+remainder at each leaf.  The cross-check route grounds every rule over the
+whole universe, enumerates candidate interpretations outright and accepts
+those that are models containing no nonempty unfounded subset.  Both are
+deterministic; neither is meant to compete with a real solver.
 
 Query answering uses the primary search.  A ground query directs it: a
 brave query looks for one answer set containing the atom, pruning every
 branch whose upper bound lacks it, and a cautious query looks for one
 answer set lacking the atom, pruning every branch whose lower bound holds
 it; the first such answer set decides the answer.  A query with variables
-enumerates every answer set and matches the query atom against its atoms.
+matches the query atom against the atoms of each answer set; a brave one
+enumerates them all, a cautious one stops once no substitution is left.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rewriter import AdornedPredicate, dms_with_details, magic_atom, split_magic_name
 from .syntax import (
@@ -106,112 +112,267 @@ def ground(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> GroundProgram:
     with negative bodies ignored.
 
     No other instance can fire in an answer set, so these are exactly the
-    instances the search needs.  They are found by a semi-naive join:
-    bodiless rules are ground by safety and come first; after that, each
-    round matches every positive body against the atoms derived so far,
-    indexed by predicate, with at least one body atom on an atom new in
-    the previous round, and the heads of the new instances join the
-    derived atoms.  The result keeps the order of the exhaustive
-    grounding: source rule first, then the binding tuple over the sorted
-    variable names, the first copy winning when instances collide.
+    instances the search needs.  They are found by a semi-naive join in
+    which each body atom reads only the derived atoms whose already-bound
+    arguments match, through an argument index kept per predicate and per
+    set of bound positions.  The grounder codes atoms as integer ids and
+    instances as tuples of ids; the search reads those directly, and this
+    function decodes the same instances into validated atoms and rules.
+    The order is that of the exhaustive grounding: source rule first, then
+    the binding tuple over the sorted variable names, the first copy
+    winning when instances collide.
 
     ``ground_cap`` bounds the number of distinct instances as they are
     emitted; crossing it raises :class:`GroundingTooLarge`.
     """
-    derived: dict[str, list[tuple[Term, ...]]] = {}
-    known: set[Atom] = set()
-    pending: list[Atom] = []
-    found: list[dict[tuple[Term, ...], Rule]] = [{} for _ in p.rules]
-    distinct: set[Rule] = set()
+    coded = _ground_coded(p, ground_cap)
+    atoms = _decode(p, coded.keys)
+    rules = tuple(
+        Rule(
+            [atoms[i] for i in head],
+            [atoms[i] for i in pos],
+            [atoms[i] for i in neg],
+        )
+        for head, pos, neg in coded.instances
+    )
+    return GroundProgram(rules=rules, source=p)
 
-    def emit(index: int, key: tuple[Term, ...], instance: Rule) -> None:
-        found[index][key] = instance
-        if instance in distinct:
+
+# A ground atom in the grounder's coding: predicate and argument names.
+_Key = tuple[str, tuple[str, ...]]
+# A coded instance: the atom ids of its head, positive and negative body.
+_Instance = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+class _Coded(NamedTuple):
+    """The relevant grounding with atoms replaced by ids: ``keys[i]`` is
+    atom ``i``, ``derived`` lists the ids of the derivable atoms, and
+    ``instances`` are in the order of :func:`ground`."""
+
+    keys: list[_Key]
+    derived: list[int]
+    instances: list[_Instance]
+
+
+class _Relation:
+    """The argument tuples of one predicate, numbered in the order they
+    were added, with an index per set of bound positions.  An index is
+    built on its first lookup and extended by every later row."""
+
+    __slots__ = ("rows", "_index")
+
+    def __init__(self) -> None:
+        self.rows: list[tuple[str, ...]] = []
+        self._index: dict[tuple[int, ...], dict[tuple[str, ...], list[int]]] = {}
+
+    def add(self, args: tuple[str, ...]) -> None:
+        row = len(self.rows)
+        self.rows.append(args)
+        for positions, buckets in self._index.items():
+            buckets.setdefault(tuple(args[i] for i in positions), []).append(row)
+
+    def lookup(self, positions: tuple[int, ...], key: tuple[str, ...]) -> list[int]:
+        """The row numbers, ascending, whose values at ``positions`` are
+        ``key``."""
+        buckets = self._index.get(positions)
+        if buckets is None:
+            buckets = self._index[positions] = {}
+            for row, args in enumerate(self.rows):
+                buckets.setdefault(tuple(args[i] for i in positions), []).append(row)
+        return buckets.get(key, [])
+
+
+def _layout(atoms: Iterable[Atom]) -> tuple[int, list[str | None], dict[str, int]]:
+    """The binding layout of one rule or query: the number of variables,
+    a template binding with a slot for each variable, sorted by name,
+    followed by one holding each constant, and the slot of each term."""
+    atoms = list(atoms)
+    names = sorted({t.name for a in atoms for t in a.args if t.is_variable})
+    constants = dict.fromkeys(t.name for a in atoms for t in a.args if t.is_constant)
+    template: list[str | None] = [None] * len(names) + list(constants)
+    slot = {n: i for i, n in enumerate(template) if i >= len(names)}
+    slot.update((n, i) for i, n in enumerate(names))
+    return len(names), template, slot
+
+
+# One join step: the bound positions of a body atom and the slots their
+# values come from, the slots its other positions bind, and the positions
+# that repeat a variable first bound by this same atom.
+_Pairs = tuple[tuple[int, int], ...]
+_Step = tuple[tuple[int, ...], tuple[int, ...], _Pairs, _Pairs]
+
+
+def _plan(slots: Sequence[tuple[int, ...]], n: int) -> list[_Step]:
+    """The join steps for atoms with argument slots ``slots``, matched in
+    this order, in a layout whose slots from ``n`` on hold constants."""
+    bound: set[int] = set()
+    steps = []
+    for arg_slots in slots:
+        positions, keys, binds, checks = [], [], [], []
+        fresh: set[int] = set()
+        for pos, s in enumerate(arg_slots):
+            if s >= n or s in bound:
+                positions.append(pos)
+                keys.append(s)
+            elif s in fresh:
+                checks.append((pos, s))
+            else:
+                fresh.add(s)
+                binds.append((pos, s))
+        bound |= fresh
+        steps.append((tuple(positions), tuple(keys), tuple(binds), tuple(checks)))
+    return steps
+
+
+def _join(
+    steps: Sequence[tuple[_Relation, _Step, int, int]],
+    binding: list,
+    found: Callable[[list], None],
+    k: int = 0,
+) -> None:
+    """Call ``found`` with every extension of ``binding`` under which each
+    step's atom matches a row of its relation numbered in ``[lo, hi)``."""
+    if k == len(steps):
+        found(binding)
+        return
+    rel, (positions, keys, binds, checks), lo, hi = steps[k]
+    rows = rel.rows
+    if positions:
+        bucket = rel.lookup(positions, tuple(binding[s] for s in keys))
+        within = bucket[bisect_left(bucket, lo) : bisect_left(bucket, hi)]
+        matches = [rows[r] for r in within]
+    else:
+        matches = rows[lo:hi]
+    for args in matches:
+        for pos, s in binds:
+            binding[s] = args[pos]
+        for pos, s in checks:
+            if args[pos] != binding[s]:
+                break
+        else:
+            _join(steps, binding, found, k + 1)
+
+
+def _ground_coded(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> _Coded:
+    """The relevant grounding of ``p`` in integer coding.
+
+    Each derived atom gets an id the first time it is derived, keyed by
+    predicate and argument names; an atom of a negative body that nothing
+    derives gets one too, so instances compare by their ids alone.
+    Bodiless rules are ground by safety and come first; after that a
+    semi-naive join runs in rounds.  Each round matches every positive
+    body against the atoms derived so far with at least one body atom on
+    an atom new in the previous round; atoms before that one match old
+    atoms only, so each new combination is found once.  A body atom reads
+    only the rows of its predicate whose already-bound positions match,
+    through the argument index of :class:`_Relation`, and the old/new
+    split is a bisection on the row numbers.  Instances are deduplicated
+    on their id sets; ``ground_cap`` bounds the distinct ones as they are
+    emitted.
+    """
+    keys: list[_Key] = []
+    ids: dict[_Key, int] = {}
+    derived: list[int] = []
+    known: set[int] = set()
+    pending: list[int] = []
+    found: list[dict[tuple, tuple[_Instance, tuple]]] = [{} for _ in p.rules]
+    distinct: set[tuple] = set()
+
+    def atom_id(key: _Key) -> int:
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(keys)
+            keys.append(key)
+        return i
+
+    def emit(by_key: dict, key: tuple, instance: _Instance) -> None:
+        head, pos, neg = instance
+        signature = (frozenset(head), frozenset(pos), frozenset(neg))
+        by_key[key] = (instance, signature)
+        if signature in distinct:
             return
-        distinct.add(instance)
+        distinct.add(signature)
         if len(distinct) > ground_cap:
             raise GroundingTooLarge(
                 f"grounding needs more than {ground_cap} instances"
             )
-        for a in instance.head:
+        for a in head:
             if a not in known:
                 known.add(a)
+                derived.append(a)
                 pending.append(a)
+
+    def firing(by_key: dict, n: int, parts) -> Callable[[list], None]:
+        """Emit the instance a complete binding gives, unless the binding
+        over the ``n`` variables was seen before."""
+
+        def fire(binding: list) -> None:
+            key = tuple(binding[:n])
+            if key not in by_key:
+                emit(by_key, key, tuple([
+                    tuple([
+                        atom_id((pred, tuple([binding[s] for s in arg_slots])))
+                        for pred, arg_slots in part
+                    ])
+                    for part in parts
+                ]))
+
+        return fire
 
     joined = []
     for index, rule in enumerate(p.rules):
-        if rule.pos_body:
-            patterns = [_pattern(a) for a in rule.pos_body]
-            joined.append((index, rule, sorted(rule.variables()), patterns))
-        else:
-            emit(index, (), rule)
+        n, template, slot = _layout(rule.atoms())
+        parts = tuple(
+            tuple((a.predicate, tuple(slot[t.name] for t in a.args)) for a in part)
+            for part in (rule.head, rule.pos_body, rule.neg_body)
+        )
+        fire = firing(found[index], n, parts)
+        if not rule.pos_body:
+            fire(template)
+            continue
+        preds = [a.predicate for a in rule.pos_body]
+        # Each body atom in turn is the one matched against new rows; the
+        # others follow in body order.
+        plans = []
+        for i in range(len(preds)):
+            order = [i, *(j for j in range(len(preds)) if j != i)]
+            plans.append((order, _plan([parts[1][j][1] for j in order], n)))
+        joined.append((template, preds, plans, fire))
+
+    relations: dict[str, _Relation] = {}
     while pending:
-        mark = {pred: len(rows) for pred, rows in derived.items()}
+        mark = {pred: len(rel.rows) for pred, rel in relations.items()}
         for a in pending:
-            derived.setdefault(a.predicate, []).append(a.args)
+            pred, args = keys[a]
+            if pred not in relations:
+                relations[pred] = _Relation()
+            relations[pred].add(args)
         pending.clear()
-        for index, rule, names, patterns in joined:
-            body = rule.pos_body
-            for i, atom in enumerate(body):
-                rows = derived.get(atom.predicate, [])
-                start = mark.get(atom.predicate, 0)
-                if len(rows) == start:
+        for template, preds, plans, fire in joined:
+            for order, plan in plans:
+                i = order[0]
+                rel = relations.get(preds[i])
+                if rel is None or len(rel.rows) == mark.get(preds[i], 0):
                     continue
-                # Atoms before the new one match old atoms only, so each
-                # new combination is found once.
-                steps = [(patterns[i], rows[start:])]
-                for j, other in enumerate(body):
-                    if j != i:
-                        rows_j = derived.get(other.predicate, [])
-                        if j < i:
-                            rows_j = rows_j[: mark.get(other.predicate, 0)]
-                        steps.append((patterns[j], rows_j))
-                for binding in _joins(steps, {}):
-                    key = tuple(binding[v] for v in names)
-                    if key not in found[index]:
-                        emit(index, key, rule.substitute(binding))
-    out: dict[Rule, None] = {}
+                steps = [(rel, plan[0], mark.get(preds[i], 0), len(rel.rows))]
+                for step, j in zip(plan[1:], order[1:]):
+                    rel = relations.get(preds[j])
+                    if rel is None:
+                        break
+                    hi = mark.get(preds[j], 0) if j < i else len(rel.rows)
+                    steps.append((rel, step, 0, hi))
+                else:
+                    _join(steps, list(template), fire)
+
+    instances: list[_Instance] = []
+    seen: set[tuple] = set()
     for by_key in found:
         for key in sorted(by_key):
-            out.setdefault(by_key[key])
-    return GroundProgram(rules=tuple(out), source=p)
-
-
-# An atom's arguments, each with its variable name or None for a constant.
-_Pattern = tuple[tuple[str | None, Term], ...]
-
-
-def _pattern(atom: Atom) -> _Pattern:
-    return tuple((t.name if t.is_variable else None, t) for t in atom.args)
-
-
-def _joins(
-    steps: Sequence[tuple[_Pattern, Sequence[tuple[Term, ...]]]],
-    binding: dict[str, Term],
-) -> Iterator[dict[str, Term]]:
-    """The extensions of ``binding`` that match, for each step, its pattern
-    against one of its argument tuples."""
-    if not steps:
-        yield binding
-        return
-    pattern, rows = steps[0]
-    rest = steps[1:]
-    for args in rows:
-        b = binding
-        for (name, term), c in zip(pattern, args):
-            if name is None:
-                if term != c:
-                    break
-            else:
-                bound = b.get(name)
-                if bound is None:
-                    if b is binding:
-                        b = dict(binding)
-                    b[name] = c
-                elif bound != c:
-                    break
-        else:
-            yield from _joins(rest, b)
+            instance, signature = by_key[key]
+            if signature not in seen:
+                seen.add(signature)
+                instances.append(instance)
+    return _Coded(keys, derived, instances)
 
 
 def _ground_exhaustive(
@@ -436,21 +597,37 @@ def _stable_models(
 
 def _relevant_search(
     p: Program, ground_cap: int
-) -> tuple[GroundProgram, list[Atom], dict[Atom, int], list[tuple[int, int, int]], int]:
-    """The relevant grounding of ``p`` in the mask form the search takes,
-    with its atoms, their bit positions and the mask of derivable atoms.
+) -> tuple[int, list[Atom], list[tuple[int, int, int]], dict[_Key, int]]:
+    """The relevant grounding of ``p`` in the mask form the search takes:
+    its number of instances, the derivable atoms in bit order, the
+    ``(head, pos, neg)`` masks, and the bit of each derivable atom.
 
     The head atoms of the relevant grounding are exactly the atoms
-    derivable when all negative literals are ignored; no other atom can
-    appear in an answer set, so negative bodies are cut down to those
-    atoms."""
-    g = ground(p, ground_cap)
-    atoms, pos_of, masked = _index_rules(g.rules)
-    derivable = 0
-    for h, _, _ in masked:
-        derivable |= h
-    masked = [(h, p_, n & derivable) for h, p_, n in masked]
-    return g, atoms, pos_of, masked, derivable
+    derivable when all negative literals are ignored.  No other atom can
+    appear in an answer set, so only these get a bit, in the order of
+    predicate and argument names, and negative bodies lose the rest."""
+    coded = _ground_coded(p, ground_cap)
+    order = sorted(coded.derived, key=coded.keys.__getitem__)
+    bits = [0] * len(coded.keys)
+    for k, i in enumerate(order):
+        bits[i] = 1 << k
+
+    def mask(ids: tuple[int, ...]) -> int:
+        m = 0
+        for i in ids:
+            m |= bits[i]
+        return m
+
+    masked = [(mask(h), mask(b), mask(n)) for h, b, n in coded.instances]
+    keys = [coded.keys[i] for i in order]
+    bit_of = {key: 1 << k for k, key in enumerate(keys)}
+    return len(coded.instances), _decode(p, keys), masked, bit_of
+
+
+def _decode(p: Program, keys: Iterable[_Key]) -> list[Atom]:
+    """The atoms of ``p`` that coded atoms stand for."""
+    terms = {t.name: t for t in p.constants}
+    return [Atom(pred, tuple(terms[n] for n in names)) for pred, names in keys]
 
 
 def answer_sets(
@@ -466,7 +643,7 @@ def answer_sets(
     collects every stable model.  ``candidate_cap`` bounds the number of
     search states examined.
     """
-    g, atoms, _, masked, _ = _relevant_search(p, ground_cap)
+    instances, atoms, masked, _ = _relevant_search(p, ground_cap)
     budget = _Budget(candidate_cap)
     out = frozenset(
         _interpretation(atoms, m) for m in _stable_models(masked, budget)
@@ -475,7 +652,7 @@ def answer_sets(
         answer_sets=out,
         candidates_examined=budget.spent,
         method=SolveMethod.REDUCT_MINIMALITY,
-        ground_rules=len(g.rules),
+        ground_rules=instances,
     )
 
 
@@ -615,23 +792,49 @@ class Substitution:
         return ", ".join(f"{v} = {c}" for v, c in self.bindings)
 
 
-def _matches(
-    q: Query, m: Interpretation, domain: frozenset[Term]
-) -> set[Substitution]:
-    """The substitutions into ``domain`` under which the query holds in
-    ``m``, found by matching the query atom against the atoms of ``m``."""
+def _matcher(
+    q: Query, domain: Iterable[Term]
+) -> Callable[[Interpretation], set[Substitution]]:
+    """A function giving the substitutions into ``domain`` under which
+    ``q`` holds in an interpretation, found by matching the query atom
+    against its atoms through the grounder's join."""
     pred, arity = q.atom.predicate, q.atom.arity
-    rows = [a.args for a in m if a.predicate == pred and len(a.args) == arity]
-    return {
-        Substitution.of(binding)
-        for binding in _joins([(_pattern(q.atom), rows)], {})
-        if all(c in domain for c in binding.values())
-    }
+    n, template, slot = _layout([q.atom])
+    (step,) = _plan([tuple(slot[t.name] for t in q.atom.args)], n)
+    names = sorted(q.variables())
+    allowed = {t.name for t in domain}
+
+    def matches(m: Interpretation) -> set[Substitution]:
+        rel = _Relation()
+        for a in m:
+            if a.predicate == pred and len(a.args) == arity:
+                rel.add(tuple(t.name for t in a.args))
+        out: set[Substitution] = set()
+
+        def found(binding: list) -> None:
+            values = binding[:n]
+            if all(c in allowed for c in values):
+                out.add(Substitution(tuple(zip(names, values))))
+
+        _join([(rel, step, 0, len(rel.rows))], list(template), found)
+        return out
+
+    return matches
 
 
 def _identity_if(holds: bool) -> frozenset[Substitution]:
     """The answer to a ground query: the identity substitution or none."""
     return frozenset({Substitution()}) if holds else frozenset()
+
+
+def _every_substitution(q: Query, terms: Iterable[Term]) -> frozenset[Substitution]:
+    """Every substitution of the variables of ``q`` into ``terms``: the
+    cautious answer of an inconsistent program."""
+    names = sorted(q.variables())
+    return frozenset(
+        Substitution.of(dict(zip(names, combo)))
+        for combo in product(sorted(terms), repeat=len(names))
+    )
 
 
 def substitutions_brave(
@@ -641,10 +844,10 @@ def substitutions_brave(
     one answer set.  An inconsistent program bravely entails nothing."""
     if q.is_ground:
         return _identity_if(any(q.atom in m for m in report.answer_sets))
-    terms = frozenset(domain)
+    matches = _matcher(q, domain)
     out: set[Substitution] = set()
     for m in report.answer_sets:
-        out |= _matches(q, m, terms)
+        out |= matches(m)
     return frozenset(out)
 
 
@@ -656,20 +859,23 @@ def substitutions_cautious(
     the only case that enumerates the domain."""
     if q.is_ground:
         return _identity_if(all(q.atom in m for m in report.answer_sets))
+    return _intersect_matches(q, domain, report.answer_sets)
+
+
+def _intersect_matches(
+    q: Query, domain: Iterable[Term], models: Iterable[Interpretation]
+) -> frozenset[Substitution]:
+    """The substitutions into ``domain`` under which ``q`` holds in every
+    one of ``models``, taken from them one at a time until none is left;
+    every substitution when there are no models."""
     terms = frozenset(domain)
-    if not report.answer_sets:
-        names = sorted(q.variables())
-        return frozenset(
-            Substitution.of(dict(zip(names, combo)))
-            for combo in product(sorted(terms), repeat=len(names))
-        )
-    models = iter(report.answer_sets)
-    out = _matches(q, next(models), terms)
+    matches = _matcher(q, terms)
+    out: set[Substitution] | None = None
     for m in models:
+        out = matches(m) if out is None else out & matches(m)
         if not out:
             break
-        out &= _matches(q, m, terms)
-    return frozenset(out)
+    return _every_substitution(q, terms) if out is None else frozenset(out)
 
 
 class QueryAnswer(NamedTuple):
@@ -699,22 +905,30 @@ def answer_query(
     without a search.  Cautious asks for one answer set that lacks the atom,
     so the search prunes every branch whose lower bound holds it; the answer
     is yes exactly when there is none, which covers inconsistent programs.
-    A query with variables enumerates the answer sets and matches the query
-    atom against each; substitutions range over ``domain``, the universe of
-    ``p`` by default.
+
+    A query with variables matches the query atom against answer sets;
+    substitutions range over ``domain``, the universe of ``p`` by default.
+    Brave collects the matches of every answer set.  Cautious intersects
+    them as the search finds the answer sets and stops once the
+    intersection is empty; only an inconsistent program, which cautiously
+    entails every instance, enumerates the domain.
     """
     if mode not in ("brave", "cautious"):
         raise ValueError(f"unknown query mode {mode!r}")
-    if not q.is_ground:
+    if domain is None:
+        domain = universe(p)
+    if not q.is_ground and mode == "brave":
         report = answer_sets(p, ground_cap=ground_cap, candidate_cap=candidate_cap)
-        pick = substitutions_brave if mode == "brave" else substitutions_cautious
-        subs = pick(report, q, universe(p) if domain is None else domain)
+        subs = substitutions_brave(report, q, domain)
         return QueryAnswer(subs, report.candidates_examined)
-    _, _, pos_of, masked, derivable = _relevant_search(p, ground_cap)
-    bit = 1 << pos_of[q.atom] if q.atom in pos_of else 0
+    _, atoms, masked, bit_of = _relevant_search(p, ground_cap)
     budget = _Budget(candidate_cap)
+    if not q.is_ground:
+        models = (_interpretation(atoms, m) for m in _stable_models(masked, budget))
+        return QueryAnswer(_intersect_matches(q, domain, models), budget.spent)
+    bit = bit_of.get((q.atom.predicate, tuple(t.name for t in q.atom.args)), 0)
     if mode == "brave":
-        holds = bool(bit & derivable) and (
+        holds = bool(bit) and (
             next(_stable_models(masked, budget, need=bit), None) is not None
         )
     else:

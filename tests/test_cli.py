@@ -351,6 +351,21 @@ def test_import_loads_no_graph_library():
     assert out.strip() == "False"
 
 
+def test_import_loads_neither_multiprocessing_nor_hashlib():
+    # Only ``bench`` forks workers and only ``diff`` hashes programs; every
+    # other call should not pay for importing either.
+    code = (
+        "import sys, aspmagic.cli; "
+        "print(sorted({'multiprocessing', 'hashlib'} & set(sys.modules)))"
+    )
+    src = str(Path(aspmagic.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "command, stage",
     [(["solve"], "answer_sets"),

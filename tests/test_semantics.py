@@ -7,6 +7,7 @@ definitions before the solver existed; they are frozen here as literals.
 
 import random
 import sys
+from collections import defaultdict
 from itertools import product
 
 import pytest
@@ -47,7 +48,12 @@ from aspmagic import (
     universe,
     var,
 )
-from aspmagic.semantics import _ground_exhaustive
+from aspmagic.semantics import (
+    GROUND_CAP_DEFAULT,
+    _ground_exhaustive,
+    _index_rules,
+    _relevant_search,
+)
 
 
 def _sets(report):
@@ -111,6 +117,18 @@ def _derivable(rules):
     return derived
 
 
+def _assert_relevant_grounding(p):
+    """``ground(p)`` is the exhaustive grounding filtered by a naive least
+    fixpoint, in the same order and with the same first copies."""
+    exhaustive = _ground_exhaustive(p).rules
+    derivable = _derivable(exhaustive)
+    relevant = tuple(r for r in exhaustive if set(r.pos_body) <= derivable)
+    got = ground(p).rules
+    assert got == relevant
+    # same first copies too, atom order included
+    assert [str(r) for r in got] == [str(r) for r in relevant]
+
+
 @pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
 @pytest.mark.parametrize("seed", range(20))
 def test_ground_keeps_exactly_the_relevant_instances(profile, seed):
@@ -118,14 +136,126 @@ def test_ground_keeps_exactly_the_relevant_instances(profile, seed):
     facts = random_edb(p, seed, 0.3, fresh_constants=1, max_facts=4)
     for side in (p, dms(random_query(p, seed), p)):
         pf = side.with_facts(facts)
-        exhaustive = _ground_exhaustive(pf).rules
-        derivable = _derivable(exhaustive)
-        relevant = tuple(r for r in exhaustive if set(r.pos_body) <= derivable)
-        got = ground(pf).rules
-        assert got == relevant
-        # same first copies too, atom order included
-        assert [str(r) for r in got] == [str(r) for r in relevant]
+        _assert_relevant_grounding(pf)
         assert answer_sets(pf).answer_sets == answer_sets_via_unfounded(pf).answer_sets
+
+
+def _search_form_of(rules):
+    """The masks the search takes, computed from ground rules: bits for
+    the derivable atoms only, in atom order, with every other atom dropped
+    from the negative bodies."""
+    atoms, _, masked = _index_rules(rules)
+    derivable = 0
+    for h, _, _ in masked:
+        derivable |= h
+    kept = [i for i in range(len(atoms)) if derivable >> i & 1]
+
+    def squeeze(m):
+        return sum(1 << k for k, i in enumerate(kept) if m >> i & 1)
+
+    return (
+        len(rules),
+        [atoms[i] for i in kept],
+        [(squeeze(h), squeeze(b), squeeze(n)) for h, b, n in masked],
+    )
+
+
+def _assert_search_reads_ground(p):
+    count, atoms, masked, bit_of = _relevant_search(p, GROUND_CAP_DEFAULT)
+    assert (count, atoms, masked) == _search_form_of(ground(p).rules)
+    assert bit_of == {
+        (a.predicate, tuple(t.name for t in a.args)): 1 << k
+        for k, a in enumerate(atoms)
+    }
+
+
+@pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
+def test_search_reads_exactly_what_ground_returns(profile):
+    # Two fresh constants and up to 12 facts put several rows in the
+    # buckets of the argument index.
+    for seed in range(30):
+        p = random_program(seed, profile)
+        facts = random_edb(p, seed, 0.4, fresh_constants=2, max_facts=12)
+        for side in (p, dms(random_query(p, seed), p)):
+            _assert_search_reads_ground(side.with_facts(facts))
+
+
+JOIN_CASES = {
+    "constants in body atoms": (
+        "e(a,b). e(b,c). e(c,a). e(a,c). e(c,c). "
+        "p(Y) :- e(a,Y). q(X) :- e(X,c), not p(X). r :- e(c,c), q(a)."
+    ),
+    "repeated variable": (
+        "e(a,a). e(a,b). e(b,b). e(c,a). e(b,c). "
+        "s(X) :- e(X,X). t(X,Y) :- e(X,Y), e(Y,Y), not s(X). u(X) :- e(X,Y), e(Y,X)."
+    ),
+    "self-join": (
+        "edge(a,b). edge(b,c). edge(c,d). edge(d,b). edge(a,e). "
+        "reach(X,Y) :- edge(X,Y). reach(X,Z) :- reach(X,Y), reach(Y,Z)."
+    ),
+    "bound positions from two earlier atoms": (
+        "a(k1). a(k2). b(k2). b(k3). r(k1,k2,k3). r(k2,k3,k1). r(k2,k2,k2). "
+        "r(k3,k1,k2). t(X,Y,Z) :- a(X), b(Y), r(X,Y,Z), not w(Z). w(Z) :- t(X,Y,Z)."
+    ),
+    # The index on reach's first argument is built in the second round and
+    # then extended by every later round along the chain.
+    "rows derived after the index was built": (
+        "e(n0,n1). e(n1,n2). e(n2,n3). e(n3,n4). e(n4,n5). e(n5,n6). "
+        "reach(X,Y) :- e(X,Y). reach(X,Z) :- reach(X,Y), reach(Y,Z). "
+        "far(X) v near(X) :- reach(n0,X), reach(X,n6), not reach(X,X)."
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JOIN_CASES))
+def test_indexed_join_cases_match_the_exhaustive_oracle(case):
+    p = parse_program(JOIN_CASES[case])
+    _assert_relevant_grounding(p)
+    _assert_search_reads_ground(p)
+
+
+def test_ground_sizes_of_the_benchmark_inputs():
+    inst = gen_related_instance(3)
+    assert len(ground(inst.program).rules) == 72
+    assert len(ground(dms(inst.query, inst.program)).rules) == 141
+
+
+def _reachable(succ, start):
+    """Nodes reachable from ``start`` along one or more edges."""
+    seen = set()
+    frontier = list(succ[start])
+    while frontier:
+        k = frontier.pop()
+        if k not in seen:
+            seen.add(k)
+            frontier.extend(succ[k])
+    return seen
+
+
+def test_plain_closure_grounding_matches_a_bfs_count():
+    # A 24-node chain plus 6 random edges, as in the closure benchmark.
+    rng = random.Random(5)
+    edges = {(k, k + 1) for k in range(23)}
+    while len(edges) < 29:
+        a, b = rng.randrange(24), rng.randrange(24)
+        if a != b:
+            edges.add((a, b))
+    succ = defaultdict(list)
+    for a, b in edges:
+        succ[a].append(b)
+    text = "reach(X,Y) :- edge(X,Y). reach(X,Z) :- reach(X,Y), edge(Y,Z). "
+    p = parse_program(text + " ".join(f"edge(v{a},v{b})." for a, b in sorted(edges)))
+    # the edge facts, one reach(X,Y) :- edge(X,Y) per edge, and one
+    # reach(X,Z) :- reach(X,Y), edge(Y,Z) per reachable pair and edge out
+    expected = 2 * len(edges) + sum(
+        len(succ[y]) for x in range(24) for y in _reachable(succ, x)
+    )
+    assert len(ground(p).rules) == expected
+    assert answer_sets(p).ground_rules == expected
+    q = parse_query("reach(v3,X)?")
+    assert brave(dms(q, p), q) == {
+        Substitution((("X", f"v{k}"),)) for k in _reachable(succ, 3)
+    }
 
 
 def test_ground_program_rejects_open_rules():
@@ -375,6 +505,45 @@ def test_directed_ground_queries_match_full_enumeration(profile):
     assert checked > 1000
     if profile == "arbitrary":
         assert inconsistent > 0
+
+
+def test_cautious_variable_queries_stop_at_an_empty_intersection():
+    inst = gen_related_instance(3)
+    q = parse_query("ancestor(p_1_1,X)?")
+    for target in (inst.program, dms(q, inst.program)):
+        full = answer_sets(target)
+        answer = answer_query(target, q, "cautious")
+        assert answer.substitutions == frozenset()
+        assert substitutions_cautious(full, q, universe(target)) == frozenset()
+        # full enumeration: 12287 states plain, 1154 rewritten
+        assert full.candidates_examined in (12287, 1154)
+        assert answer.candidates_examined * 50 < full.candidates_examined
+
+
+@pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
+def test_cautious_variable_queries_match_full_enumeration(profile):
+    checked = 0
+    for seed in range(30):
+        p = random_program(seed, profile)
+        facts = random_edb(p, seed, 0.3, fresh_constants=1, max_facts=4)
+        q = random_query(p, seed)
+        rewritten = dms(q, p)
+        open_q = Query(Atom(q.atom.predicate, tuple(
+            var(f"V{i}") for i in range(q.atom.arity)
+        )))
+        for side in (p, rewritten):
+            side = side.with_facts(facts)
+            report = answer_sets(side)
+            for query in {q, open_q}:
+                if query.is_ground:
+                    continue
+                domain = universe(side) | {t for t in q.atom.args if t.is_constant}
+                got = answer_query(side, query, "cautious", domain=domain)
+                assert got.substitutions == substitutions_cautious(
+                    report, query, domain
+                ), (seed, str(query))
+                checked += 1
+    assert checked > 50
 
 
 def test_directed_brave_skips_the_search_for_underivable_atoms():
