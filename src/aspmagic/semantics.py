@@ -7,13 +7,16 @@ rewritten program cut what is instantiated.  The join reads each body atom
 through an argument index on the positions already bound, and it codes
 atoms as integer ids and instances as tuples of ids, which the search
 turns straight into bitmasks; :func:`ground` decodes the same instances
-into rules.  The search then branches over the atoms that occur in
-negative bodies, keeps monotone lower and upper bounds to cut hopeless
-branches early, and enumerates the minimal models of the positive
-remainder at each leaf.  The cross-check route grounds every rule over the
-whole universe, enumerates candidate interpretations outright and accepts
-those that are models containing no nonempty unfounded subset.  Both are
-deterministic; neither is meant to compete with a real solver.
+into rules.  A rule's join plan is compiled once per :class:`Rule` object
+and kept on it, so every grounding that contains the rule reuses it;
+facts and other bodiless rules need no plan and go straight to ids.  The
+search then branches over the atoms that occur in negative bodies, keeps
+monotone lower and upper bounds to cut hopeless branches early, and
+enumerates the minimal models of the positive remainder at each leaf.
+The cross-check route grounds every rule over the whole universe,
+enumerates candidate interpretations outright and accepts those that are
+models containing no nonempty unfounded subset.  Both are deterministic;
+neither is meant to compete with a real solver.
 
 Query answering uses the primary search.  A ground query directs it: a
 brave query looks for one answer set containing the atom, pruning every
@@ -32,7 +35,6 @@ from enum import Enum
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .rewriter import AdornedPredicate, dms_with_details, magic_atom, split_magic_name
 from .syntax import (
     Atom,
     Interpretation,
@@ -41,7 +43,6 @@ from .syntax import (
     Query,
     Rule,
     Term,
-    base,
     universe,
 )
 
@@ -68,8 +69,6 @@ __all__ = [
     "answer_query",
     "brave",
     "cautious",
-    "killed_atoms",
-    "magic_variant",
 ]
 
 GROUND_CAP_DEFAULT = 10**6
@@ -118,9 +117,11 @@ def ground(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> GroundProgram:
     set of bound positions.  The grounder codes atoms as integer ids and
     instances as tuples of ids; the search reads those directly, and this
     function decodes the same instances into validated atoms and rules.
-    The order is that of the exhaustive grounding: source rule first, then
-    the binding tuple over the sorted variable names, the first copy
-    winning when instances collide.
+    Each rule's join plan is compiled on the first grounding that meets
+    the rule object and reused by every later one; bodiless rules are
+    ground without a plan.  The order is that of the exhaustive
+    grounding: source rule first, then the binding tuple over the sorted
+    variable names, the first copy winning when instances collide.
 
     ``ground_cap`` bounds the number of distinct instances as they are
     emitted; crossing it raises :class:`GroundingTooLarge`.
@@ -253,22 +254,70 @@ def _join(
             _join(steps, binding, found, k + 1)
 
 
+def _key_of(a: Atom) -> _Key:
+    return a.predicate, tuple(t.name for t in a.args)
+
+
+class _Compiled(NamedTuple):
+    """The join plan of a rule with a positive body: the number of its
+    variables, the template binding of :func:`_layout`, the predicate and
+    argument slots of each atom of its head, positive and negative body,
+    the positive body's predicates, and for each body atom the match
+    order that starts from it with the join steps of that order."""
+
+    n: int
+    template: tuple[str | None, ...]
+    parts: tuple[tuple[tuple[str, tuple[int, ...]], ...], ...]
+    preds: tuple[str, ...]
+    plans: tuple[tuple[tuple[int, ...], tuple[_Step, ...]], ...]
+
+
+def _compile(rule: Rule) -> _Compiled:
+    n, template, slot = _layout(rule.atoms())
+    parts = tuple(
+        tuple((a.predicate, tuple(slot[t.name] for t in a.args)) for a in part)
+        for part in (rule.head, rule.pos_body, rule.neg_body)
+    )
+    preds = tuple(a.predicate for a in rule.pos_body)
+    # Each body atom in turn is the one matched against new rows; the
+    # others follow in body order.
+    plans = []
+    for i in range(len(preds)):
+        order = (i, *(j for j in range(len(preds)) if j != i))
+        plans.append((order, tuple(_plan([parts[1][j][1] for j in order], n))))
+    return _Compiled(n, tuple(template), parts, preds, tuple(plans))
+
+
+def _compiled(rule: Rule) -> _Compiled:
+    """The join plan of ``rule``, compiled on first use and kept in the
+    rule's own ``__dict__``, like its cached signature: it is tied to this
+    object, whose atom order fixes the order of the decoded atoms, not to
+    the equal rules, and it lives exactly as long as the rule."""
+    compiled = rule.__dict__.get("_join_plan")
+    if compiled is None:
+        compiled = rule.__dict__["_join_plan"] = _compile(rule)
+    return compiled
+
+
 def _ground_coded(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> _Coded:
     """The relevant grounding of ``p`` in integer coding.
 
     Each derived atom gets an id the first time it is derived, keyed by
     predicate and argument names; an atom of a negative body that nothing
     derives gets one too, so instances compare by their ids alone.
-    Bodiless rules are ground by safety and come first; after that a
-    semi-naive join runs in rounds.  Each round matches every positive
-    body against the atoms derived so far with at least one body atom on
-    an atom new in the previous round; atoms before that one match old
-    atoms only, so each new combination is found once.  A body atom reads
-    only the rows of its predicate whose already-bound positions match,
-    through the argument index of :class:`_Relation`, and the old/new
-    split is a bisection on the row numbers.  Instances are deduplicated
-    on their id sets; ``ground_cap`` bounds the distinct ones as they are
-    emitted.
+    Bodiless rules are ground by safety and come first, their atoms coded
+    directly; every other rule joins along the plan :func:`_compiled`
+    keeps on the rule object, compiled by the first grounding that meets
+    it and only read here, each join starting from a copy of its template
+    binding.  The join runs in semi-naive rounds.  Each round matches
+    every positive body against the atoms derived so far with at least
+    one body atom on an atom new in the previous round; atoms before that
+    one match old atoms only, so each new combination is found once.  A
+    body atom reads only the rows of its predicate whose already-bound
+    positions match, through the argument index of :class:`_Relation`,
+    and the old/new split is a bisection on the row numbers.  Instances
+    are deduplicated on their id sets; ``ground_cap`` bounds the distinct
+    ones as they are emitted, bodiless ones included.
     """
     keys: list[_Key] = []
     ids: dict[_Key, int] = {}
@@ -321,23 +370,16 @@ def _ground_coded(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> _Coded:
 
     joined = []
     for index, rule in enumerate(p.rules):
-        n, template, slot = _layout(rule.atoms())
-        parts = tuple(
-            tuple((a.predicate, tuple(slot[t.name] for t in a.args)) for a in part)
-            for part in (rule.head, rule.pos_body, rule.neg_body)
-        )
-        fire = firing(found[index], n, parts)
         if not rule.pos_body:
-            fire(template)
+            # Ground by safety: its atoms go straight to their ids.
+            emit(found[index], (), (
+                tuple([atom_id(_key_of(a)) for a in rule.head]),
+                (),
+                tuple([atom_id(_key_of(a)) for a in rule.neg_body]),
+            ))
             continue
-        preds = [a.predicate for a in rule.pos_body]
-        # Each body atom in turn is the one matched against new rows; the
-        # others follow in body order.
-        plans = []
-        for i in range(len(preds)):
-            order = [i, *(j for j in range(len(preds)) if j != i)]
-            plans.append((order, _plan([parts[1][j][1] for j in order], n)))
-        joined.append((template, preds, plans, fire))
+        compiled = _compiled(rule)
+        joined.append((compiled, firing(found[index], compiled.n, compiled.parts)))
 
     relations: dict[str, _Relation] = {}
     while pending:
@@ -348,7 +390,7 @@ def _ground_coded(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> _Coded:
                 relations[pred] = _Relation()
             relations[pred].add(args)
         pending.clear()
-        for template, preds, plans, fire in joined:
+        for (_, template, _, preds, plans), fire in joined:
             for order, plan in plans:
                 i = order[0]
                 rel = relations.get(preds[i])
@@ -926,7 +968,7 @@ def answer_query(
     if not q.is_ground:
         models = (_interpretation(atoms, m) for m in _stable_models(masked, budget))
         return QueryAnswer(_intersect_matches(q, domain, models), budget.spent)
-    bit = bit_of.get((q.atom.predicate, tuple(t.name for t in q.atom.args)), 0)
+    bit = bit_of.get(_key_of(q.atom), 0)
     if mode == "brave":
         holds = bool(bit) and (
             next(_stable_models(masked, budget, need=bit), None) is not None
@@ -966,86 +1008,3 @@ def cautious(
         p, q, "cautious",
         domain=domain, ground_cap=ground_cap, candidate_cap=candidate_cap,
     ).substitutions
-
-
-def _magic_lookup(n: Interpretation) -> dict[tuple[str, str], set[tuple[Term, ...]]]:
-    out: dict[tuple[str, str], set[tuple[Term, ...]]] = {}
-    for atom in n:
-        decoded = split_magic_name(atom.predicate)
-        if decoded is not None:
-            out.setdefault(decoded, set()).add(atom.args)
-    return out
-
-
-def _covered_by_magic(
-    atom: Atom, lookup: Mapping[tuple[str, str], set[tuple[Term, ...]]]
-) -> bool:
-    for (pred, adornment), seen_args in lookup.items():
-        if pred != atom.predicate or len(adornment) != atom.arity:
-            continue
-        kept = tuple(a for a, l in zip(atom.args, adornment) if l == "b")
-        if kept in seen_args:
-            return True
-    return False
-
-
-def killed_atoms(
-    m: Interpretation, n: Interpretation, p: Program, rewritten: Program
-) -> frozenset[Atom]:
-    """Atoms of the base of ``p`` outside ``n`` that the rewriting proves
-    irrelevant under ``n``: extensional atoms, and atoms whose magic version
-    belongs to ``n``."""
-    if not n <= m:
-        raise ValueError("n must be contained in m")
-    lookup = _magic_lookup(n)
-    edb = p.edb_predicates
-    out = set()
-    for atom in base(p) - n:
-        if atom.predicate in edb or _covered_by_magic(atom, lookup):
-            out.add(atom)
-    return frozenset(out)
-
-
-def magic_variant(
-    i: Interpretation,
-    q: Query,
-    p: Program,
-    *,
-    ground_cap: int = GROUND_CAP_DEFAULT,
-) -> Interpretation:
-    """Rebuild, from an interpretation of ``p``, the matching interpretation
-    of the rewritten program.
-
-    Starting from the extensional facts, the fixpoint alternately imports an
-    atom of ``i`` once one of its magic versions is present, and fires the
-    ground magic rules whose bodies are satisfied (the seed enters through
-    its empty body)."""
-    details = dms_with_details(q, p)
-    # ``i`` need not be derivable in the rewritten program, so magic rules
-    # whose bodies only ``i`` satisfies must be instantiated too.
-    g = _ground_exhaustive(details.program, ground_cap)
-    magic_ground = [
-        r
-        for r in g.rules
-        if split_magic_name(r.head[0].predicate) is not None and len(r.head) == 1
-    ]
-    adorned_by_pred: dict[str, list[AdornedPredicate]] = {}
-    for ap in details.adorned:
-        adorned_by_pred.setdefault(ap.predicate, []).append(ap)
-
-    v: set[Atom] = {r.head[0] for r in details.edb_rules}
-    while True:
-        additions: set[Atom] = set()
-        for atom in i:
-            if atom in v:
-                continue
-            for ap in adorned_by_pred.get(atom.predicate, ()):
-                if len(ap.adornment) == atom.arity and magic_atom(ap, atom.args) in v:
-                    additions.add(atom)
-                    break
-        for rule in magic_ground:
-            if rule.head[0] not in v and all(a in v for a in rule.pos_body):
-                additions.add(rule.head[0])
-        if not additions:
-            return frozenset(v)
-        v |= additions

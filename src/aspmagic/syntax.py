@@ -3,7 +3,9 @@
 Terms, atoms, rules, programs and queries are immutable values.  Rule and
 program equality is set-based (duplicate atoms and rules collapse), but the
 construction order of atoms and rules is preserved so that printing and the
-binding strategies of the rewriter stay deterministic.
+binding strategies of the rewriter stay deterministic.  What a rule's
+equality, hashing and grounding read over and over (its set signature,
+its atoms) is computed once and kept on the rule object.
 """
 
 from __future__ import annotations
@@ -205,10 +207,14 @@ class Rule:
             and self.head[0].is_ground
         )
 
+    @cached_property
+    def _atoms(self) -> tuple[Atom, ...]:
+        return _ordered_dedup((*self.head, *self.pos_body, *self.neg_body))
+
     def atoms(self) -> tuple[Atom, ...]:
         """All atoms of the rule in textual order: head, then positive body,
-        then negative body, duplicates removed."""
-        return _ordered_dedup((*self.head, *self.pos_body, *self.neg_body))
+        then negative body, duplicates removed.  Computed once per rule."""
+        return self._atoms
 
     def variables(self) -> frozenset[str]:
         out: set[str] = set()

@@ -5,10 +5,12 @@ Expected answer sets in this file were worked out by hand from the
 definitions before the solver existed; they are frozen here as literals.
 """
 
+import ast
 import random
 import sys
 from collections import defaultdict
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,7 @@ from aspmagic import (
     brave,
     base,
     cautious,
+    check_equivalence,
     const,
     dms,
     dms_with_details,
@@ -48,8 +51,10 @@ from aspmagic import (
     universe,
     var,
 )
+from aspmagic import semantics
 from aspmagic.semantics import (
     GROUND_CAP_DEFAULT,
+    _ground_coded,
     _ground_exhaustive,
     _index_rules,
     _relevant_search,
@@ -256,6 +261,74 @@ def test_plain_closure_grounding_matches_a_bfs_count():
     assert brave(dms(q, p), q) == {
         Substitution((("X", f"v{k}"),)) for k in _reachable(succ, 3)
     }
+
+
+# ------------------------------------------------------ compiled join plans
+
+
+def _fresh_copy(p):
+    """A program equal to ``p``, rule order and atom order included, that
+    shares no rule object with it (``print_program`` would sort the rules)."""
+    return parse_program("".join(f"{r}\n" for r in p.rules))
+
+
+@pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
+def test_reused_rules_ground_like_fresh_ones(profile):
+    # The same rule objects are ground under F1, F2, then F1 again; each
+    # result must be what fresh, never-compiled rules give.
+    compared = 0
+    for seed in range(20):
+        p = random_program(seed, profile)
+        f1 = random_edb(p, seed, 0.4, fresh_constants=2, max_facts=8)
+        f2 = random_edb(p, seed + 1000, 0.4, fresh_constants=2, max_facts=8)
+        for side in (p, dms(random_query(p, seed), p)):
+            for facts in (f1, f2, f1):
+                pf = side.with_facts(facts)
+                assert _ground_coded(pf) == _ground_coded(_fresh_copy(pf))
+            if seed % 4:
+                continue
+            try:
+                oracle = answer_sets_via_unfounded(pf, candidate_cap=1 << 14)
+            except CandidateSpaceTooLarge:
+                continue  # too many head atoms to enumerate
+            assert answer_sets(pf).answer_sets == oracle.answer_sets
+            compared += 1
+    assert compared >= 3
+
+
+def test_check_equivalence_compiles_each_rule_once(monkeypatch):
+    compiled = []
+
+    def counting(rule):
+        compiled.append(rule)
+        return real(rule)
+
+    real = semantics._compile
+    monkeypatch.setattr(semantics, "_compile", counting)
+    for profile in ("stratified", "odd_cycle_free", "arbitrary"):
+        p = random_program(3, profile)
+        q = random_query(p, 3)
+        compiled.clear()
+        report = check_equivalence(p, q, trials=4, seed=3)
+        assert report.fact_sets_tested == 4
+        # no rule object twice, and never a bodiless one
+        assert len({id(r) for r in compiled}) == len(compiled)
+        assert all(r.pos_body for r in compiled)
+        # every rule with a positive body, on both sides
+        mine = [r for r in p.rules if r.pos_body]
+        assert sum(any(r is c for c in compiled) for r in mine) == len(mine)
+        expected = mine + [r for r in dms(q, p).rules if r.pos_body]
+        assert sorted(map(str, compiled)) == sorted(map(str, expected))
+
+
+def test_semantics_does_not_import_the_rewriter():
+    tree = ast.parse(Path(semantics.__file__).read_text())
+    imported = {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+    }
+    assert "rewriter" not in imported
 
 
 def test_ground_program_rejects_open_rules():

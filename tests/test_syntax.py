@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from aspmagic import (
@@ -11,6 +14,8 @@ from aspmagic import (
     const,
     edb_idb_split,
     fact,
+    ground,
+    parse_program,
     universe,
     var,
 )
@@ -66,6 +71,27 @@ def test_rule_stores_order_but_compares_as_sets():
     assert hash(r1) == hash(r2)
     assert r2.head == (b, a)  # duplicates removed, first occurrence kept
     assert r1 != Rule((a,), (c,))
+
+
+def test_memoized_atoms_keep_each_rules_own_order():
+    facts = parse_program("e(a). f(a). q(b).").rules
+    r1 = parse_program("p(X) :- e(X), f(X), not q(X).").rules[0]
+    r2 = parse_program("p(X) :- f(X), e(X), not q(X).").rules[0]
+    assert r1 == r2
+    assert hash(r1) == hash(r2)
+    for rule, body in ((r1, "e(X), f(X)"), (r2, "f(X), e(X)")):
+        assert rule.atoms() is rule.atoms()  # computed once
+        assert ", ".join(map(str, rule.atoms()[1:3])) == body
+        # the grounder compiles each rule object on its own, so the equal
+        # rule does not lend it its body order
+        g = ground(Program((*facts, rule)))
+        assert str(g.rules[-1]) == f"p(a) :- {body.replace('X', 'a')}, not q(a)."
+        for twin in (copy.deepcopy(rule), pickle.loads(pickle.dumps(rule))):
+            assert twin == rule
+            assert hash(twin) == hash(rule)
+            assert twin.atoms() == rule.atoms()
+            again = ground(Program((*facts, twin))).rules
+            assert [str(r) for r in again] == [str(r) for r in g.rules]
 
 
 def test_rule_safety_errors():
