@@ -59,7 +59,6 @@ from .semantics import (
     GroundingTooLarge,
     GroundProgram,
     QueryAnswer,
-    SolveMethod,
     SolverCapError,
     Substitution,
     answer_query,
@@ -70,7 +69,6 @@ from .semantics import (
     ground,
     is_model,
     is_unfounded_set,
-    minimal_models,
     reduct,
     substitutions_brave,
     substitutions_cautious,
@@ -78,7 +76,6 @@ from .semantics import (
 from .syntax import (
     Atom,
     Interpretation,
-    Literal,
     Program,
     ProgramError,
     Query,

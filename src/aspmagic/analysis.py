@@ -17,7 +17,9 @@ from itertools import combinations, product
 from .semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
-    answer_sets,
+    _Budget,
+    _relevant_search,
+    _stable_models,
 )
 from .syntax import Atom, Program, Term, universe
 
@@ -192,7 +194,9 @@ def check_super_consistent(
     With the shortcut enabled, an even-cycled dependency graph settles the
     question immediately.  Otherwise fact sets over the witness constants
     are enumerated by ascending size; ``budget`` bounds how many are tested
-    before giving up."""
+    before giving up.  Each extended program is searched only up to its
+    first answer set, and ``candidate_cap`` bounds the states of each of
+    these searches."""
     if use_shortcut and is_odd_cycle_free(p):
         return ScVerdict(ScStatus.SUPER_CONSISTENT, via_shortcut=True)
     candidates = sc_candidate_atoms(p)
@@ -202,11 +206,8 @@ def check_super_consistent(
             if tested >= budget:
                 return ScVerdict(ScStatus.BUDGET_EXCEEDED, sets_tested=tested)
             tested += 1
-            extended = p.with_facts(combo)
-            report = answer_sets(
-                extended, ground_cap=ground_cap, candidate_cap=candidate_cap
-            )
-            if not report.answer_sets:
+            _, _, masked, _ = _relevant_search(p.with_facts(combo), ground_cap)
+            if next(_stable_models(masked, _Budget(candidate_cap)), None) is None:
                 return ScVerdict(
                     ScStatus.NOT_SUPER_CONSISTENT,
                     counterexample=frozenset(combo),

@@ -4,6 +4,9 @@ Subcommands cover the whole pipeline: rewrite a program for a query,
 enumerate answer sets, answer brave or cautious queries (with the
 rewriting applied automatically when it is known safe), classify a
 program, differential-test the rewriting, and run the grid benchmark.
+``query`` and ``bench`` answer through the same directed search, so a
+bench cell takes the search states ``query --brave`` reports; ``solve``
+and ``diff`` enumerate every answer set.
 
 Exit codes: 0 success, 1 differential mismatch, 2 usage or input errors,
 3 resource cap exceeded, 4 internal error (the traceback goes to stderr).

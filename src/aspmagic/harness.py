@@ -4,6 +4,10 @@ Three pieces live here: a generator for the genealogy grid instances used
 by the benchmark, deterministic random generators for programs, fact sets
 and queries, and the drivers that compare query answers between an
 original program and its rewriting, or time both on growing instances.
+The differential check enumerates every answer set of both sides, since
+it compares whole brave and cautious answers; the benchmark answers its
+ground corner query through the directed search of :func:`answer_query`,
+exactly as ``aspmagic query --brave`` does.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .semantics import (
     GROUND_CAP_DEFAULT,
     SolverCapError,
     Substitution,
+    answer_query,
     answer_sets,
     substitutions_brave,
     substitutions_cautious,
@@ -78,11 +83,10 @@ class RelatedInstance:
     Facts connect each person to the right and to the down neighbour, so
     every fact set has 2n(n-1) edges over the n^2 person constants, and
     the query asks whether the top-left person can be an ancestor of the
-    bottom-right one.  The layout is our choice, selected by ``pattern``.
+    bottom-right one.  The grid layout is our choice of instance shape.
     """
 
     n: int
-    pattern: str
     persons: tuple[str, ...]
     facts: tuple[Rule, ...]
     query: Query
@@ -92,11 +96,9 @@ class RelatedInstance:
         return Program((*ancestry_program().rules, *self.facts))
 
 
-def gen_related_instance(n: int, pattern: str = "grid") -> RelatedInstance:
+def gen_related_instance(n: int) -> RelatedInstance:
     if n < 1:
         raise ValueError("n must be at least 1")
-    if pattern != "grid":
-        raise ValueError(f"unknown pattern {pattern!r}")
     name = lambda i, j: f"p_{i}_{j}"
     persons = tuple(name(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
     facts = []
@@ -107,9 +109,7 @@ def gen_related_instance(n: int, pattern: str = "grid") -> RelatedInstance:
             if i < n:
                 facts.append(fact(Atom("related", (Term(name(i, j)), Term(name(i + 1, j))))))
     query = Query(Atom("ancestor", (Term(name(1, 1)), Term(name(n, n)))))
-    return RelatedInstance(
-        n=n, pattern=pattern, persons=persons, facts=tuple(facts), query=query
-    )
+    return RelatedInstance(n=n, persons=persons, facts=tuple(facts), query=query)
 
 
 def random_edb(
@@ -417,17 +417,16 @@ def _bench_worker(conn, program_text: str, query_text: str, mode: str,
         q = parse_query(query_text)
         target = dms(q, p) if mode == "dms" else p
         t0 = time.perf_counter()
-        report = answer_sets(
-            target, ground_cap=ground_cap, candidate_cap=candidate_cap
+        answer = answer_query(
+            target, q, "brave", ground_cap=ground_cap, candidate_cap=candidate_cap
         )
-        answer = "yes" if any(q.atom in m for m in report.answer_sets) else "no"
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         payload = {
             "status": "ok",
             "time_ms": elapsed_ms,
-            "ground_rules": report.ground_rules,
-            "candidates": report.candidates_examined,
-            "answer": answer,
+            "ground_rules": answer.ground_rules,
+            "candidates": answer.candidates_examined,
+            "answer": "yes" if answer.substitutions else "no",
         }
     except SolverCapError as exc:
         payload = {"status": f"cap exceeded: {exc}"}
@@ -444,16 +443,18 @@ def run_benchmark(
     mode: str = "both",
     repetitions: int = 1,
     *,
-    pattern: str = "grid",
     timeout: float = 60.0,
     ground_cap: int = GROUND_CAP_DEFAULT,
     candidate_cap: int = CANDIDATE_CAP_DEFAULT,
 ) -> tuple[BenchmarkCell, ...]:
-    """Time the corner-to-corner query on grid instances of the given
-    sizes, evaluating the plain program, its rewriting, or both.
+    """Time the corner-to-corner brave query on grid instances of the
+    given sizes, evaluating the plain program, its rewriting, or both.
 
-    Every cell runs in a forked worker killed at ``timeout`` seconds, so
-    a blown-up size yields a timeout row instead of hanging the run.
+    Each cell answers the query through :func:`answer_query`, the directed
+    search that ``aspmagic query --brave`` runs, and reports the size of
+    the relevant grounding and the search states it took.  Every cell runs
+    in a forked worker killed at ``timeout`` seconds, so a blown-up size
+    yields a timeout row instead of hanging the run.
     """
     if mode not in ("plain", "dms", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -463,7 +464,7 @@ def run_benchmark(
     ctx = multiprocessing.get_context("fork")
     cells = []
     for n in sizes:
-        inst = gen_related_instance(n, pattern)
+        inst = gen_related_instance(n)
         ptext = print_program(inst.program)
         qtext = print_query(inst.query)
         for m in mode_list:
@@ -519,11 +520,11 @@ def benchmark_table(cells: Iterable[BenchmarkCell]) -> str:
     return out.getvalue()
 
 
-def benchmark_json(cells: Iterable[BenchmarkCell], pattern: str = "grid") -> str:
+def benchmark_json(cells: Iterable[BenchmarkCell]) -> str:
     """A structured report; records the grid layout, which is our own
     choice of instance shape rather than a given."""
     payload = {
-        "instance_pattern": f"{pattern} (right and down edges; layout is an assumption)",
+        "instance_pattern": "grid (right and down edges; layout is an assumption)",
         "cells": [
             {
                 "n": c.n,

@@ -23,15 +23,15 @@ brave query looks for one answer set containing the atom, pruning every
 branch whose upper bound lacks it, and a cautious query looks for one
 answer set lacking the atom, pruning every branch whose lower bound holds
 it; the first such answer set decides the answer.  A query with variables
-matches the query atom against the atoms of each answer set; a brave one
-enumerates them all, a cautious one stops once no substitution is left.
+matches the query atom against the atoms of each answer set as the search
+finds them; a brave one unites the matches of them all, a cautious one
+intersects them and stops once no substitution is left.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -53,13 +53,11 @@ __all__ = [
     "GROUND_CAP_DEFAULT",
     "CANDIDATE_CAP_DEFAULT",
     "GroundProgram",
-    "SolveMethod",
     "AnswerSetReport",
     "Substitution",
     "ground",
     "reduct",
     "is_model",
-    "minimal_models",
     "answer_sets",
     "is_unfounded_set",
     "answer_sets_via_unfounded",
@@ -87,17 +85,11 @@ class CandidateSpaceTooLarge(SolverCapError):
     pass
 
 
-class SolveMethod(Enum):
-    REDUCT_MINIMALITY = "ReductMinimality"
-    UNFOUNDED_FREE = "UnfoundedFree"
-
-
 @dataclass(frozen=True, eq=False)
 class GroundProgram:
-    """Ground rules together with the program they came from."""
+    """Ground rules; a rule with a variable is refused."""
 
     rules: tuple[Rule, ...]
-    source: Program
 
     def __post_init__(self) -> None:
         for r in self.rules:
@@ -136,7 +128,7 @@ def ground(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> GroundProgram:
         )
         for head, pos, neg in coded.instances
     )
-    return GroundProgram(rules=rules, source=p)
+    return GroundProgram(rules=rules)
 
 
 # A ground atom in the grounder's coding: predicate and argument names.
@@ -444,7 +436,7 @@ def _ground_exhaustive(
         for combo in product(terms, repeat=len(rule_vars)):
             binding = dict(zip(rule_vars, combo))
             out.setdefault(rule.substitute(binding))
-    return GroundProgram(rules=tuple(out), source=p)
+    return GroundProgram(rules=tuple(out))
 
 
 def reduct(g: GroundProgram, i: Interpretation) -> GroundProgram:
@@ -455,7 +447,7 @@ def reduct(g: GroundProgram, i: Interpretation) -> GroundProgram:
         if any(a in i for a in rule.neg_body):
             continue
         kept.append(Rule(rule.head, rule.pos_body))
-    return GroundProgram(rules=tuple(kept), source=g.source)
+    return GroundProgram(rules=tuple(kept))
 
 
 def is_model(i: Interpretation, g: GroundProgram) -> bool:
@@ -481,7 +473,6 @@ class AnswerSetReport:
 
     answer_sets: frozenset[Interpretation]
     candidates_examined: int
-    method: SolveMethod
     ground_rules: int
 
 
@@ -693,24 +684,12 @@ def answer_sets(
     return AnswerSetReport(
         answer_sets=out,
         candidates_examined=budget.spent,
-        method=SolveMethod.REDUCT_MINIMALITY,
         ground_rules=instances,
     )
 
 
 def _interpretation(atoms: Sequence[Atom], m: int) -> Interpretation:
     return frozenset(a for i, a in enumerate(atoms) if m >> i & 1)
-
-
-def minimal_models(g: GroundProgram) -> frozenset[Interpretation]:
-    """The subset-minimal models of a positive ground program."""
-    for r in g.rules:
-        if r.neg_body:
-            raise ProgramError(f"program is not positive: {r}")
-    atoms, _, masked = _index_rules(g.rules)
-    budget = _Budget(CANDIDATE_CAP_DEFAULT)
-    models = _minimal_models_masks([(h, p) for h, p, _ in masked], budget)
-    return frozenset(_interpretation(atoms, m) for m in models)
 
 
 def is_unfounded_set(
@@ -805,7 +784,6 @@ def answer_sets_via_unfounded(
     return AnswerSetReport(
         answer_sets=out,
         candidates_examined=2 ** len(head_atoms),
-        method=SolveMethod.UNFOUNDED_FREE,
         ground_rules=len(g.rules),
     )
 
@@ -886,11 +864,7 @@ def substitutions_brave(
     one answer set.  An inconsistent program bravely entails nothing."""
     if q.is_ground:
         return _identity_if(any(q.atom in m for m in report.answer_sets))
-    matches = _matcher(q, domain)
-    out: set[Substitution] = set()
-    for m in report.answer_sets:
-        out |= matches(m)
-    return frozenset(out)
+    return _union_matches(q, domain, report.answer_sets)
 
 
 def substitutions_cautious(
@@ -902,6 +876,18 @@ def substitutions_cautious(
     if q.is_ground:
         return _identity_if(all(q.atom in m for m in report.answer_sets))
     return _intersect_matches(q, domain, report.answer_sets)
+
+
+def _union_matches(
+    q: Query, domain: Iterable[Term], models: Iterable[Interpretation]
+) -> frozenset[Substitution]:
+    """The substitutions into ``domain`` under which ``q`` holds in at
+    least one of ``models``."""
+    matches = _matcher(q, domain)
+    out: set[Substitution] = set()
+    for m in models:
+        out |= matches(m)
+    return frozenset(out)
 
 
 def _intersect_matches(
@@ -921,11 +907,13 @@ def _intersect_matches(
 
 
 class QueryAnswer(NamedTuple):
-    """The substitutions that answer a brave or cautious query, and the
-    number of search states the answer took."""
+    """The substitutions that answer a brave or cautious query, the number
+    of search states the answer took, and the number of rule instances in
+    the relevant grounding it searched."""
 
     substitutions: frozenset[Substitution]
     candidates_examined: int
+    ground_rules: int
 
 
 def answer_query(
@@ -948,26 +936,23 @@ def answer_query(
     so the search prunes every branch whose lower bound holds it; the answer
     is yes exactly when there is none, which covers inconsistent programs.
 
-    A query with variables matches the query atom against answer sets;
-    substitutions range over ``domain``, the universe of ``p`` by default.
-    Brave collects the matches of every answer set.  Cautious intersects
-    them as the search finds the answer sets and stops once the
-    intersection is empty; only an inconsistent program, which cautiously
-    entails every instance, enumerates the domain.
+    A query with variables matches the query atom against the answer sets
+    as the search finds them; substitutions range over ``domain``, the
+    universe of ``p`` by default.  Brave unites the matches of every answer
+    set.  Cautious intersects them and stops once the intersection is
+    empty; only an inconsistent program, which cautiously entails every
+    instance, enumerates the domain.
     """
     if mode not in ("brave", "cautious"):
         raise ValueError(f"unknown query mode {mode!r}")
     if domain is None:
         domain = universe(p)
-    if not q.is_ground and mode == "brave":
-        report = answer_sets(p, ground_cap=ground_cap, candidate_cap=candidate_cap)
-        subs = substitutions_brave(report, q, domain)
-        return QueryAnswer(subs, report.candidates_examined)
-    _, atoms, masked, bit_of = _relevant_search(p, ground_cap)
+    instances, atoms, masked, bit_of = _relevant_search(p, ground_cap)
     budget = _Budget(candidate_cap)
     if not q.is_ground:
         models = (_interpretation(atoms, m) for m in _stable_models(masked, budget))
-        return QueryAnswer(_intersect_matches(q, domain, models), budget.spent)
+        fold = _union_matches if mode == "brave" else _intersect_matches
+        return QueryAnswer(fold(q, domain, models), budget.spent, instances)
     bit = bit_of.get(_key_of(q.atom), 0)
     if mode == "brave":
         holds = bool(bit) and (
@@ -975,7 +960,7 @@ def answer_query(
         )
     else:
         holds = next(_stable_models(masked, budget, avoid=bit), None) is None
-    return QueryAnswer(_identity_if(holds), budget.spent)
+    return QueryAnswer(_identity_if(holds), budget.spent, instances)
 
 
 def brave(

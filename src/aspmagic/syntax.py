@@ -11,7 +11,7 @@ its atoms) is computed once and kept on the rule object.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Mapping
@@ -20,7 +20,6 @@ __all__ = [
     "ProgramError",
     "Term",
     "Atom",
-    "Literal",
     "Rule",
     "Program",
     "Query",
@@ -128,17 +127,6 @@ class Atom:
         if not self.args:
             return self.predicate
         return f"{self.predicate}({','.join(a.name for a in self.args)})"
-
-
-@dataclass(frozen=True)
-class Literal:
-    """An atom or its default negation."""
-
-    atom: Atom
-    negated: bool = False
-
-    def __str__(self) -> str:
-        return f"not {self.atom}" if self.negated else str(self.atom)
 
 
 def _ordered_dedup(items: Iterable[Atom]) -> tuple[Atom, ...]:

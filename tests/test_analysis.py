@@ -5,6 +5,8 @@ brute-force oracle that walks every simple cycle of the predicate graph
 and counts its negative edges.
 """
 
+from itertools import chain, combinations, islice
+
 import pytest
 
 from aspmagic import (
@@ -181,3 +183,42 @@ def test_ocf_programs_survive_budgeted_fact_injection(seed):
     p = random_program(seed, "odd_cycle_free")
     verdict = check_super_consistent(p, budget=120, use_shortcut=False)
     assert verdict.status is not ScStatus.NOT_SUPER_CONSISTENT
+
+
+def test_sc_check_stops_each_search_at_the_first_answer_set():
+    # 256 answer sets, whose full enumeration takes 769 states; the first
+    # one takes far fewer, so every extended program fits a cap of 200.
+    pairs = "c(X) :- e(X), not d(X). d(X) :- e(X), not c(X). "
+    facts = " ".join(f"e(k{i})." for i in range(1, 9))
+    p = parse_program("a :- not a, not b. b :- not a. " + pairs + facts)
+    assert answer_sets(p).candidates_examined > 200
+    verdict = check_super_consistent(p, 3, candidate_cap=200)
+    assert verdict.status is ScStatus.BUDGET_EXCEEDED
+    assert verdict.sets_tested == 3
+    # the cap bounds each search, not their sum (about 11 states each)
+    verdict = check_super_consistent(p, 30, candidate_cap=200)
+    assert verdict.status is ScStatus.BUDGET_EXCEEDED
+    assert verdict.sets_tested == 30
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sc_verdicts_match_full_enumeration(seed):
+    """The check's verdict, recomputed by enumerating every answer set of
+    each extended program in the check's own order of fact sets."""
+    p = random_program(seed, "arbitrary")
+    budget = 40
+    candidates = sc_candidate_atoms(p)
+    sets = chain.from_iterable(
+        combinations(candidates, k) for k in range(len(candidates) + 1)
+    )
+    for tested, combo in enumerate(islice(sets, budget), 1):
+        if not answer_sets(p.with_facts(combo)).answer_sets:
+            expected = ScStatus.NOT_SUPER_CONSISTENT, frozenset(combo), tested
+            break
+    else:
+        if 2 ** len(candidates) <= budget:
+            expected = ScStatus.SUPER_CONSISTENT, None, 2 ** len(candidates)
+        else:
+            expected = ScStatus.BUDGET_EXCEEDED, None, budget
+    verdict = check_super_consistent(p, budget, use_shortcut=False)
+    assert (verdict.status, verdict.counterexample, verdict.sets_tested) == expected

@@ -9,7 +9,7 @@ import ast
 import random
 import sys
 from collections import defaultdict
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -21,7 +21,6 @@ from aspmagic import (
     GroundProgram,
     ProgramError,
     Query,
-    SolveMethod,
     Substitution,
     answer_query,
     answer_sets,
@@ -39,7 +38,6 @@ from aspmagic import (
     is_unfounded_set,
     killed_atoms,
     magic_variant,
-    minimal_models,
     parse_program,
     parse_query,
     random_edb,
@@ -334,7 +332,7 @@ def test_semantics_does_not_import_the_rewriter():
 def test_ground_program_rejects_open_rules():
     p = parse_program("e(a). p(X) :- e(X).")
     with pytest.raises(ProgramError, match="variables"):
-        GroundProgram(rules=p.rules, source=p)
+        GroundProgram(rules=p.rules)
 
 
 # ------------------------------------------------------------------ reduct
@@ -355,34 +353,21 @@ def test_is_model_examples(guarded_pair):
     assert not is_model(frozenset(), g)  # disjunctive rule unsatisfied
 
 
-# ---------------------------------------------------------- minimal models
-
-
-def test_minimal_models_of_disjunction():
-    g = ground(parse_program("a v b."))
-    assert {frozenset(str(a) for a in m) for m in minimal_models(g)} == {
-        frozenset({"a"}),
-        frozenset({"b"}),
-    }
-
-
-def test_minimal_models_prune_supersets():
-    g = ground(parse_program("a v b. a :- b."))
-    assert minimal_models(g) == {_atoms("a")}
-
-
-def test_minimal_models_refuse_negation(guarded_pair):
-    with pytest.raises(ProgramError, match="not positive"):
-        minimal_models(ground(guarded_pair))
-
-
 # -------------------------------------------------------------- answer sets
+
+
+def test_answer_sets_of_a_disjunction():
+    assert _sets(answer_sets(parse_program("a v b."))) == [["a"], ["b"]]
+
+
+def test_answer_sets_prune_supersets():
+    # {a, b} is a model of the second program, but {a} is a smaller one
+    assert _sets(answer_sets(parse_program("a v b. a :- b."))) == [["a"]]
 
 
 def test_guarded_pair_has_two_answer_sets(guarded_pair):
     report = answer_sets(guarded_pair)
     assert _sets(report) == [["a"], ["b"]]
-    assert report.method is SolveMethod.REDUCT_MINIMALITY
     assert report.candidates_examined > 0
 
 
@@ -409,13 +394,21 @@ def test_positive_programs_have_their_least_model():
 
 
 def test_answer_sets_are_minimal_models_of_their_reduct():
+    # Minimality by brute force: no proper subset of an answer set is a
+    # model of its reduct.  The answer sets here hold at most 4 atoms.
+    checked = 0
     for seed in range(10):
         p = random_program(seed, "arbitrary")
         g = ground(p)
         for m in answer_sets(p).answer_sets:
             red = reduct(g, m)
             assert is_model(m, red)
-            assert m in minimal_models(red)
+            atoms = sorted(m)
+            for k in range(len(atoms)):
+                for subset in combinations(atoms, k):
+                    assert not is_model(frozenset(subset), red), (seed, subset)
+                    checked += 1
+    assert checked > 0
 
 
 def test_candidate_cap_trips(guarded_pair):
@@ -482,7 +475,6 @@ def test_via_unfounded_on_the_named_examples(guarded_pair, choice_with_odd_loop)
     assert _sets(answer_sets_via_unfounded(guarded_pair)) == [["a"], ["b"]]
     assert _sets(answer_sets_via_unfounded(choice_with_odd_loop)) == [["edb(a)", "p(a)"]]
     report = answer_sets_via_unfounded(guarded_pair)
-    assert report.method is SolveMethod.UNFOUNDED_FREE
     assert report.candidates_examined == 4
 
 
@@ -617,6 +609,50 @@ def test_cautious_variable_queries_match_full_enumeration(profile):
                 ), (seed, str(query))
                 checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
+def test_brave_variable_queries_match_full_enumeration(profile):
+    # A brave query with variables needs every answer set, so the search
+    # takes exactly the states of full enumeration.
+    checked = 0
+    for seed in range(30):
+        p = random_program(seed, profile)
+        facts = random_edb(p, seed, 0.3, fresh_constants=1, max_facts=4)
+        q = random_query(p, seed)
+        open_q = Query(Atom(q.atom.predicate, tuple(
+            var(f"V{i}") for i in range(q.atom.arity)
+        )))
+        for side in (p, dms(q, p)):
+            side = side.with_facts(facts)
+            report = answer_sets(side)
+            for query in {q, open_q}:
+                if query.is_ground:
+                    continue
+                domain = universe(side) | {t for t in q.atom.args if t.is_constant}
+                got = answer_query(side, query, "brave", domain=domain)
+                assert got.substitutions == substitutions_brave(
+                    report, query, domain
+                ), (seed, str(query))
+                assert got.candidates_examined == report.candidates_examined
+                assert got.ground_rules == report.ground_rules
+                checked += 1
+    assert checked > 50
+
+
+def test_query_answers_report_the_ground_rules_searched():
+    inst = gen_related_instance(3)
+    q = parse_query("ancestor(p_1_1,X)?")
+    for target, rules in ((inst.program, 72), (dms(inst.query, inst.program), 141)):
+        assert answer_sets(target).ground_rules == rules
+        for query in (inst.query, q):
+            for mode in ("brave", "cautious"):
+                assert answer_query(target, query, mode).ground_rules == rules
+    # an atom nothing derives is answered without a search, not without
+    # a grounding
+    p = parse_program("e(a). p(X) :- e(X).")
+    answer = answer_query(p, parse_query("p(b)?"), "brave")
+    assert answer == (frozenset(), 0, 2)
 
 
 def test_directed_brave_skips_the_search_for_underivable_atoms():
