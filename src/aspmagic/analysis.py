@@ -206,7 +206,7 @@ def check_super_consistent(
             if tested >= budget:
                 return ScVerdict(ScStatus.BUDGET_EXCEEDED, sets_tested=tested)
             tested += 1
-            _, _, masked, _ = _relevant_search(p.with_facts(combo), ground_cap)
+            _, _, masked = _relevant_search(p.with_facts(combo), ground_cap)
             if next(_stable_models(masked, _Budget(candidate_cap)), None) is None:
                 return ScVerdict(
                     ScStatus.NOT_SUPER_CONSISTENT,

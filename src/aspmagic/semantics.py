@@ -18,14 +18,14 @@ enumerates candidate interpretations outright and accepts those that are
 models containing no nonempty unfounded subset.  Both are deterministic;
 neither is meant to compete with a real solver.
 
-Query answering uses the primary search.  A ground query directs it: a
-brave query looks for one answer set containing the atom, pruning every
-branch whose upper bound lacks it, and a cautious query looks for one
-answer set lacking the atom, pruning every branch whose lower bound holds
-it; the first such answer set decides the answer.  A query with variables
-matches the query atom against the atoms of each answer set as the search
-finds them; a brave one unites the matches of them all, a cautious one
-intersects them and stops once no substitution is left.
+Query answering uses the primary search, directed by the query.  The
+query atom is matched once against the derivable atoms; the matches are
+the candidates, and a ground query is a query with no variables.  A brave
+query prunes every branch whose upper bound holds no candidate still
+unwitnessed, and each answer set found witnesses the candidates it holds;
+a cautious query prunes every branch whose lower bound holds every
+candidate still unrefuted, and each answer set found refutes the
+candidates it lacks.  The search ends once no candidate is left open.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ class _Relation:
 
 
 def _layout(atoms: Iterable[Atom]) -> tuple[int, list[str | None], dict[str, int]]:
-    """The binding layout of one rule or query: the number of variables,
+    """The binding layout of one rule: the number of variables,
     a template binding with a slot for each variable, sorted by name,
     followed by one holding each constant, and the slot of each term."""
     atoms = list(atoms)
@@ -564,28 +564,33 @@ def _minimal_models_masks(
     return minimal
 
 
+def _anything(possible: int, cert: int) -> bool:
+    return True
+
+
 def _stable_models(
     masked: list[tuple[int, int, int]],
     budget: _Budget,
-    need: int = 0,
-    avoid: int = 0,
+    goal: Callable[[int, int], bool] = _anything,
 ) -> Iterator[int]:
-    """The stable models of a relevant ground program that contain every
-    atom of ``need`` and no atom of ``avoid``, in mask form, as the search
-    finds them.
+    """The stable models of a relevant ground program that meet ``goal``,
+    in mask form, as the search finds them.
 
     The search assigns a truth value to every atom occurring in a negative
     body.  At each node two monotone bounds prune the branch: atoms assumed
-    true must stay optimistically derivable, and atoms certainly derivable
-    (by single-head rules whose negative body is already all-false) must not
-    be assumed false.  Every stable model below a node lies between the two
-    bounds, so a node whose upper bound lacks an atom of ``need``, or whose
-    lower bound holds an atom of ``avoid``, is pruned too.  Each surviving
-    leaf fixes the reduct; its minimal models that reproduce the assumed
-    assignment are exactly the stable models there.  The explicit stack
-    visits the true branch before the false one, in the order of a
-    recursive depth-first walk, so with both masks empty every stable model
-    is produced, in the same order.
+    true must stay optimistically derivable (the upper bound ``possible``),
+    and atoms certainly derivable (by single-head rules whose negative body
+    is already all-false, the lower bound ``cert``) must not be assumed
+    false.  Every stable model below a node lies between the two bounds,
+    so ``goal(possible, cert)`` is asked at every node, and a node where it
+    fails is pruned too; a model ``m`` is yielded only if ``goal(m, m)``.
+    The goal is called afresh each time, so a caller may narrow it between
+    yields.  Each surviving leaf fixes the reduct; its minimal models that
+    reproduce the assumed assignment are exactly the stable models there.
+    The explicit stack visits the true branch before the false one, in the
+    order of a recursive depth-first walk, so the default goal produces
+    every stable model, in the same order, and any other goal visits a
+    subset of the same nodes.
     """
     nb_mask = 0
     for _, _, n in masked:
@@ -604,10 +609,10 @@ def _stable_models(
         budget.spend()
         while True:
             possible = upper(t)
-            if (t | need) & ~possible:
+            if t & ~possible:
                 break
             cert = lower(f)
-            if cert & (f | avoid):
+            if cert & f or not goal(possible, cert):
                 break
             undecided = nb_mask & ~t & ~f
             force_true = undecided & cert
@@ -619,7 +624,7 @@ def _stable_models(
             if undecided == 0:
                 red = [(h, p) for h, p, n in masked if n & t == 0]
                 for m in _minimal_models_masks(red, budget):
-                    if m & nb_mask == t and need & ~m == 0 and m & avoid == 0:
+                    if m & nb_mask == t and goal(m, m):
                         yield m
             else:
                 bit = undecided & -undecided
@@ -630,10 +635,10 @@ def _stable_models(
 
 def _relevant_search(
     p: Program, ground_cap: int
-) -> tuple[int, list[Atom], list[tuple[int, int, int]], dict[_Key, int]]:
+) -> tuple[int, list[Atom], list[tuple[int, int, int]]]:
     """The relevant grounding of ``p`` in the mask form the search takes:
-    its number of instances, the derivable atoms in bit order, the
-    ``(head, pos, neg)`` masks, and the bit of each derivable atom.
+    its number of instances, the derivable atoms in bit order (atom ``k``
+    is bit ``1 << k``) and the ``(head, pos, neg)`` masks.
 
     The head atoms of the relevant grounding are exactly the atoms
     derivable when all negative literals are ignored.  No other atom can
@@ -652,9 +657,7 @@ def _relevant_search(
         return m
 
     masked = [(mask(h), mask(b), mask(n)) for h, b, n in coded.instances]
-    keys = [coded.keys[i] for i in order]
-    bit_of = {key: 1 << k for k, key in enumerate(keys)}
-    return len(coded.instances), _decode(p, keys), masked, bit_of
+    return len(coded.instances), _decode(p, [coded.keys[i] for i in order]), masked
 
 
 def _decode(p: Program, keys: Iterable[_Key]) -> list[Atom]:
@@ -676,7 +679,7 @@ def answer_sets(
     collects every stable model.  ``candidate_cap`` bounds the number of
     search states examined.
     """
-    instances, atoms, masked, _ = _relevant_search(p, ground_cap)
+    instances, atoms, masked = _relevant_search(p, ground_cap)
     budget = _Budget(candidate_cap)
     out = frozenset(
         _interpretation(atoms, m) for m in _stable_models(masked, budget)
@@ -812,39 +815,33 @@ class Substitution:
         return ", ".join(f"{v} = {c}" for v, c in self.bindings)
 
 
-def _matcher(
-    q: Query, domain: Iterable[Term]
-) -> Callable[[Interpretation], set[Substitution]]:
-    """A function giving the substitutions into ``domain`` under which
-    ``q`` holds in an interpretation, found by matching the query atom
-    against its atoms through the grounder's join."""
-    pred, arity = q.atom.predicate, q.atom.arity
-    n, template, slot = _layout([q.atom])
-    (step,) = _plan([tuple(slot[t.name] for t in q.atom.args)], n)
-    names = sorted(q.variables())
-    allowed = {t.name for t in domain}
+def _matches(
+    q: Query, domain: Iterable[Term], atoms: Iterable[Atom]
+) -> list[tuple[int, Substitution]]:
+    """Each atom of ``atoms`` that is an instance of ``q`` under a
+    substitution into ``domain``, as its index with that substitution.
 
-    def matches(m: Interpretation) -> set[Substitution]:
-        rel = _Relation()
-        for a in m:
-            if a.predicate == pred and len(a.args) == arity:
-                rel.add(tuple(t.name for t in a.args))
-        out: set[Substitution] = set()
-
-        def found(binding: list) -> None:
-            values = binding[:n]
-            if all(c in allowed for c in values):
-                out.add(Substitution(tuple(zip(names, values))))
-
-        _join([(rel, step, 0, len(rel.rows))], list(template), found)
-        return out
-
-    return matches
-
-
-def _identity_if(holds: bool) -> frozenset[Substitution]:
-    """The answer to a ground query: the identity substitution or none."""
-    return frozenset({Substitution()}) if holds else frozenset()
+    The query atom is unified with each atom in turn: a constant must be
+    equal, a repeated variable must take the same value each time, and a
+    substitution with a value outside ``domain`` is dropped.  A ground
+    query matches its own atom under the identity substitution."""
+    allowed = set(domain)
+    pred, args = q.atom.predicate, q.atom.args
+    out = []
+    for k, a in enumerate(atoms):
+        if a.predicate != pred or len(a.args) != len(args):
+            continue
+        binding: dict[str, Term] = {}
+        for qt, t in zip(args, a.args):
+            if qt.is_variable:
+                if binding.setdefault(qt.name, t) != t:
+                    break
+            elif qt != t:
+                break
+        else:
+            if allowed.issuperset(binding.values()):
+                out.append((k, Substitution.of(binding)))
+    return out
 
 
 def _every_substitution(q: Query, terms: Iterable[Term]) -> frozenset[Substitution]:
@@ -862,9 +859,8 @@ def substitutions_brave(
 ) -> frozenset[Substitution]:
     """Substitutions into ``domain`` whose query instance holds in at least
     one answer set.  An inconsistent program bravely entails nothing."""
-    if q.is_ground:
-        return _identity_if(any(q.atom in m for m in report.answer_sets))
-    return _union_matches(q, domain, report.answer_sets)
+    held = frozenset().union(*report.answer_sets)
+    return frozenset(s for _, s in _matches(q, domain, held))
 
 
 def substitutions_cautious(
@@ -873,37 +869,10 @@ def substitutions_cautious(
     """Substitutions into ``domain`` whose query instance holds in every
     answer set.  An inconsistent program cautiously entails every instance,
     the only case that enumerates the domain."""
-    if q.is_ground:
-        return _identity_if(all(q.atom in m for m in report.answer_sets))
-    return _intersect_matches(q, domain, report.answer_sets)
-
-
-def _union_matches(
-    q: Query, domain: Iterable[Term], models: Iterable[Interpretation]
-) -> frozenset[Substitution]:
-    """The substitutions into ``domain`` under which ``q`` holds in at
-    least one of ``models``."""
-    matches = _matcher(q, domain)
-    out: set[Substitution] = set()
-    for m in models:
-        out |= matches(m)
-    return frozenset(out)
-
-
-def _intersect_matches(
-    q: Query, domain: Iterable[Term], models: Iterable[Interpretation]
-) -> frozenset[Substitution]:
-    """The substitutions into ``domain`` under which ``q`` holds in every
-    one of ``models``, taken from them one at a time until none is left;
-    every substitution when there are no models."""
-    terms = frozenset(domain)
-    matches = _matcher(q, terms)
-    out: set[Substitution] | None = None
-    for m in models:
-        out = matches(m) if out is None else out & matches(m)
-        if not out:
-            break
-    return _every_substitution(q, terms) if out is None else frozenset(out)
+    if not report.answer_sets:
+        return _every_substitution(q, domain)
+    held = frozenset.intersection(*report.answer_sets)
+    return frozenset(s for _, s in _matches(q, domain, held))
 
 
 class QueryAnswer(NamedTuple):
@@ -926,41 +895,56 @@ def answer_query(
     candidate_cap: int = CANDIDATE_CAP_DEFAULT,
 ) -> QueryAnswer:
     """Answer ``q`` over ``p`` bravely (``mode="brave"``) or cautiously
-    (``mode="cautious"``).
+    (``mode="cautious"``); substitutions range over ``domain``, the
+    universe of ``p`` by default.
 
-    A ground query directs the search instead of enumerating every answer
-    set.  Brave asks for one answer set that contains the query atom, so
-    the search prunes every branch whose upper bound lacks it and stops at
-    the first model; an atom that no relevant rule derives is answered
-    without a search.  Cautious asks for one answer set that lacks the atom,
-    so the search prunes every branch whose lower bound holds it; the answer
-    is yes exactly when there is none, which covers inconsistent programs.
-
-    A query with variables matches the query atom against the answer sets
-    as the search finds them; substitutions range over ``domain``, the
-    universe of ``p`` by default.  Brave unites the matches of every answer
-    set.  Cautious intersects them and stops once the intersection is
-    empty; only an inconsistent program, which cautiously entails every
-    instance, enumerates the domain.
+    The candidates are the derivable atoms that match ``q`` (see
+    :func:`_matches`), found once before the search; a ground query has at
+    most one.  No other instance of ``q`` can hold in an answer set.  One
+    search then settles them, its goal narrowed after every model.  Brave
+    keeps only the branches whose upper bound holds an unwitnessed
+    candidate; each model witnesses every candidate it holds, and the
+    search stops once none is left, so with no candidate there is no
+    search.  Cautious keeps only the branches whose lower bound misses an
+    unrefuted candidate; each model refutes every candidate it lacks.
+    When some substitution has no derivable instance, the first model
+    refutes it, so until then any model is accepted.  When the search
+    finds no model, every substitution holds: either there is no answer
+    set, or the candidates cover the domain and no answer set lacks one.
     """
     if mode not in ("brave", "cautious"):
         raise ValueError(f"unknown query mode {mode!r}")
-    if domain is None:
-        domain = universe(p)
-    instances, atoms, masked, bit_of = _relevant_search(p, ground_cap)
+    terms = frozenset(universe(p) if domain is None else domain)
+    instances, atoms, masked = _relevant_search(p, ground_cap)
+    found = _matches(q, terms, atoms)
+    # the candidates no model has decided yet: witnessed bravely when a
+    # model holds one, refuted cautiously when a model lacks one
+    open_ = 0
+    for k, _ in found:
+        open_ |= 1 << k
+    is_brave = mode == "brave"
+    # cautious, some substitution without a candidate, and no model yet
+    uncovered = not is_brave and len(found) < len(terms) ** len(q.variables())
+
+    def goal(possible: int, cert: int) -> bool:
+        if is_brave:
+            return possible & open_ != 0
+        return uncovered or open_ & ~cert != 0
+
     budget = _Budget(candidate_cap)
-    if not q.is_ground:
-        models = (_interpretation(atoms, m) for m in _stable_models(masked, budget))
-        fold = _union_matches if mode == "brave" else _intersect_matches
-        return QueryAnswer(fold(q, domain, models), budget.spent, instances)
-    bit = bit_of.get(_key_of(q.atom), 0)
-    if mode == "brave":
-        holds = bool(bit) and (
-            next(_stable_models(masked, budget, need=bit), None) is not None
-        )
+    if open_ or uncovered:
+        for m in _stable_models(masked, budget, goal):
+            uncovered = False
+            open_ &= ~m if is_brave else m
+            if not open_:
+                break
+    if is_brave:
+        holds = frozenset(s for k, s in found if not open_ >> k & 1)
+    elif uncovered:
+        holds = _every_substitution(q, terms)
     else:
-        holds = next(_stable_models(masked, budget, avoid=bit), None) is None
-    return QueryAnswer(_identity_if(holds), budget.spent, instances)
+        holds = frozenset(s for k, s in found if open_ >> k & 1)
+    return QueryAnswer(holds, budget.spent, instances)
 
 
 def brave(
