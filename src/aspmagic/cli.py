@@ -8,6 +8,13 @@ program, differential-test the rewriting, and run the grid benchmark.
 bench cell takes the search states ``query --brave`` reports; ``solve``
 and ``diff`` enumerate every answer set.
 
+A call loads only the modules its subcommand runs, and argparse builds
+only that subcommand's arguments.  The parser, syntax and semantics
+modules load with this one; ``query`` adds the analysis module when it
+considers the rewriting and the rewriter when it applies it, ``rewrite``
+the rewriter, ``check`` the analysis module, and ``diff`` and ``bench``
+the harness (which loads the rest).
+
 Exit codes: 0 success, 1 differential mismatch, 2 usage or input errors,
 3 resource cap exceeded, 4 internal error (the traceback goes to stderr).
 """
@@ -20,16 +27,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import check_super_consistent, is_odd_cycle_free, is_stratified
-from .harness import (
-    Mismatch,
-    benchmark_json,
-    benchmark_table,
-    check_equivalence,
-    run_benchmark,
-)
 from .parser import SourceError, parse_program, parse_query, print_program
-from .rewriter import dms
 from .semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
@@ -74,91 +72,85 @@ def _size_list(text: str) -> list[int]:
     return sizes
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--ground-cap", type=_positive_int, default=GROUND_CAP_DEFAULT,
-        help="largest allowed number of ground rule instances; only "
-             "instances whose positive body is derivable are counted",
-    )
-    shared.add_argument(
-        "--candidate-cap", type=_positive_int, default=CANDIDATE_CAP_DEFAULT,
-        help="largest allowed number of candidate states",
-    )
-    shared.add_argument(
-        "--format", choices=("text", "structured"), default="text",
-        help="plain text or JSON output",
-    )
-
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  Only subcommands named in ``argv`` get
+    their arguments; argparse dispatches to no other one, and the rest are
+    listed by name and help text, which is all ``aspmagic --help`` and an
+    unknown-subcommand error show of them."""
     root = argparse.ArgumentParser(
         prog="aspmagic",
         description="magic-set rewriting and reference evaluation for disjunctive programs",
     )
     sub = root.add_subparsers(dest="command", required=True)
 
-    p_rewrite = sub.add_parser(
-        "rewrite", parents=[shared], help="print the rewriting of a program for a query"
-    )
-    p_rewrite.add_argument("program")
-    p_rewrite.add_argument("--query", required=True)
-    p_rewrite.set_defaults(func=_cmd_rewrite)
+    def subcommand(name, help_text, func) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=help_text)
+        if name not in argv:
+            return None
+        p.add_argument(
+            "--ground-cap", type=_positive_int, default=GROUND_CAP_DEFAULT,
+            help="largest allowed number of ground rule instances; only "
+                 "instances whose positive body is derivable are counted",
+        )
+        p.add_argument(
+            "--candidate-cap", type=_positive_int, default=CANDIDATE_CAP_DEFAULT,
+            help="largest allowed number of candidate states",
+        )
+        p.add_argument(
+            "--format", choices=("text", "structured"), default="text",
+            help="plain text or JSON output",
+        )
+        p.set_defaults(func=func)
+        return p
 
-    p_solve = sub.add_parser(
-        "solve", parents=[shared], help="enumerate answer sets"
-    )
-    p_solve.add_argument("program")
-    p_solve.add_argument("--max", type=_positive_int, default=None,
-                         help="print at most this many answer sets")
-    p_solve.set_defaults(func=_cmd_solve)
+    if p := subcommand(
+        "rewrite", "print the rewriting of a program for a query", _cmd_rewrite
+    ):
+        p.add_argument("program")
+        p.add_argument("--query", required=True)
 
-    p_query = sub.add_parser(
-        "query", parents=[shared], help="answer a brave or cautious query"
-    )
-    p_query.add_argument("program")
-    p_query.add_argument("--query", required=True)
-    kind = p_query.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--brave", action="store_true")
-    kind.add_argument("--cautious", action="store_true")
-    p_query.add_argument(
-        "--rewrite", choices=("auto", "on", "off"), default="auto",
-        help="apply the magic-set rewriting before solving",
-    )
-    p_query.set_defaults(func=_cmd_query)
+    if p := subcommand("solve", "enumerate answer sets", _cmd_solve):
+        p.add_argument("program")
+        p.add_argument("--max", type=_positive_int, default=None,
+                       help="print at most this many answer sets")
 
-    p_check = sub.add_parser(
-        "check", parents=[shared], help="classify a program"
-    )
-    p_check.add_argument("program")
-    what = p_check.add_mutually_exclusive_group(required=True)
-    what.add_argument("--stratified", action="store_true")
-    what.add_argument("--odd-cycle-free", action="store_true")
-    what.add_argument("--super-consistent", action="store_true")
-    p_check.add_argument("--budget", type=_positive_int, default=10_000,
-                         help="fact sets to try before giving up")
-    p_check.set_defaults(func=_cmd_check)
+    if p := subcommand("query", "answer a brave or cautious query", _cmd_query):
+        p.add_argument("program")
+        p.add_argument("--query", required=True)
+        kind = p.add_mutually_exclusive_group(required=True)
+        kind.add_argument("--brave", action="store_true")
+        kind.add_argument("--cautious", action="store_true")
+        p.add_argument(
+            "--rewrite", choices=("auto", "on", "off"), default="auto",
+            help="apply the magic-set rewriting before solving",
+        )
 
-    p_diff = sub.add_parser(
-        "diff", parents=[shared],
-        help="compare query answers of a program and its rewriting",
-    )
-    p_diff.add_argument("program")
-    p_diff.add_argument("--query", required=True)
-    p_diff.add_argument("--trials", type=_nonnegative_int, default=5)
-    p_diff.add_argument("--seed", type=int, default=0)
-    p_diff.add_argument("--density", type=_probability, default=0.3,
-                        help="probability of each candidate fact, in [0, 1]")
-    p_diff.set_defaults(func=_cmd_diff)
+    if p := subcommand("check", "classify a program", _cmd_check):
+        p.add_argument("program")
+        what = p.add_mutually_exclusive_group(required=True)
+        what.add_argument("--stratified", action="store_true")
+        what.add_argument("--odd-cycle-free", action="store_true")
+        what.add_argument("--super-consistent", action="store_true")
+        p.add_argument("--budget", type=_positive_int, default=10_000,
+                       help="fact sets to try before giving up")
 
-    p_bench = sub.add_parser(
-        "bench", parents=[shared], help="run a benchmark suite"
-    )
-    p_bench.add_argument("suite", choices=("related",))
-    p_bench.add_argument("--sizes", type=_size_list, default=[1, 2, 3])
-    p_bench.add_argument("--mode", choices=("plain", "dms", "both"), default="both")
-    p_bench.add_argument("--reps", type=_positive_int, default=1)
-    p_bench.add_argument("--out", default=None,
-                         help="write the structured report to this path")
-    p_bench.set_defaults(func=_cmd_bench)
+    if p := subcommand(
+        "diff", "compare query answers of a program and its rewriting", _cmd_diff
+    ):
+        p.add_argument("program")
+        p.add_argument("--query", required=True)
+        p.add_argument("--trials", type=_nonnegative_int, default=5)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--density", type=_probability, default=0.3,
+                       help="probability of each candidate fact, in [0, 1]")
+
+    if p := subcommand("bench", "run a benchmark suite", _cmd_bench):
+        p.add_argument("suite", choices=("related",))
+        p.add_argument("--sizes", type=_size_list, default=[1, 2, 3])
+        p.add_argument("--mode", choices=("plain", "dms", "both"), default="both")
+        p.add_argument("--reps", type=_positive_int, default=1)
+        p.add_argument("--out", default=None,
+                       help="write the structured report to this path")
 
     return root
 
@@ -171,9 +163,24 @@ def _load_program(path: str) -> Program:
     return parse_program(text)
 
 
+def _load_query(text: str, p: Program) -> Query:
+    """Parse ``text`` as a query on ``p``: its predicate must have the arity
+    it has in ``p``, if ``p`` uses it."""
+    q = parse_query(text)
+    arity = p.predicates.get(q.atom.predicate)
+    if arity is not None and arity != q.atom.arity:
+        raise ProgramError(
+            f"query {q} has {q.atom.arity} arguments, but {q.atom.predicate} "
+            f"has arity {arity} in the program"
+        )
+    return q
+
+
 def _cmd_rewrite(args: argparse.Namespace) -> int:
+    from .rewriter import dms
+
     p = _load_program(args.program)
-    q = parse_query(args.query)
+    q = _load_query(args.query, p)
     rewritten = dms(q, p)
     if args.format == "structured":
         print(json.dumps({"rules": [str(r) for r in rewritten.rules]}, indent=2))
@@ -206,28 +213,26 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     p = _load_program(args.program)
-    q = parse_query(args.query)
-    arity = p.predicates.get(q.atom.predicate)
-    if arity is not None and arity != q.atom.arity:
-        raise ProgramError(
-            f"query {q} has {q.atom.arity} arguments, but {q.atom.predicate} "
-            f"has arity {arity} in the program"
-        )
+    q = _load_query(args.query, p)
     bound = any(t.is_constant for t in q.atom.args)
-    if args.rewrite == "on":
-        apply_rewriting = True
-        if not is_odd_cycle_free(p):
+    apply_rewriting = False
+    if args.rewrite == "on" or (args.rewrite == "auto" and bound):
+        from .analysis import is_odd_cycle_free
+
+        odd_cycle_free = is_odd_cycle_free(p)
+        if args.rewrite == "on" and not odd_cycle_free:
             print(
                 "warning: the program has a dependency cycle crossing an odd "
                 "number of negative edges; the rewriting is not guaranteed to "
                 "preserve brave or cautious answers here",
                 file=sys.stderr,
             )
-    elif args.rewrite == "auto":
-        apply_rewriting = bound and is_odd_cycle_free(p)
-    else:
-        apply_rewriting = False
-    target = dms(q, p) if apply_rewriting else p
+        apply_rewriting = args.rewrite == "on" or odd_cycle_free
+    target = p
+    if apply_rewriting:
+        from .rewriter import dms
+
+        target = dms(q, p)
     mode = "brave" if args.brave else "cautious"
     answer = answer_query(
         target, q, mode,
@@ -263,6 +268,8 @@ def _print_query_result(
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .analysis import check_super_consistent, is_odd_cycle_free, is_stratified
+
     p = _load_program(args.program)
     if args.stratified:
         verdict = is_stratified(p)
@@ -306,8 +313,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    from .harness import check_equivalence
+
     p = _load_program(args.program)
-    q = parse_query(args.query)
+    q = _load_query(args.query, p)
     report = check_equivalence(
         p, q, args.trials, args.seed, args.density,
         ground_cap=args.ground_cap, candidate_cap=args.candidate_cap,
@@ -342,7 +351,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _mismatch_records(mismatches: Sequence[Mismatch]) -> list[dict]:
+def _mismatch_records(mismatches: Sequence) -> list[dict]:
     return [
         {
             "facts": [str(a) for a in m.fact_set],
@@ -354,6 +363,8 @@ def _mismatch_records(mismatches: Sequence[Mismatch]) -> list[dict]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .harness import benchmark_json, benchmark_table, run_benchmark
+
     cells = run_benchmark(
         args.sizes, args.mode, args.reps,
         ground_cap=args.ground_cap, candidate_cap=args.candidate_cap,
@@ -368,7 +379,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

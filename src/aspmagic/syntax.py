@@ -234,6 +234,16 @@ def fact(atom: Atom) -> Rule:
     return Rule((atom,))
 
 
+def _check_arity(arities: dict[str, int], atom: Atom) -> None:
+    """Record the arity of ``atom``'s predicate in ``arities``, unless it
+    clashes with the one recorded there."""
+    seen = arities.setdefault(atom.predicate, atom.arity)
+    if seen != atom.arity:
+        raise ProgramError(
+            f"predicate {atom.predicate} used with arities {seen} and {atom.arity}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class Program:
     """A finite set of rules with a consistent arity per predicate.
@@ -249,12 +259,7 @@ class Program:
         arities: dict[str, int] = {}
         for rule in self.rules:
             for atom in rule.atoms():
-                seen = arities.setdefault(atom.predicate, atom.arity)
-                if seen != atom.arity:
-                    raise ProgramError(
-                        f"predicate {atom.predicate} used with arities "
-                        f"{seen} and {atom.arity}"
-                    )
+                _check_arity(arities, atom)
         object.__setattr__(self, "_arities", arities)
 
     @cached_property
@@ -304,13 +309,26 @@ class Program:
         return frozenset(self._arities) - self.idb_predicates  # type: ignore[attr-defined]
 
     def with_facts(self, atoms: Iterable[Atom]) -> "Program":
-        """A new program extended with the given ground atoms as facts."""
-        extra = []
+        """A new program extended with the given ground atoms as facts.
+
+        Only the added facts are checked: the new program starts from this
+        one's arities and constants instead of walking every rule again."""
+        arities = dict(self._arities)  # type: ignore[attr-defined]
+        extra: dict[Rule, None] = {}
+        constants: set[Term] = set()
         for atom in sorted(atoms):
             if not atom.is_ground:
                 raise ProgramError(f"cannot add non-ground fact {atom}")
-            extra.append(fact(atom))
-        return Program((*self.rules, *extra))
+            _check_arity(arities, atom)
+            extra[fact(atom)] = None
+            constants.update(atom.args)
+        out = object.__new__(Program)
+        known = self._rule_set
+        added = (r for r in extra if r not in known)
+        object.__setattr__(out, "rules", (*self.rules, *added))
+        object.__setattr__(out, "_arities", arities)
+        object.__setattr__(out, "constants", self.constants | constants)
+        return out
 
     def __repr__(self) -> str:
         return f"Program<{len(self.rules)} rules>"

@@ -204,6 +204,18 @@ def test_query_arity_mismatch_exits_2(write, capsys, rewrite, query):
         assert "arity 1" in captured.err
 
 
+@pytest.mark.parametrize("command", ["query", "rewrite", "diff"])
+def test_every_subcommand_reports_a_wrong_arity_alike(write, capsys, command):
+    path = write("e(a).\np(X) :- e(X).\n")
+    extra = ["--brave"] if command == "query" else []
+    assert main([command, path, "--query", "p(X,Y)?", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: query p(X,Y)? has 2 arguments, but p has arity 1 in the program\n"
+    )
+
+
 # --------------------------------------------------------------------- check
 
 
@@ -377,6 +389,47 @@ def test_import_loads_neither_multiprocessing_nor_hashlib():
     assert out.strip() == "[]"
 
 
+def _loaded_after(code: str) -> list[str]:
+    """The ``aspmagic`` submodules a fresh interpreter has loaded after
+    running ``code``, as the last line it prints."""
+    code += (
+        "; import json, sys; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('aspmagic.'))))"
+    )
+    src = str(Path(aspmagic.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_after("import aspmagic") == []
+
+
+def test_plain_query_loads_no_rewriting_code(write):
+    path = write(ANCESTRY)
+    loaded = _loaded_after(
+        "from aspmagic.cli import main; "
+        f"main(['query', {path!r}, '--query', 'ancestor(p1,X)?', '--brave', "
+        "'--rewrite', 'off'])"
+    )
+    assert "aspmagic.semantics" in loaded
+    for module in ("harness", "rewriter", "analysis", "lifting"):
+        assert f"aspmagic.{module}" not in loaded
+
+
+def test_rewritten_query_loads_no_harness(write):
+    path = write(ANCESTRY)
+    loaded = _loaded_after(
+        "from aspmagic.cli import main; "
+        f"main(['query', {path!r}, '--query', 'ancestor(p1,X)?', '--brave'])"
+    )
+    assert {"aspmagic.analysis", "aspmagic.rewriter"} <= set(loaded)
+    assert "aspmagic.harness" not in loaded
+
+
 @pytest.mark.parametrize(
     "command, stage",
     [(["solve"], "answer_sets"),
@@ -387,7 +440,9 @@ def test_internal_errors_exit_4(write, capsys, monkeypatch, command, stage):
     def broken(*args, **kwargs):
         raise RuntimeError("stage broke")
 
-    monkeypatch.setattr(aspmagic.cli, stage, broken)
+    # ``rewrite`` imports the rewriter when it runs, so patch it at home.
+    home = "aspmagic.rewriter" if stage == "dms" else "aspmagic.cli"
+    monkeypatch.setattr(f"{home}.{stage}", broken)
     path = write("e(a).\np(X) :- e(X).\n")
     assert main([command[0], path, *command[1:]]) == 4
     err = capsys.readouterr().err

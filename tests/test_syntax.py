@@ -201,6 +201,27 @@ def test_with_facts_sorts_and_validates():
         p.with_facts([Atom("e", (var("X"),))])
 
 
+def test_with_facts_equals_a_program_built_from_scratch():
+    p = parse_program("e(a). p(X) :- e(X), not q(X). q(b) :- p(b).")
+    atoms = parse_program("e(b). e(a). r(c,d). e(b).").rules
+    extended = p.with_facts(r.head[0] for r in atoms)
+    scratch = Program((*p.rules, *sorted(atoms, key=lambda r: r.head)))
+    # e(a) is already a fact and e(b) comes twice: each collapses
+    assert extended.rules == scratch.rules
+    assert [str(r) for r in extended.rules[len(p.rules):]] == ["e(b).", "r(c,d)."]
+    assert extended.predicates == scratch.predicates
+    assert extended.constants == scratch.constants == set(map(const, "abcd"))
+    assert extended.idb_predicates == scratch.idb_predicates
+    assert extended.edb_predicates == scratch.edb_predicates == {"e", "r"}
+    assert extended == scratch and hash(extended) == hash(scratch)
+    assert p.predicates == {"e": 1, "p": 1, "q": 1}  # the base is unchanged
+    assert p.constants == {const("a"), const("b")}
+    with pytest.raises(ProgramError, match="arities 1 and 2"):
+        p.with_facts([Atom("e", (const("a"), const("b")))])
+    with pytest.raises(ProgramError, match="arities 2 and 1"):
+        extended.with_facts([Atom("r", (const("a"),))])
+
+
 def test_query_ground_and_str():
     q = Query(Atom("anc", (const("a"), var("X"))))
     assert not q.is_ground
