@@ -4,9 +4,9 @@ Subcommands cover the whole pipeline: rewrite a program for a query,
 enumerate answer sets, answer brave or cautious queries (with the
 rewriting applied automatically when it is known safe), classify a
 program, differential-test the rewriting, and run the grid benchmark.
-``query`` and ``bench`` answer through the same directed search, so a
-bench cell takes the search states ``query --brave`` reports; ``solve``
-and ``diff`` enumerate every answer set.
+``query``, ``bench`` and ``diff`` answer through one directed search
+(``diff`` once per side for both modes), so a bench cell takes the search
+states ``query --brave`` reports; only ``solve`` enumerates every answer set.
 
 A call loads only the modules its subcommand runs, and argparse builds
 only that subcommand's arguments.  The parser, syntax and semantics
@@ -271,20 +271,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .analysis import check_super_consistent, is_odd_cycle_free, is_stratified
 
     p = _load_program(args.program)
-    if args.stratified:
-        verdict = is_stratified(p)
-        if args.format == "structured":
-            print(json.dumps({"check": "stratified", "holds": verdict}))
-        else:
-            print(f"stratified: {'yes' if verdict else 'no'}")
-        return 0
-    if args.odd_cycle_free:
-        verdict = is_odd_cycle_free(p)
-        if args.format == "structured":
-            print(json.dumps({"check": "odd-cycle-free", "holds": verdict}))
-        else:
-            print(f"odd-cycle-free: {'yes' if verdict else 'no'}")
-        return 0
+    for asked, label, test in (
+        (args.stratified, "stratified", is_stratified),
+        (args.odd_cycle_free, "odd-cycle-free", is_odd_cycle_free),
+    ):
+        if asked:
+            verdict = test(p)
+            if args.format == "structured":
+                print(json.dumps({"check": label, "holds": verdict}))
+            else:
+                print(f"{label}: {'yes' if verdict else 'no'}")
+            return 0
     result = check_super_consistent(
         p, args.budget,
         ground_cap=args.ground_cap, candidate_cap=args.candidate_cap,

@@ -4,10 +4,10 @@ Three pieces live here: a generator for the genealogy grid instances used
 by the benchmark, deterministic random generators for programs, fact sets
 and queries, and the drivers that compare query answers between an
 original program and its rewriting, or time both on growing instances.
-The differential check enumerates every answer set of both sides, since
-it compares whole brave and cautious answers; the benchmark answers its
-ground corner query through the directed search of :func:`answer_query`,
-exactly as ``aspmagic query --brave`` does.
+Both answer through the directed search of :func:`answer_query`, the
+one ``aspmagic query`` runs: the differential check searches each side
+once for its brave and cautious answers together, and the benchmark
+asks its ground corner query bravely, as ``aspmagic query --brave``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from .semantics import (
     GROUND_CAP_DEFAULT,
     SolverCapError,
     Substitution,
+    _answer,
     answer_query,
-    answer_sets,
-    substitutions_brave,
-    substitutions_cautious,
 )
 from .syntax import (
     Atom,
@@ -334,7 +332,11 @@ def check_equivalence(
     The rewriting is computed once; each trial adds the same sampled
     facts to both sides and evaluates the query over a shared
     substitution domain, so any reported difference is a genuine answer
-    difference.  Trials tripping a solver cap are skipped and counted.
+    difference.  Each side is answered by one directed search, the one
+    ``aspmagic query`` runs, settling its brave and cautious answers
+    together; ``timings_ms`` holds the time of each side's grounding,
+    search and answering.  Trials tripping a solver cap are skipped and
+    counted.
     """
     if program_id is None:
         import hashlib  # loaded only here, not by every CLI call
@@ -344,8 +346,8 @@ def check_equivalence(
     rewritten = dms(q, p)
     qconsts = frozenset(t for t in q.atom.args if t.is_constant)
 
-    brave_bad: list[Mismatch] = []
-    cautious_bad: list[Mismatch] = []
+    modes = ("brave", "cautious")
+    bad: dict[str, list[Mismatch]] = {mode: [] for mode in modes}
     counts: list[tuple[int, int]] = []
     timings: list[tuple[float, float]] = []
     skipped: list[str] = []
@@ -358,40 +360,29 @@ def check_equivalence(
         domain = universe(side_a) | qconsts
         try:
             t0 = time.perf_counter()
-            report_a = answer_sets(
-                side_a, ground_cap=ground_cap, candidate_cap=candidate_cap
+            answers_a, _, rules_a = _answer(
+                side_a, q, modes, domain, ground_cap, candidate_cap
             )
             t1 = time.perf_counter()
-            report_b = answer_sets(
-                side_b, ground_cap=ground_cap, candidate_cap=candidate_cap
+            answers_b, _, rules_b = _answer(
+                side_b, q, modes, domain, ground_cap, candidate_cap
             )
             t2 = time.perf_counter()
         except SolverCapError as exc:
             skipped.append(f"trial {t}: {exc}")
             continue
         tested += 1
-        counts.append((report_a.ground_rules, report_b.ground_rules))
+        counts.append((rules_a, rules_b))
         timings.append(((t1 - t0) * 1000.0, (t2 - t1) * 1000.0))
-        mm = _diff(
-            substitutions_brave(report_a, q, domain),
-            substitutions_brave(report_b, q, domain),
-            facts,
-        )
-        if mm:
-            brave_bad.append(mm)
-        mm = _diff(
-            substitutions_cautious(report_a, q, domain),
-            substitutions_cautious(report_b, q, domain),
-            facts,
-        )
-        if mm:
-            cautious_bad.append(mm)
+        for mode, mismatches in bad.items():
+            if mm := _diff(answers_a[mode], answers_b[mode], facts):
+                mismatches.append(mm)
     return EquivReport(
         program_id=program_id,
         query=q,
         fact_sets_tested=tested,
-        brave_mismatches=tuple(brave_bad),
-        cautious_mismatches=tuple(cautious_bad),
+        brave_mismatches=tuple(bad["brave"]),
+        cautious_mismatches=tuple(bad["cautious"]),
         ground_rule_counts=tuple(counts),
         timings_ms=tuple(timings),
         skipped=tuple(skipped),

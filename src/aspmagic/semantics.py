@@ -25,7 +25,8 @@ query prunes every branch whose upper bound holds no candidate still
 unwitnessed, and each answer set found witnesses the candidates it holds;
 a cautious query prunes every branch whose lower bound holds every
 candidate still unrefuted, and each answer set found refutes the
-candidates it lacks.  The search ends once no candidate is left open.
+candidates it lacks.  One search may do both, keeping each branch either
+keeps; it ends once no candidate is left open.
 """
 
 from __future__ import annotations
@@ -802,13 +803,6 @@ class Substitution:
     def of(cls, mapping: Mapping[str, Term]) -> "Substitution":
         return cls(tuple(sorted((v, t.name) for v, t in mapping.items())))
 
-    def as_mapping(self) -> dict[str, Term]:
-        return {v: Term(c) for v, c in self.bindings}
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.bindings
-
     def __str__(self) -> str:
         if not self.bindings:
             return "{}"
@@ -914,37 +908,55 @@ def answer_query(
     """
     if mode not in ("brave", "cautious"):
         raise ValueError(f"unknown query mode {mode!r}")
+    answers, *counts = _answer(p, q, (mode,), domain, ground_cap, candidate_cap)
+    return QueryAnswer(answers[mode], *counts)
+
+
+def _answer(
+    p: Program, q: Query, modes: Sequence[str], domain: Iterable[Term] | None,
+    ground_cap: int, candidate_cap: int,
+) -> tuple[dict[str, frozenset[Substitution]], int, int]:
+    """The answers to ``q`` over ``p`` in each of ``modes`` (``"brave"``,
+    ``"cautious"`` or both) from one search, with its number of states
+    and of rule instances in the relevant grounding.
+
+    Two masks keep the candidates still open: ``unwitnessed`` for brave,
+    ``unrefuted`` for cautious, each empty when its mode is not asked.  A
+    branch is kept while its upper bound holds an unwitnessed candidate
+    or its lower bound misses an unrefuted one; each model clears from
+    ``unwitnessed`` the candidates it holds and from ``unrefuted`` those
+    it lacks, and the search stops once both are empty.  For one mode
+    this is the search :func:`answer_query` describes; for both it cuts
+    only the nodes that both modes would cut, so it still visits a subset
+    of the nodes of full enumeration.
+    """
     terms = frozenset(universe(p) if domain is None else domain)
     instances, atoms, masked = _relevant_search(p, ground_cap)
     found = _matches(q, terms, atoms)
-    # the candidates no model has decided yet: witnessed bravely when a
-    # model holds one, refuted cautiously when a model lacks one
-    open_ = 0
-    for k, _ in found:
-        open_ |= 1 << k
-    is_brave = mode == "brave"
+    candidates = sum(1 << k for k, _ in found)
+    unwitnessed = candidates if "brave" in modes else 0
+    unrefuted = candidates if "cautious" in modes else 0
     # cautious, some substitution without a candidate, and no model yet
-    uncovered = not is_brave and len(found) < len(terms) ** len(q.variables())
+    uncovered = "cautious" in modes and len(found) < len(terms) ** len(q.variables())
 
     def goal(possible: int, cert: int) -> bool:
-        if is_brave:
-            return possible & open_ != 0
-        return uncovered or open_ & ~cert != 0
+        return uncovered or possible & unwitnessed != 0 or unrefuted & ~cert != 0
 
     budget = _Budget(candidate_cap)
-    if open_ or uncovered:
+    if unwitnessed or unrefuted or uncovered:
         for m in _stable_models(masked, budget, goal):
             uncovered = False
-            open_ &= ~m if is_brave else m
-            if not open_:
+            unwitnessed &= ~m
+            unrefuted &= m
+            if not unwitnessed | unrefuted:
                 break
-    if is_brave:
-        holds = frozenset(s for k, s in found if not open_ >> k & 1)
-    elif uncovered:
-        holds = _every_substitution(q, terms)
-    else:
-        holds = frozenset(s for k, s in found if open_ >> k & 1)
-    return QueryAnswer(holds, budget.spent, instances)
+    holds = {"brave": candidates & ~unwitnessed, "cautious": unrefuted}
+    answers = {
+        mode: frozenset(s for k, s in found if holds[mode] >> k & 1) for mode in modes
+    }
+    if uncovered:
+        answers["cautious"] = _every_substitution(q, terms)
+    return answers, budget.spent, instances
 
 
 def brave(

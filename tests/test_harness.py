@@ -193,6 +193,19 @@ def test_equivalence_counts_capped_trials(ancestry):
     assert "trial 0" in report.skipped[0]
 
 
+@pytest.mark.parametrize("text", ["ancestor(p_1_1,p_3_3)?", "ancestor(p_1_1,X)?"])
+def test_equivalence_answers_the_grid_3_through_the_directed_search(text):
+    # Full enumeration of the plain side takes 12287 states, far over the
+    # cap; one directed search per side stays within it.
+    report = check_equivalence(
+        gen_related_instance(3).program, parse_query(text),
+        trials=1, density=0, candidate_cap=1000,
+    )
+    assert report.fact_sets_tested == 1
+    assert report.skipped == ()
+    assert report.ok
+
+
 def test_equivalence_report_is_reproducible(ancestry):
     q = parse_query("ancestor(p1,X)?")
     a = check_equivalence(ancestry, q, trials=2, seed=9)

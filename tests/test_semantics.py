@@ -51,7 +51,9 @@ from aspmagic import (
 )
 from aspmagic import semantics
 from aspmagic.semantics import (
+    CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
+    _answer,
     _ground_coded,
     _ground_exhaustive,
     _index_rules,
@@ -660,6 +662,51 @@ def test_brave_variable_queries_match_full_enumeration(profile):
                 assert got.ground_rules == report.ground_rules
                 checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
+def test_one_search_answers_both_modes(profile):
+    # The search of the differential check: both modes at once, on both
+    # sides, with sampled facts.  It keeps every node that either mode
+    # keeps alone, so it still visits a subset of full enumeration's.
+    modes = ("brave", "cautious")
+    checked = oracle_checked = 0
+    for seed in range(30):
+        p = random_program(seed, profile)
+        q = random_query(p, seed)
+        facts = random_edb(p, seed, 0.3, max_facts=8)
+        open_q = Query(Atom(q.atom.predicate, tuple(
+            var(f"V{i}") for i in range(q.atom.arity)
+        )))
+        for side in (p, dms(q, p)):
+            side = side.with_facts(facts)
+            report = answer_sets(side)
+            if seed % 4 == 0:
+                try:
+                    oracle = answer_sets_via_unfounded(side, candidate_cap=1 << 14)
+                except CandidateSpaceTooLarge:
+                    pass  # too many head atoms to enumerate
+                else:
+                    assert report.answer_sets == oracle.answer_sets, seed
+                    oracle_checked += 1
+            domain = universe(side) | {t for t in q.atom.args if t.is_constant}
+            for query in {q, open_q}:
+                answers, states, rules = _answer(
+                    side, query, modes, domain,
+                    GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT,
+                )
+                assert answers == {
+                    "brave": substitutions_brave(report, query, domain),
+                    "cautious": substitutions_cautious(report, query, domain),
+                }, (seed, str(query))
+                for mode in modes:
+                    single = answer_query(side, query, mode, domain=domain)
+                    assert answers[mode] == single.substitutions, (seed, mode)
+                assert states <= report.candidates_examined
+                assert rules == report.ground_rules
+                checked += 1
+    assert checked > 100
+    assert oracle_checked >= 8
 
 
 def test_query_answers_report_the_ground_rules_searched():
