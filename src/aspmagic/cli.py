@@ -16,7 +16,8 @@ the rewriter, ``check`` the analysis module, and ``diff`` and ``bench``
 the harness (which loads the rest).
 
 Exit codes: 0 success, 1 differential mismatch, 2 usage or input errors,
-3 resource cap exceeded, 4 internal error (the traceback goes to stderr).
+3 resource cap exceeded (also ``diff`` when every trial tripped a cap, so
+it compared nothing), 4 internal error (the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -318,6 +319,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         p, q, args.trials, args.seed, args.density,
         ground_cap=args.ground_cap, candidate_cap=args.candidate_cap,
     )
+    compared_nothing = report.skipped and not report.fact_sets_tested
     if args.format == "structured":
         print(json.dumps({
             "program_id": report.program_id,
@@ -326,7 +328,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             "skipped": list(report.skipped),
             "brave_mismatches": _mismatch_records(report.brave_mismatches),
             "cautious_mismatches": _mismatch_records(report.cautious_mismatches),
-            "ok": report.ok,
+            "ok": report.ok and not compared_nothing,
         }, indent=2))
     else:
         print(f"program {report.program_id}, query {report.query}")
@@ -343,9 +345,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
                     print(f"  only original: {s}")
                 for s in m.only_rewritten:
                     print(f"  only rewritten: {s}")
-        if report.ok:
+        if compared_nothing:
+            print("nothing compared: every trial tripped a cap")
+        elif report.ok:
             print("no mismatches")
-    return 0 if report.ok else 1
+    return 3 if compared_nothing else 0 if report.ok else 1
 
 
 def _mismatch_records(mismatches: Sequence) -> list[dict]:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -112,9 +113,9 @@ def ground(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> GroundProgram:
     function decodes the same instances into validated atoms and rules.
     Each rule's join plan is compiled on the first grounding that meets
     the rule object and reused by every later one; bodiless rules are
-    ground without a plan.  The order is that of the exhaustive
-    grounding: source rule first, then the binding tuple over the sorted
-    variable names, the first copy winning when instances collide.
+    ground without a plan.  Instances come in derivation order: each
+    positive body atom heads an earlier instance, and of two instances
+    that collide the first one derived is kept.
 
     ``ground_cap`` bounds the number of distinct instances as they are
     emitted; crossing it raises :class:`GroundingTooLarge`.
@@ -141,7 +142,7 @@ _Instance = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 class _Coded(NamedTuple):
     """The relevant grounding with atoms replaced by ids: ``keys[i]`` is
     atom ``i``, ``derived`` lists the ids of the derivable atoms, and
-    ``instances`` are in the order of :func:`ground`."""
+    ``instances`` are in the derivation order of :func:`ground`."""
 
     keys: list[_Key]
     derived: list[int]
@@ -252,13 +253,12 @@ def _key_of(a: Atom) -> _Key:
 
 
 class _Compiled(NamedTuple):
-    """The join plan of a rule with a positive body: the number of its
-    variables, the template binding of :func:`_layout`, the predicate and
-    argument slots of each atom of its head, positive and negative body,
-    the positive body's predicates, and for each body atom the match
-    order that starts from it with the join steps of that order."""
+    """The join plan of a rule with a positive body: the template binding
+    of :func:`_layout`, the predicate and argument slots of each atom of
+    its head, positive and negative body, the positive body's predicates,
+    and for each body atom the match order that starts from it with the
+    join steps of that order."""
 
-    n: int
     template: tuple[str | None, ...]
     parts: tuple[tuple[tuple[str, tuple[int, ...]], ...], ...]
     preds: tuple[str, ...]
@@ -278,7 +278,7 @@ def _compile(rule: Rule) -> _Compiled:
     for i in range(len(preds)):
         order = (i, *(j for j in range(len(preds)) if j != i))
         plans.append((order, tuple(_plan([parts[1][j][1] for j in order], n))))
-    return _Compiled(n, tuple(template), parts, preds, tuple(plans))
+    return _Compiled(tuple(template), parts, preds, tuple(plans))
 
 
 def _compiled(rule: Rule) -> _Compiled:
@@ -309,15 +309,15 @@ def _ground_coded(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> _Coded:
     body atom reads only the rows of its predicate whose already-bound
     positions match, through the argument index of :class:`_Relation`,
     and the old/new split is a bisection on the row numbers.  Instances
-    are deduplicated on their id sets; ``ground_cap`` bounds the distinct
-    ones as they are emitted, bodiless ones included.
+    are kept in the order first emitted, deduplicated on their id sets;
+    ``ground_cap`` bounds the distinct ones, bodiless ones included.
     """
     keys: list[_Key] = []
     ids: dict[_Key, int] = {}
     derived: list[int] = []
     known: set[int] = set()
     pending: list[int] = []
-    found: list[dict[tuple, tuple[_Instance, tuple]]] = [{} for _ in p.rules]
+    instances: list[_Instance] = []
     distinct: set[tuple] = set()
 
     def atom_id(key: _Key) -> int:
@@ -327,10 +327,9 @@ def _ground_coded(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> _Coded:
             keys.append(key)
         return i
 
-    def emit(by_key: dict, key: tuple, instance: _Instance) -> None:
+    def emit(instance: _Instance) -> None:
         head, pos, neg = instance
         signature = (frozenset(head), frozenset(pos), frozenset(neg))
-        by_key[key] = (instance, signature)
         if signature in distinct:
             return
         distinct.add(signature)
@@ -338,41 +337,35 @@ def _ground_coded(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> _Coded:
             raise GroundingTooLarge(
                 f"grounding needs more than {ground_cap} instances"
             )
+        instances.append(instance)
         for a in head:
             if a not in known:
                 known.add(a)
                 derived.append(a)
                 pending.append(a)
 
-    def firing(by_key: dict, n: int, parts) -> Callable[[list], None]:
-        """Emit the instance a complete binding gives, unless the binding
-        over the ``n`` variables was seen before."""
-
-        def fire(binding: list) -> None:
-            key = tuple(binding[:n])
-            if key not in by_key:
-                emit(by_key, key, tuple([
-                    tuple([
-                        atom_id((pred, tuple([binding[s] for s in arg_slots])))
-                        for pred, arg_slots in part
-                    ])
-                    for part in parts
-                ]))
-
-        return fire
+    def fire(parts, binding: list) -> None:
+        """Emit the instance of a rule with atom slots ``parts`` that a
+        complete binding gives."""
+        emit(tuple([
+            tuple([
+                atom_id((pred, tuple([binding[s] for s in arg_slots])))
+                for pred, arg_slots in part
+            ])
+            for part in parts
+        ]))
 
     joined = []
-    for index, rule in enumerate(p.rules):
+    for rule in p.rules:
         if not rule.pos_body:
             # Ground by safety: its atoms go straight to their ids.
-            emit(found[index], (), (
+            emit((
                 tuple([atom_id(_key_of(a)) for a in rule.head]),
                 (),
                 tuple([atom_id(_key_of(a)) for a in rule.neg_body]),
             ))
             continue
-        compiled = _compiled(rule)
-        joined.append((compiled, firing(found[index], compiled.n, compiled.parts)))
+        joined.append(_compiled(rule))
 
     relations: dict[str, _Relation] = {}
     while pending:
@@ -383,7 +376,7 @@ def _ground_coded(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> _Coded:
                 relations[pred] = _Relation()
             relations[pred].add(args)
         pending.clear()
-        for (_, template, _, preds, plans), fire in joined:
+        for template, parts, preds, plans in joined:
             for order, plan in plans:
                 i = order[0]
                 rel = relations.get(preds[i])
@@ -397,16 +390,8 @@ def _ground_coded(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> _Coded:
                     hi = mark.get(preds[j], 0) if j < i else len(rel.rows)
                     steps.append((rel, step, 0, hi))
                 else:
-                    _join(steps, list(template), fire)
+                    _join(steps, list(template), partial(fire, parts))
 
-    instances: list[_Instance] = []
-    seen: set[tuple] = set()
-    for by_key in found:
-        for key in sorted(by_key):
-            instance, signature = by_key[key]
-            if signature not in seen:
-                seen.add(signature)
-                instances.append(instance)
     return _Coded(keys, derived, instances)
 
 
@@ -588,10 +573,13 @@ def _stable_models(
     The goal is called afresh each time, so a caller may narrow it between
     yields.  Each surviving leaf fixes the reduct; its minimal models that
     reproduce the assumed assignment are exactly the stable models there.
-    The explicit stack visits the true branch before the false one, in the
-    order of a recursive depth-first walk, so the default goal produces
-    every stable model, in the same order, and any other goal visits a
-    subset of the same nodes.
+    A node branches on the lowest undecided atom that heads an applicable
+    rule (positive body certain, negative body free of assumed-true atoms),
+    else on the lowest undecided atom, so under a rewriting an atom waits
+    for its magic guard.  The explicit stack visits the true branch before
+    the false one, in the order of a recursive depth-first walk, so the
+    default goal produces every stable model, in the same order, and any
+    other goal visits a subset of the same nodes.
     """
     nb_mask = 0
     for _, _, n in masked:
@@ -628,7 +616,12 @@ def _stable_models(
                     if m & nb_mask == t and goal(m, m):
                         yield m
             else:
-                bit = undecided & -undecided
+                ready = 0
+                for h, p, n in masked:
+                    if p & ~cert == 0 and n & t == 0:
+                        ready |= h
+                choice = undecided & ready or undecided
+                bit = choice & -choice
                 stack.append((t, f | bit))
                 stack.append((t | bit, f))
             break

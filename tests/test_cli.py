@@ -286,6 +286,31 @@ def test_diff_structured(write, capsys):
     assert payload["brave_mismatches"][0]["only_rewritten"] == ["{}"]
 
 
+def test_diff_that_compared_nothing_exits_3(write, capsys):
+    code = main([
+        "diff", write(ANCESTRY), "--query", "ancestor(p1,X)?", "--trials", "2",
+        "--candidate-cap", "1",
+    ])
+    assert code == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "fact sets tested: 0 (skipped 2)",
+        "nothing compared: every trial tripped a cap",
+    ]
+
+
+def test_diff_structured_that_compared_nothing_exits_3(write, capsys):
+    code = main([
+        "diff", write(ANCESTRY), "--query", "ancestor(p1,X)?", "--trials", "2",
+        "--candidate-cap", "1", "--format", "structured",
+    ])
+    assert code == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["fact_sets_tested"] == 0
+    assert len(payload["skipped"]) == 2
+    assert payload["ok"] is False
+
+
 # --------------------------------------------------------------------- bench
 
 
