@@ -29,8 +29,8 @@ _EXPORTS = {
     "rewriter": (
         "AdornedPredicate", "AdornedRule", "DmsResult",
         "ReservedPredicateError", "Sips", "adorn", "build_query_seed",
-        "default_sips", "dms", "dms_with_details", "ensure_query_constants",
-        "generate", "magic_atom", "modify", "split_magic_name",
+        "default_sips", "dms", "dms_with_details", "generate", "magic_atom",
+        "modify", "split_magic_name",
     ),
     "semantics": (
         "CANDIDATE_CAP_DEFAULT", "GROUND_CAP_DEFAULT", "AnswerSetReport",

@@ -49,13 +49,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must not be negative")
-    return value
-
-
 def _probability(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:  # also rejects nan
@@ -140,7 +133,7 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     ):
         p.add_argument("program")
         p.add_argument("--query", required=True)
-        p.add_argument("--trials", type=_nonnegative_int, default=5)
+        p.add_argument("--trials", type=_positive_int, default=5)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--density", type=_probability, default=0.3,
                        help="probability of each candidate fact, in [0, 1]")
@@ -183,10 +176,11 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     p = _load_program(args.program)
     q = _load_query(args.query, p)
     rewritten = dms(q, p)
+    text = print_program(rewritten)
     if args.format == "structured":
-        print(json.dumps({"rules": [str(r) for r in rewritten.rules]}, indent=2))
+        print(json.dumps({"rules": text.splitlines()}, indent=2))
     else:
-        sys.stdout.write(print_program(rewritten))
+        sys.stdout.write(text)
     return 0
 
 
@@ -319,7 +313,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         p, q, args.trials, args.seed, args.density,
         ground_cap=args.ground_cap, candidate_cap=args.candidate_cap,
     )
-    compared_nothing = report.skipped and not report.fact_sets_tested
+    compared_nothing = not report.fact_sets_tested
     if args.format == "structured":
         print(json.dumps({
             "program_id": report.program_id,
@@ -392,16 +386,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except SourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SolverCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ProgramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SourceError, ProgramError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

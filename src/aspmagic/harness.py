@@ -320,11 +320,9 @@ def check_equivalence(
     seed: int = 0,
     density: float = 0.3,
     *,
-    fresh_constants: int = 2,
     max_facts: int | None = None,
     ground_cap: int = GROUND_CAP_DEFAULT,
     candidate_cap: int = CANDIDATE_CAP_DEFAULT,
-    program_id: str | None = None,
 ) -> EquivReport:
     """Compare brave and cautious answers of ``p`` and its rewriting on
     ``trials`` sampled fact sets.
@@ -338,11 +336,9 @@ def check_equivalence(
     search and answering.  Trials tripping a solver cap are skipped and
     counted.
     """
-    if program_id is None:
-        import hashlib  # loaded only here, not by every CLI call
+    import hashlib  # loaded only here, not by every CLI call
 
-        digest = hashlib.sha1(print_program(p).encode()).hexdigest()
-        program_id = digest[:12]
+    program_id = hashlib.sha1(print_program(p).encode()).hexdigest()[:12]
     rewritten = dms(q, p)
     qconsts = frozenset(t for t in q.atom.args if t.is_constant)
 
@@ -354,7 +350,7 @@ def check_equivalence(
     tested = 0
     for t in range(trials):
         trial_seed = seed * 1_000_003 + t
-        facts = random_edb(p, trial_seed, density, fresh_constants, max_facts)
+        facts = random_edb(p, trial_seed, density, max_facts=max_facts)
         side_a = p.with_facts(facts)
         side_b = rewritten.with_facts(facts)
         domain = universe(side_a) | qconsts

@@ -40,9 +40,7 @@ def _covered_by_magic(
     return False
 
 
-def killed_atoms(
-    m: Interpretation, n: Interpretation, p: Program, rewritten: Program
-) -> frozenset[Atom]:
+def killed_atoms(m: Interpretation, n: Interpretation, p: Program) -> frozenset[Atom]:
     """Atoms of the base of ``p`` outside ``n`` that the rewriting proves
     irrelevant under ``n``: extensional atoms, and atoms whose magic version
     belongs to ``n``."""

@@ -182,10 +182,7 @@ class _Parser:
         rules = []
         while self.peek().kind != "eof":
             rules.append(self.parse_rule())
-        try:
-            return Program(rules)
-        except ProgramError as exc:  # pragma: no cover - caught per atom above
-            raise self.fail(self.peek(), str(exc)) from exc
+        return Program(rules)
 
     def parse_query(self) -> Query:
         atom = self.parse_atom()

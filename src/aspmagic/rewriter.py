@@ -29,7 +29,6 @@ from .syntax import (
     Term,
     edb_idb_split,
     fact,
-    universe,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "generate",
     "modify",
     "build_query_seed",
-    "ensure_query_constants",
     "dms",
     "dms_with_details",
 ]
@@ -332,48 +330,14 @@ def _check_magic_free(p: Program, q: Query) -> None:
         )
 
 
-def _fresh_predicate(p: Program, base_name: str) -> str:
-    if base_name not in p.predicates:
-        return base_name
-    i = 1
-    while f"{base_name}{i}" in p.predicates:
-        i += 1
-    return f"{base_name}{i}"
-
-
-def ensure_query_constants(p: Program, q: Query) -> tuple[Program, Rule | None]:
-    """Make sure every constant of the query occurs in the program.
-
-    When some are missing, a fact over a fresh extensional predicate
-    carrying the query's constants is added, so that grounding ranges over
-    them; the injected fact is returned alongside the program."""
-    qconsts = tuple(dict.fromkeys(t for t in q.atom.args if t.is_constant))
-    missing = set(qconsts) - universe(p)
-    if not missing:
-        return p, None
-    carrier = fact(Atom(_fresh_predicate(p, "query_domain"), qconsts))
-    return Program((*p.rules, carrier)), carrier
-
-
-def build_query_seed(
-    q: Query, p: Program, seen: set[AdornedPredicate] | None = None
-) -> Rule:
+def build_query_seed(q: Query, seen: set[AdornedPredicate] | None = None) -> Rule:
     """The seed fact for ``q``: the magic version of the query atom, bound
-    at constant positions and free at variable positions.  The query
-    predicate must be intensional in ``p``."""
-    if q.atom.predicate not in p.idb_predicates:
-        raise ProgramError(
-            f"query predicate {q.atom.predicate} is not intensional"
-        )
-    ap = _query_adorned_predicate(q)
+    at constant positions and free at variable positions."""
+    adornment = "".join("b" if t.is_constant else "f" for t in q.atom.args)
+    ap = AdornedPredicate(q.atom.predicate, adornment)
     if seen is not None:
         seen.add(ap)
     return fact(magic_atom(ap, q.atom.args))
-
-
-def _query_adorned_predicate(q: Query) -> AdornedPredicate:
-    adornment = "".join("b" if t.is_constant else "f" for t in q.atom.args)
-    return AdornedPredicate(q.atom.predicate, adornment)
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,7 +350,6 @@ class DmsResult:
     modified_rules: tuple[Rule, ...]
     edb_rules: tuple[Rule, ...]
     adorned: frozenset[AdornedPredicate]
-    injected: Rule | None
 
 
 def dms_with_details(q: Query, p: Program) -> DmsResult:
@@ -396,36 +359,24 @@ def dms_with_details(q: Query, p: Program) -> DmsResult:
     for every defining rule of the popped predicate the binding strategy is
     built, the rule adorned, its magic rules generated and its guarded
     version collected.  The result combines the seed, the magic rules, the
-    guarded rules and the extensional part of the program.
+    guarded rules and the extensional part of the program.  The seed keeps
+    every constant of the query, so they all belong to the rewriting's
+    universe; an extensional query predicate defines no rule, so its
+    rewriting is the seed and the facts.
     """
     _check_magic_free(p, q)
-    p, injected = ensure_query_constants(p, q)
-    edb_rules, _ = edb_idb_split(p)
+    edb_rules, idb_rules = edb_idb_split(p)
     idb = p.idb_predicates
 
-    if q.atom.predicate not in idb:
-        # Extensional queries need no guarding: keep the facts and the seed.
-        seed = fact(magic_atom(_query_adorned_predicate(q), q.atom.args))
-        parts = (seed, *edb_rules)
-        return DmsResult(
-            program=Program(parts),
-            seed=seed,
-            magic_rules=(seed,),
-            modified_rules=(),
-            edb_rules=edb_rules,
-            adorned=frozenset({_query_adorned_predicate(q)}),
-            injected=injected,
-        )
-
     seen: set[AdornedPredicate] = set()
-    seed = build_query_seed(q, p, seen)
+    seed = build_query_seed(q, seen)
     queue: deque[AdornedPredicate] = deque(sorted(seen))
     magic_rules: list[Rule] = [seed]
     modified_rules: list[Rule] = []
 
     while queue:
         ap = queue.popleft()
-        for rule in p.rules:
+        for rule in idb_rules:
             for head_atom in rule.head:
                 if head_atom.predicate != ap.predicate:
                     continue
@@ -448,7 +399,6 @@ def dms_with_details(q: Query, p: Program) -> DmsResult:
         modified_rules=modified_part,
         edb_rules=edb_rules,
         adorned=frozenset(seen),
-        injected=injected,
     )
 
 

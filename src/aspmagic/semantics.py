@@ -495,25 +495,33 @@ def _index_rules(
     return atoms, pos_of, masked
 
 
-def _closure(rules: Sequence[tuple[int, int]], start: int = 0) -> int:
+def _closure(
+    rules: Sequence[tuple[int, int, int]], blocked: int = 0, start: int = 0
+) -> int:
     """The least superset of ``start`` closed under ``rules``: a
-    ``(head, pos)`` pair whose positive body lies inside the set adds its
-    head."""
+    ``(head, pos, neg)`` rule whose negative body misses ``blocked`` and
+    whose positive body lies inside the set adds its head."""
     i = start
+    outside = ~i
     changed = True
     while changed:
         changed = False
-        for h, p in rules:
-            if p & ~i == 0 and h & ~i:
+        for h, p, n in rules:
+            if p & outside == 0 and h & outside and not n & blocked:
                 i |= h
+                outside = ~i
                 changed = True
     return i
 
 
 def _minimal_models_masks(
-    rules: list[tuple[int, int]], budget: _Budget
+    normal: list[tuple[int, int, int]],
+    disjunctive: list[tuple[int, int, int]],
+    t: int,
+    budget: _Budget,
 ) -> list[int]:
-    """Minimal models of a positive ground program in mask form.
+    """Minimal models of the reduct by ``t`` of a ground program, given as
+    its single-head and its disjunctive rules in mask form.
 
     Models are produced by closing under single-head rules and branching on
     each head atom of the first unsatisfied disjunctive rule; every minimal
@@ -521,19 +529,17 @@ def _minimal_models_masks(
     inclusion-minimal ones is exact.  The explicit stack visits the branches
     lowest atom first, in the order of a recursive depth-first walk.
     """
-    normal = [(h, p) for h, p in rules if h & (h - 1) == 0]
-    disjunctive = [(h, p) for h, p in rules if h & (h - 1) != 0]
     found: set[int] = set()
     expanded: set[int] = set()
     stack = [0]
     while stack:
         budget.spend()
-        i = _closure(normal, stack.pop())
+        i = _closure(normal, t, stack.pop())
         if i in expanded:
             continue
         expanded.add(i)
-        for h, p in disjunctive:
-            if p & ~i == 0 and h & i == 0:
+        for h, p, n in disjunctive:
+            if p & ~i == 0 and h & i == 0 and n & t == 0:
                 choice = h
                 while choice:
                     bit = 1 << (choice.bit_length() - 1)
@@ -585,22 +591,17 @@ def _stable_models(
     for _, _, n in masked:
         nb_mask |= n
     normal = [(h, p, n) for h, p, n in masked if h & (h - 1) == 0]
-
-    def upper(t: int) -> int:
-        return _closure([(h, p) for h, p, n in masked if n & t == 0])
-
-    def lower(f: int) -> int:
-        return _closure([(h, p) for h, p, n in normal if n & ~f == 0])
+    disjunctive = [(h, p, n) for h, p, n in masked if h & (h - 1) != 0]
 
     stack = [(0, 0)]
     while stack:
         t, f = stack.pop()
         budget.spend()
         while True:
-            possible = upper(t)
+            possible = _closure(masked, t)
             if t & ~possible:
                 break
-            cert = lower(f)
+            cert = _closure(normal, ~f)
             if cert & f or not goal(possible, cert):
                 break
             undecided = nb_mask & ~t & ~f
@@ -611,8 +612,7 @@ def _stable_models(
                 f |= force_false
                 continue
             if undecided == 0:
-                red = [(h, p) for h, p, n in masked if n & t == 0]
-                for m in _minimal_models_masks(red, budget):
+                for m in _minimal_models_masks(normal, disjunctive, t, budget):
                     if m & nb_mask == t and goal(m, m):
                         yield m
             else:

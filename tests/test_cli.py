@@ -54,14 +54,17 @@ def test_rewrite_prints_the_magic_program(write, capsys):
 
 
 def test_rewrite_structured(write, capsys):
+    path = write(ANCESTRY)
     code = main([
-        "rewrite", write(ANCESTRY), "--query", "ancestor(p1,p2)?",
-        "--format", "structured",
+        "rewrite", path, "--query", "ancestor(p1,p2)?", "--format", "structured",
     ])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["rules"]) == 13
     assert any(r.startswith("magic_") for r in payload["rules"])
+    # the same rules in the same order as the text output
+    assert main(["rewrite", path, "--query", "ancestor(p1,p2)?"]) == 0
+    assert payload["rules"] == capsys.readouterr().out.splitlines()
 
 
 # --------------------------------------------------------------------- solve
@@ -360,7 +363,7 @@ def test_non_utf8_program_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags",
     [["--trials", "-3"], ["--density", "5"], ["--density", "nan"],
-     ["--density", "-0.1"]],
+     ["--density", "-0.1"], ["--trials", "0"]],
 )
 def test_diff_rejects_out_of_range_sampling(write, capsys, flags):
     argv = ["diff", write(ANCESTRY), "--query", "ancestor(p1,X)?", *flags]

@@ -10,7 +10,7 @@ import aspmagic
 
 
 def test_every_export_is_the_defining_modules_object():
-    assert len(aspmagic.__all__) == len(set(aspmagic.__all__)) == 76
+    assert len(aspmagic.__all__) == len(set(aspmagic.__all__)) == 75
     for name in aspmagic.__all__:
         value = getattr(aspmagic, name)
         home = importlib.import_module(f"aspmagic.{aspmagic._HOME[name]}")

@@ -16,10 +16,11 @@ from aspmagic import (
     adorn,
     answer_sets,
     build_query_seed,
+    check_equivalence,
+    const,
     default_sips,
     dms,
     dms_with_details,
-    ensure_query_constants,
     generate,
     magic_atom,
     modify,
@@ -28,6 +29,7 @@ from aspmagic import (
     random_program,
     random_query,
     split_magic_name,
+    universe,
     var,
 )
 
@@ -192,15 +194,17 @@ def test_dms_reproduces_the_reference_rewriting(ancestry):
     }
 
 
-def test_dms_injects_missing_query_constants(ancestry):
-    d = dms_with_details(parse_query("ancestor(p1,p2)?"), ancestry)
-    assert d.injected is not None
-    assert str(d.injected) == "query_domain(p1,p2)."
-    assert d.edb_rules == (d.injected,)
-    # with the constants present no carrier fact appears
+def test_dms_with_absent_query_constants_is_exactly_the_papers_rewriting(ancestry):
+    q = parse_query("ancestor(p1,p2)?")
+    p = ancestry.with_facts(parse_program("related(p3,p4).").rules[0].head)
+    d = dms_with_details(q, p)
+    assert [str(r) for r in d.edb_rules] == ["related(p3,p4)."]
+    assert d.program.rules == (*d.magic_rules, *d.modified_rules, *d.edb_rules)
+    # the seed alone carries the query's constants into the universe
+    assert {const("p1"), const("p2")} <= universe(d.program)
+    assert check_equivalence(p, q, 3, 0, 0.3, max_facts=6).ok
     with_fact = ancestry.with_facts(parse_program("related(p1,p2).").rules[0].head)
-    d2 = dms_with_details(parse_query("ancestor(p1,p2)?"), with_fact)
-    assert d2.injected is None
+    d2 = dms_with_details(q, with_fact)
     assert [str(r) for r in d2.edb_rules] == ["related(p1,p2)."]
 
 
@@ -228,16 +232,16 @@ def test_extensional_query_keeps_facts_and_seed():
     assert d.program == parse_program("magic_e_b(b). e(a). e(b).")
 
 
-def test_query_seed_requires_intensional_predicate():
+def test_query_seed_of_an_extensional_predicate():
     p = parse_program("e(a). p(X) :- e(X).")
-    with pytest.raises(ProgramError, match="not intensional"):
-        build_query_seed(parse_query("e(a)?"), p)
+    seed = build_query_seed(parse_query("e(a)?"))
+    assert str(seed) == "magic_e_b(a)."
+    assert dms_with_details(parse_query("e(a)?"), p).seed == seed
 
 
 def test_seed_adornment_mixes_bound_and_free():
-    p = parse_program("e(a,b). p(X,Y) :- e(X,Y).")
     seen: set[AdornedPredicate] = set()
-    seed = build_query_seed(parse_query("p(a,Y)?"), p, seen)
+    seed = build_query_seed(parse_query("p(a,Y)?"), seen)
     assert str(seed) == "magic_p_bf(a)."
     assert seen == {AdornedPredicate("p", "bf")}
 
@@ -277,20 +281,6 @@ def test_zero_arity_rewriting_answers_like_the_original():
         q.atom in m for m in answer_sets(rewritten).answer_sets
     )
     assert original_brave == rewritten_brave is True
-
-
-def test_ensure_query_constants_no_change_when_present():
-    p = parse_program("e(a). p(X) :- e(X).")
-    same, injected = ensure_query_constants(p, parse_query("p(a)?"))
-    assert same is p and injected is None
-
-
-def test_ensure_query_constants_picks_fresh_carrier_name():
-    p = parse_program("query_domain(z). p(X) :- query_domain(X).")
-    extended, injected = ensure_query_constants(p, parse_query("p(b)?"))
-    assert injected is not None
-    assert injected.head[0].predicate == "query_domain1"
-    assert injected in extended.rules
 
 
 @pytest.mark.parametrize("seed", range(12))

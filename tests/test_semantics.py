@@ -787,6 +787,34 @@ def test_answer_sets_repeat_the_grid_3_counts():
             assert answer.candidates_examined < 50
 
 
+STRATEGIC_COMPANIES = """
+strategic(C1) v strategic(C2) :- produced_by(P,C1,C2).
+strategic(W) :- controlled_by(W,X,Y), strategic(X), strategic(Y).
+produced_by(p0,c0,c1). produced_by(p1,c1,c2). produced_by(p2,c2,c3).
+produced_by(p3,c3,c4). produced_by(p4,c4,c5). produced_by(p5,c5,c6).
+produced_by(p6,c6,c7). produced_by(p7,c7,c0). produced_by(p8,c0,c4).
+produced_by(p9,c1,c5). produced_by(p10,c2,c6). produced_by(p11,c3,c7).
+produced_by(p12,c0,c2). produced_by(p13,c1,c3). produced_by(p14,c4,c6).
+produced_by(p15,c5,c7).
+controlled_by(c0,c3,c5). controlled_by(c2,c4,c7).
+controlled_by(c5,c1,c6). controlled_by(c7,c0,c1).
+"""
+
+
+def test_strategic_companies_repeat_their_state_counts():
+    # No negation, so the search has one leaf and every state is a step
+    # of the minimal-model walk over the disjunctive rules.
+    p = parse_program(STRATEGIC_COMPANIES)
+    q = parse_query("strategic(c0)?")
+    for target, states in ((p, 66), (dms(q, p), 46)):
+        report = answer_sets(target)
+        assert (len(report.answer_sets), report.candidates_examined) == (4, states)
+        for mode, holds in (("brave", True), ("cautious", False)):
+            answer = answer_query(target, q, mode)
+            assert bool(answer.substitutions) is holds
+            assert answer.candidates_examined == states
+
+
 def test_rewritten_grid_3_with_sampled_facts_answers_cautiously():
     # The search branches first on atoms that head an applicable rule, so
     # on the rewritten side it meets a model without the corner atom
@@ -869,8 +897,8 @@ def test_killed_atoms_on_the_choice_program(choice_with_odd_loop):
     }
     m_p = sets[frozenset({"edb(a)", "magic_q_b(a)", "magic_p_b(a)", "p(a)"})]
     m_q = sets[frozenset({"edb(a)", "magic_q_b(a)", "magic_p_b(a)", "q(a)"})]
-    killed_p = killed_atoms(m_p, m_p, choice_with_odd_loop, rewritten)
-    killed_q = killed_atoms(m_q, m_q, choice_with_odd_loop, rewritten)
+    killed_p = killed_atoms(m_p, m_p, choice_with_odd_loop)
+    killed_q = killed_atoms(m_q, m_q, choice_with_odd_loop)
     assert killed_p == _atoms("q(a)")
     assert killed_q == _atoms("p(a)")
     for killed, m in ((killed_p, m_p), (killed_q, m_q)):
@@ -881,17 +909,15 @@ def test_killed_atoms_on_the_choice_program(choice_with_odd_loop):
 
 
 def test_killed_atoms_requires_containment(choice_with_odd_loop):
-    q = parse_query("q(a)?")
-    rewritten = dms(q, choice_with_odd_loop)
     with pytest.raises(ValueError, match="contained"):
-        killed_atoms(frozenset(), _atoms("edb(a)"), choice_with_odd_loop, rewritten)
+        killed_atoms(frozenset(), _atoms("edb(a)"), choice_with_odd_loop)
 
 
 def test_killed_atoms_include_extensional_gaps():
     p = parse_program("e(a). f(b). p(X) :- e(X).")
     rewritten = dms(parse_query("p(a)?"), p)
     (m,) = answer_sets(rewritten).answer_sets
-    killed = killed_atoms(m, m, p, rewritten)
+    killed = killed_atoms(m, m, p)
     # absent extensional instances are always killed; p(b) has no true
     # magic atom and stays unknown
     assert killed == _atoms("e(b)", "f(a)")
