@@ -34,10 +34,9 @@ _EXPORTS = {
     ),
     "semantics": (
         "CANDIDATE_CAP_DEFAULT", "GROUND_CAP_DEFAULT", "AnswerSetReport",
-        "CandidateSpaceTooLarge", "GroundingTooLarge", "GroundProgram",
-        "QueryAnswer", "SolverCapError", "Substitution", "answer_query",
-        "answer_sets", "answer_sets_via_unfounded", "brave", "cautious",
-        "ground", "is_model", "is_unfounded_set", "reduct",
+        "CandidateSpaceTooLarge", "GroundingTooLarge", "QueryAnswer",
+        "SolverCapError", "Substitution", "answer_query", "answer_sets",
+        "answer_sets_via_unfounded", "ground", "is_unfounded_set",
         "substitutions_brave", "substitutions_cautious",
     ),
     "syntax": (

@@ -22,7 +22,7 @@ from itertools import product
 from typing import Iterable
 
 from .analysis import is_odd_cycle_free, is_stratified
-from .parser import parse_program, parse_query, print_program, print_query
+from .parser import parse_program, print_program
 from .rewriter import dms
 from .semantics import (
     CANDIDATE_CAP_DEFAULT,
@@ -397,11 +397,9 @@ class BenchmarkCell:
     answer: str | None = None
 
 
-def _bench_worker(conn, program_text: str, query_text: str, mode: str,
+def _bench_worker(conn, p: Program, q: Query, mode: str,
                   ground_cap: int, candidate_cap: int) -> None:
     try:
-        p = parse_program(program_text)
-        q = parse_query(query_text)
         target = dms(q, p) if mode == "dms" else p
         t0 = time.perf_counter()
         answer = answer_query(
@@ -440,8 +438,9 @@ def run_benchmark(
     Each cell answers the query through :func:`answer_query`, the directed
     search that ``aspmagic query --brave`` runs, and reports the size of
     the relevant grounding and the search states it took.  Every cell runs
-    in a forked worker killed at ``timeout`` seconds, so a blown-up size
-    yields a timeout row instead of hanging the run.
+    in a forked worker, which inherits the instance, killed at ``timeout``
+    seconds, so a blown-up size yields a timeout row instead of hanging
+    the run.
     """
     if mode not in ("plain", "dms", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -452,14 +451,13 @@ def run_benchmark(
     cells = []
     for n in sizes:
         inst = gen_related_instance(n)
-        ptext = print_program(inst.program)
-        qtext = print_query(inst.query)
         for m in mode_list:
             for rep in range(repetitions):
                 recv_end, send_end = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_bench_worker,
-                    args=(send_end, ptext, qtext, m, ground_cap, candidate_cap),
+                    args=(send_end, inst.program, inst.query, m, ground_cap,
+                          candidate_cap),
                 )
                 proc.start()
                 send_end.close()

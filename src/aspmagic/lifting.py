@@ -4,8 +4,9 @@ The proof relates an interpretation of a program to one of its magic-set
 rewriting.  :func:`magic_variant` rebuilds, from an interpretation of the
 original program, the matching interpretation of the rewritten one, and
 :func:`killed_atoms` names the atoms the rewriting proves irrelevant under
-an interpretation.  Both sit above the rewriter and the grounder, which
-they use, so neither of those depends on this module.
+an interpretation.  Both sit above the rewriter, and :func:`magic_variant`
+above the relevance grounder of :func:`~aspmagic.semantics.ground`, so
+neither of those depends on this module.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .rewriter import AdornedPredicate, dms_with_details, magic_atom, split_magic_name
-from .semantics import GROUND_CAP_DEFAULT, _ground_exhaustive
+from .semantics import GROUND_CAP_DEFAULT, ground
 from .syntax import Atom, Interpretation, Program, Query, Term, base
 
 __all__ = ["killed_atoms", "magic_variant"]
@@ -68,11 +69,13 @@ def magic_variant(
     Starting from the extensional facts, the fixpoint alternately imports an
     atom of ``i`` once one of its magic versions is present, and fires the
     ground magic rules whose bodies are satisfied (the seed enters through
-    its empty body)."""
+    its empty body).  The magic rules range over the constants of the
+    rewriting and of ``i``."""
     details = dms_with_details(q, p)
-    # ``i`` need not be derivable in the rewritten program, so magic rules
-    # whose bodies only ``i`` satisfies must be instantiated too.
-    g = _ground_exhaustive(details.program, ground_cap)
+    # ``i`` need not be derivable in the rewritten program, so its atoms
+    # join the grounding as facts: then every magic instance the fixpoint
+    # can fire has a derivable positive body and is a relevant instance.
+    g = ground(details.program.with_facts(i), ground_cap)
     magic_ground = [
         r
         for r in g.rules

@@ -247,14 +247,12 @@ def adorn(
     head_atom: Atom,
     sips: Sips,
     idb: frozenset[str],
-    seen: set[AdornedPredicate] | None = None,
 ) -> AdornedRule:
     """Adorn ``rule`` for the selected ``head_atom`` bound as ``ap`` says.
 
     A variable of an atom counts as bound when the selected head atom binds
     it, or some positive body atom placed before that atom by ``sips`` does.
-    Constant arguments are always bound.  When ``seen`` is given, every
-    adorned predicate of the result is added to it.
+    Constant arguments are always bound.
     """
     if head_atom.predicate != ap.predicate:
         raise ProgramError(f"{head_atom} does not match {ap}")
@@ -275,10 +273,7 @@ def adorn(
                         break
             labels.append("b" if is_bound else "f")
         adornments[atom] = "".join(labels)
-    result = AdornedRule(rule=rule, selected=head_atom, adornments=adornments)
-    if seen is not None:
-        seen.update(result.adorned_predicates())
-    return result
+    return AdornedRule(rule=rule, selected=head_atom, adornments=adornments)
 
 
 def generate(ra: AdornedRule, sips: Sips) -> tuple[Rule, ...]:

@@ -1,4 +1,4 @@
-"""Reference evaluation: grounding, reducts, answer sets, query answering.
+"""Reference evaluation: grounding, answer sets, query answering.
 
 Two independent routes compute answer sets.  The primary one grounds by
 relevance: a semi-naive join builds only the rule instances whose positive
@@ -15,7 +15,8 @@ monotone lower and upper bounds to cut hopeless branches early, and
 enumerates the minimal models of the positive remainder at each leaf.
 The cross-check route grounds every rule over the whole universe,
 enumerates candidate interpretations outright and accepts those that are
-models containing no nonempty unfounded subset.  Both are deterministic;
+models containing no nonempty unfounded subset; only it and the
+unfounded-set test use that exhaustive grounding.  Both are deterministic;
 neither is meant to compete with a real solver.
 
 Query answering uses the primary search, directed by the query.  The
@@ -41,7 +42,6 @@ from .syntax import (
     Atom,
     Interpretation,
     Program,
-    ProgramError,
     Query,
     Rule,
     Term,
@@ -54,12 +54,9 @@ __all__ = [
     "CandidateSpaceTooLarge",
     "GROUND_CAP_DEFAULT",
     "CANDIDATE_CAP_DEFAULT",
-    "GroundProgram",
     "AnswerSetReport",
     "Substitution",
     "ground",
-    "reduct",
-    "is_model",
     "answer_sets",
     "is_unfounded_set",
     "answer_sets_via_unfounded",
@@ -67,8 +64,6 @@ __all__ = [
     "substitutions_cautious",
     "QueryAnswer",
     "answer_query",
-    "brave",
-    "cautious",
 ]
 
 GROUND_CAP_DEFAULT = 10**6
@@ -87,19 +82,7 @@ class CandidateSpaceTooLarge(SolverCapError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class GroundProgram:
-    """Ground rules; a rule with a variable is refused."""
-
-    rules: tuple[Rule, ...]
-
-    def __post_init__(self) -> None:
-        for r in self.rules:
-            if r.variables():
-                raise ProgramError(f"ground program contains variables: {r}")
-
-
-def ground(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> GroundProgram:
+def ground(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> Program:
     """The relevant instances of the rules of ``p``: those whose positive
     body lies in the least set of atoms closed under the rules of ``p``
     with negative bodies ignored.
@@ -110,19 +93,19 @@ def ground(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> GroundProgram:
     arguments match, through an argument index kept per predicate and per
     set of bound positions.  The grounder codes atoms as integer ids and
     instances as tuples of ids; the search reads those directly, and this
-    function decodes the same instances into validated atoms and rules.
-    Each rule's join plan is compiled on the first grounding that meets
-    the rule object and reused by every later one; bodiless rules are
-    ground without a plan.  Instances come in derivation order: each
-    positive body atom heads an earlier instance, and of two instances
-    that collide the first one derived is kept.
+    function decodes the same instances into the rules of a ground
+    :class:`Program`.  Each rule's join plan is compiled on the first
+    grounding that meets the rule object and reused by every later one;
+    bodiless rules are ground without a plan.  Instances come in
+    derivation order: each positive body atom heads an earlier instance,
+    and of two instances that collide the first one derived is kept.
 
     ``ground_cap`` bounds the number of distinct instances as they are
     emitted; crossing it raises :class:`GroundingTooLarge`.
     """
     coded = _ground_coded(p, ground_cap)
     atoms = _decode(p, coded.keys)
-    rules = tuple(
+    return Program(
         Rule(
             [atoms[i] for i in head],
             [atoms[i] for i in pos],
@@ -130,7 +113,6 @@ def ground(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> GroundProgram:
         )
         for head, pos, neg in coded.instances
     )
-    return GroundProgram(rules=rules)
 
 
 # A ground atom in the grounder's coding: predicate and argument names.
@@ -395,9 +377,7 @@ def _ground_coded(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> _Coded:
     return _Coded(keys, derived, instances)
 
 
-def _ground_exhaustive(
-    p: Program, ground_cap: int = GROUND_CAP_DEFAULT
-) -> GroundProgram:
+def _ground_exhaustive(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> Program:
     """Every instance of the rules of ``p`` over its universe, relevant or
     not: the grounding of the reference oracles, which must see rules whose
     bodies nothing derives.
@@ -422,30 +402,7 @@ def _ground_exhaustive(
         for combo in product(terms, repeat=len(rule_vars)):
             binding = dict(zip(rule_vars, combo))
             out.setdefault(rule.substitute(binding))
-    return GroundProgram(rules=tuple(out))
-
-
-def reduct(g: GroundProgram, i: Interpretation) -> GroundProgram:
-    """The reduct of ``g`` by ``i``: rules whose negative body meets ``i``
-    are dropped, the negative bodies of the rest are stripped."""
-    kept = []
-    for rule in g.rules:
-        if any(a in i for a in rule.neg_body):
-            continue
-        kept.append(Rule(rule.head, rule.pos_body))
-    return GroundProgram(rules=tuple(kept))
-
-
-def is_model(i: Interpretation, g: GroundProgram) -> bool:
-    """Whether every rule with a true body has a true head atom."""
-    for rule in g.rules:
-        if not all(a in i for a in rule.pos_body):
-            continue
-        if any(a in i for a in rule.neg_body):
-            continue
-        if not any(a in i for a in rule.head):
-            return False
-    return True
+    return Program(out)
 
 
 @dataclass(frozen=True)
@@ -689,17 +646,14 @@ def _interpretation(atoms: Sequence[Atom], m: int) -> Interpretation:
     return frozenset(a for i, a in enumerate(atoms) if m >> i & 1)
 
 
-def is_unfounded_set(
-    x: frozenset[Atom], p: Program | GroundProgram, i: Interpretation
-) -> bool:
+def is_unfounded_set(x: frozenset[Atom], p: Program, i: Interpretation) -> bool:
     """Whether ``x`` is unfounded with respect to ``i``: every rule with a
     head atom in ``x`` is either blocked under ``i``, consumes an atom of
     ``x`` positively, or is already satisfied by ``i`` outside ``x``.
 
-    A :class:`Program` is ground over its whole universe, since ``x`` and
-    ``i`` may hold atoms that nothing derives."""
-    g = p if isinstance(p, GroundProgram) else _ground_exhaustive(p)
-    for rule in g.rules:
+    ``p`` is ground over its whole universe, since ``x`` and ``i`` may hold
+    atoms that nothing derives; a ground program grounds to itself."""
+    for rule in _ground_exhaustive(p).rules:
         if not any(a in x for a in rule.head):
             continue
         if not all(a in i for a in rule.pos_body):
@@ -775,11 +729,8 @@ def answer_sets_via_unfounded(
                 break
         if sat and unfounded_free(imask):
             found.append(imask)
-    out = frozenset(
-        frozenset(a for i_, a in enumerate(atoms) if m >> i_ & 1) for m in found
-    )
     return AnswerSetReport(
-        answer_sets=out,
+        answer_sets=frozenset(_interpretation(atoms, m) for m in found),
         candidates_examined=2 ** len(head_atoms),
         ground_rules=len(g.rules),
     )
@@ -950,35 +901,3 @@ def _answer(
     if uncovered:
         answers["cautious"] = _every_substitution(q, terms)
     return answers, budget.spent, instances
-
-
-def brave(
-    p: Program,
-    q: Query,
-    *,
-    domain: Iterable[Term] | None = None,
-    ground_cap: int = GROUND_CAP_DEFAULT,
-    candidate_cap: int = CANDIDATE_CAP_DEFAULT,
-) -> frozenset[Substitution]:
-    """The substitutions under which ``q`` holds in some answer set of
-    ``p`` (see :func:`answer_query`)."""
-    return answer_query(
-        p, q, "brave",
-        domain=domain, ground_cap=ground_cap, candidate_cap=candidate_cap,
-    ).substitutions
-
-
-def cautious(
-    p: Program,
-    q: Query,
-    *,
-    domain: Iterable[Term] | None = None,
-    ground_cap: int = GROUND_CAP_DEFAULT,
-    candidate_cap: int = CANDIDATE_CAP_DEFAULT,
-) -> frozenset[Substitution]:
-    """The substitutions under which ``q`` holds in every answer set of
-    ``p`` (see :func:`answer_query`)."""
-    return answer_query(
-        p, q, "cautious",
-        domain=domain, ground_cap=ground_cap, candidate_cap=candidate_cap,
-    ).substitutions

@@ -10,7 +10,7 @@ import aspmagic
 
 
 def test_every_export_is_the_defining_modules_object():
-    assert len(aspmagic.__all__) == len(set(aspmagic.__all__)) == 75
+    assert len(aspmagic.__all__) == len(set(aspmagic.__all__)) == 70
     for name in aspmagic.__all__:
         value = getattr(aspmagic, name)
         home = importlib.import_module(f"aspmagic.{aspmagic._HOME[name]}")
@@ -42,3 +42,11 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(ImportError):
         exec("from aspmagic import no_such_name", {})
     assert not hasattr(aspmagic, "_no_such_private")
+
+
+@pytest.mark.parametrize(
+    "name", ["GroundProgram", "reduct", "is_model", "brave", "cautious"]
+)
+def test_removed_names_raise_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(aspmagic, name)

@@ -18,32 +18,29 @@ from aspmagic import (
     Atom,
     CandidateSpaceTooLarge,
     GroundingTooLarge,
-    GroundProgram,
-    ProgramError,
     Query,
+    Rule,
     Substitution,
     answer_query,
     answer_sets,
     answer_sets_via_unfounded,
-    brave,
     base,
-    cautious,
     check_equivalence,
     const,
     dms,
     dms_with_details,
     gen_related_instance,
     ground,
-    is_model,
     is_unfounded_set,
     killed_atoms,
+    magic_atom,
     magic_variant,
     parse_program,
     parse_query,
     random_edb,
     random_program,
     random_query,
-    reduct,
+    split_magic_name,
     substitutions_brave,
     substitutions_cautious,
     universe,
@@ -276,7 +273,7 @@ def test_plain_closure_grounding_matches_a_bfs_count():
     assert len(ground(p).rules) == expected
     assert answer_sets(p).ground_rules == expected
     q = parse_query("reach(v3,X)?")
-    assert brave(dms(q, p), q) == {
+    assert answer_query(dms(q, p), q, "brave").substitutions == {
         Substitution((("X", f"v{k}"),)) for k in _reachable(succ, 3)
     }
 
@@ -349,28 +346,41 @@ def test_semantics_does_not_import_the_rewriter():
     assert "rewriter" not in imported
 
 
-def test_ground_program_rejects_open_rules():
-    p = parse_program("e(a). p(X) :- e(X).")
-    with pytest.raises(ProgramError, match="variables"):
-        GroundProgram(rules=p.rules)
-
-
 # ------------------------------------------------------------------ reduct
+#
+# The reduct and the model test are the textbook definitions, kept here as
+# an independent check of the answer sets' minimality; the solver never
+# builds a reduct as rules.
+
+
+def _reduct(rules, i):
+    """The reduct of ground ``rules`` by ``i``: rules whose negative body
+    meets ``i`` are dropped, the negative bodies of the rest are stripped."""
+    return [
+        Rule(r.head, r.pos_body) for r in rules if not any(a in i for a in r.neg_body)
+    ]
+
+
+def _is_model(i, rules):
+    """Whether every ground rule with a true body has a true head atom."""
+    return all(
+        any(a in i for a in r.head)
+        for r in rules
+        if all(a in i for a in r.pos_body) and not any(a in i for a in r.neg_body)
+    )
 
 
 def test_reduct_drops_blocked_rules_and_strips_negation(guarded_pair):
-    g = ground(guarded_pair)
-    r_a = reduct(g, _atoms("a"))
-    assert {str(r) for r in r_a.rules} == {"a v b."}
-    r_empty = reduct(g, frozenset())
-    assert {str(r) for r in r_empty.rules} == {"a v b.", "a."}
+    g = ground(guarded_pair).rules
+    assert {str(r) for r in _reduct(g, _atoms("a"))} == {"a v b."}
+    assert {str(r) for r in _reduct(g, frozenset())} == {"a v b.", "a."}
 
 
 def test_is_model_examples(guarded_pair):
-    g = ground(guarded_pair)
-    assert is_model(_atoms("a"), g)
-    assert is_model(_atoms("a", "b"), g)
-    assert not is_model(frozenset(), g)  # disjunctive rule unsatisfied
+    g = ground(guarded_pair).rules
+    assert _is_model(_atoms("a"), g)
+    assert _is_model(_atoms("a", "b"), g)
+    assert not _is_model(frozenset(), g)  # disjunctive rule unsatisfied
 
 
 # -------------------------------------------------------------- answer sets
@@ -419,14 +429,14 @@ def test_answer_sets_are_minimal_models_of_their_reduct():
     checked = 0
     for seed in range(10):
         p = random_program(seed, "arbitrary")
-        g = ground(p)
+        g = ground(p).rules
         for m in answer_sets(p).answer_sets:
-            red = reduct(g, m)
-            assert is_model(m, red)
+            red = _reduct(g, m)
+            assert _is_model(m, red)
             atoms = sorted(m)
             for k in range(len(atoms)):
                 for subset in combinations(atoms, k):
-                    assert not is_model(frozenset(subset), red), (seed, subset)
+                    assert not _is_model(frozenset(subset), red), (seed, subset)
                     checked += 1
     assert checked > 0
 
@@ -523,22 +533,24 @@ def test_both_characterizations_agree(profile, seed):
 def test_brave_and_cautious_substitutions(ancestry):
     p = ancestry.with_facts([Atom("related", (const("p1"), const("p2")))])
     q = parse_query("ancestor(p1,X)?")
-    assert brave(p, q) == {Substitution((("X", "p2"),))}
-    assert cautious(p, q) == frozenset()
+    assert answer_query(p, q, "brave").substitutions == {
+        Substitution((("X", "p2"),))
+    }
+    assert answer_query(p, q, "cautious").substitutions == frozenset()
 
 
 def test_ground_query_uses_the_identity_substitution(choice_with_odd_loop):
-    q = parse_query("p(a)?")
-    assert brave(choice_with_odd_loop, q) == {Substitution()}
-    assert cautious(choice_with_odd_loop, q) == {Substitution()}
-    assert brave(choice_with_odd_loop, parse_query("q(a)?")) == frozenset()
+    p, q = choice_with_odd_loop, parse_query("p(a)?")
+    assert answer_query(p, q, "brave").substitutions == {Substitution()}
+    assert answer_query(p, q, "cautious").substitutions == {Substitution()}
+    assert answer_query(p, parse_query("q(a)?"), "brave").substitutions == frozenset()
 
 
 def test_inconsistent_programs_flip_the_conventions():
     p = parse_program("e(a). e(b). bad :- not bad.")
     q = parse_query("e(X)?")
-    assert brave(p, q) == frozenset()
-    assert cautious(p, q) == {
+    assert answer_query(p, q, "brave").substitutions == frozenset()
+    assert answer_query(p, q, "cautious").substitutions == {
         Substitution((("X", "a"),)),
         Substitution((("X", "b"),)),
     }
@@ -627,7 +639,8 @@ def test_grid_4_brave_variable_query_stays_under_a_small_cap():
         for i in range(1, 5) for j in range(1, 5) if (i, j) != (1, 1)
     }
     for target in (inst.program, dms(q, inst.program)):
-        assert brave(target, q, candidate_cap=2000) == others
+        answer = answer_query(target, q, "brave", candidate_cap=2000)
+        assert answer.substitutions == others
 
 
 @pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
@@ -768,8 +781,9 @@ def test_directed_cautious_on_an_inconsistent_program_says_yes():
         # nothing derives p, so no candidate stands for these instances
         ("p(X,Y)?", {Substitution.of({"X": a, "Y": a})}),
     ):
-        assert cautious(p, parse_query(text)) == every
-        assert brave(p, parse_query(text)) == frozenset()
+        q = parse_query(text)
+        assert answer_query(p, q, "cautious").substitutions == every
+        assert answer_query(p, q, "brave").substitutions == frozenset()
 
 
 def test_answer_sets_repeat_the_grid_3_counts():
@@ -823,8 +837,9 @@ def test_rewritten_grid_3_with_sampled_facts_answers_cautiously():
     facts = random_edb(inst.program, 0, 0.3)
     for target in (inst.program, dms(inst.query, inst.program)):
         pf = target.with_facts(facts)
-        assert cautious(pf, inst.query, candidate_cap=1000) == frozenset()
-        assert brave(pf, inst.query, candidate_cap=1000) == {Substitution()}
+        for mode, holds in (("cautious", frozenset()), ("brave", {Substitution()})):
+            answer = answer_query(pf, inst.query, mode, candidate_cap=1000)
+            assert answer.substitutions == holds
 
 
 def test_answer_query_rejects_an_unknown_mode():
@@ -966,3 +981,70 @@ def test_magic_variants_land_in_the_rewritten_answer_sets(seed):
         v = magic_variant(m, q, p)
         assert v in rewritten_sets
         assert (q.atom in m) == (q.atom in v)
+
+
+def _magic_variant_over_the_whole_universe(i, q, p):
+    """:func:`magic_variant` by its definition: the same fixpoint over
+    every instance of the rewriting's magic rules, derivable or not."""
+    details = dms_with_details(q, p)
+    magic_ground = [
+        r
+        for r in _ground_exhaustive(details.program).rules
+        if split_magic_name(r.head[0].predicate) is not None and len(r.head) == 1
+    ]
+    v = {r.head[0] for r in details.edb_rules}
+    while True:
+        additions = {
+            a
+            for a in i - v
+            for ap in details.adorned
+            if ap.predicate == a.predicate
+            and len(ap.adornment) == a.arity
+            and magic_atom(ap, a.args) in v
+        }
+        additions |= {
+            r.head[0]
+            for r in magic_ground
+            if r.head[0] not in v and all(a in v for a in r.pos_body)
+        }
+        if not additions:
+            return frozenset(v)
+        v |= additions
+
+
+@pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
+def test_magic_variant_equals_the_whole_universe_fixpoint(profile):
+    # Every answer set of the program with sampled facts, and the
+    # restriction to its predicates of every answer set of the rewriting.
+    compared = 0
+    for seed in range(20):
+        p = random_program(seed, profile)
+        q = random_query(p, seed)
+        pf = p.with_facts(random_edb(p, seed, 0.3, max_facts=4))
+        rewritten = answer_sets(dms(q, pf)).answer_sets
+        sides = [
+            *answer_sets(pf).answer_sets,
+            *(frozenset(a for a in w if a.predicate in pf.predicates)
+              for w in rewritten),
+        ]
+        for i in sides:
+            expected = _magic_variant_over_the_whole_universe(i, q, pf)
+            assert magic_variant(i, q, pf) == expected, (seed, sorted(i))
+            compared += 1
+    assert compared >= 20  # 56, 44 and 30 interpretations by profile
+
+
+def test_the_pipeline_never_grounds_exhaustively(monkeypatch, ancestry):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exhaustive grounding outside the oracles")
+
+    monkeypatch.setattr(semantics, "_ground_exhaustive", refuse)
+    p = ancestry.with_facts([Atom("related", (const("p1"), const("p2")))])
+    q = parse_query("ancestor(p1,p2)?")
+    assert len(ground(p).rules) == 4
+    brother = _atoms("related(p1,p2)", "brother(p1,p2)")
+    (m,) = answer_sets(p).answer_sets - {brother}
+    assert answer_query(p, q, "brave").substitutions == {Substitution()}
+    assert sorted(str(a) for a in magic_variant(m, q, p)) == FROZEN_VARIANT
+    with pytest.raises(AssertionError, match="outside the oracles"):
+        is_unfounded_set(frozenset(), p, m)
