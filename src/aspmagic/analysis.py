@@ -10,9 +10,9 @@ rewriting relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .semantics import (
     CANDIDATE_CAP_DEFAULT,
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class DependencyEdge:
+class DependencyEdge(NamedTuple):
     """Head predicate ``source`` depends on body predicate ``target``."""
 
     source: str
@@ -45,8 +44,7 @@ class DependencyEdge:
     negative: bool
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(NamedTuple):
     nodes: tuple[str, ...]
     edges: tuple[DependencyEdge, ...]
 
@@ -141,8 +139,7 @@ class ScStatus(Enum):
     BUDGET_EXCEEDED = "budget_exceeded"
 
 
-@dataclass(frozen=True)
-class ScVerdict:
+class ScVerdict(NamedTuple):
     status: ScStatus
     counterexample: frozenset[Atom] | None = None
     sets_tested: int = 0

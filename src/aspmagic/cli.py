@@ -13,7 +13,11 @@ only that subcommand's arguments.  The parser, syntax and semantics
 modules load with this one; ``query`` adds the analysis module when it
 considers the rewriting and the rewriter when it applies it, ``rewrite``
 the rewriter, ``check`` the analysis module, and ``diff`` and ``bench``
-the harness (which loads the rest).
+the harness (which loads the rest).  Of the standard library a call adds
+little beyond argparse: ``json`` only for ``--format structured`` (and
+``diff`` and ``bench``, through the harness), files are read and written
+with ``open`` rather than ``pathlib``, and no module of the package
+loads ``inspect``.
 
 Exit codes: 0 success, 1 differential mismatch, 2 usage or input errors,
 3 resource cap exceeded (also ``diff`` when every trial tripped a cap, so
@@ -23,9 +27,7 @@ it compared nothing), 4 internal error (the traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from .parser import SourceError, parse_program, parse_query, print_program
@@ -149,9 +151,18 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     return root
 
 
+def _print_json(record: dict, indent: int | None = 2) -> None:
+    """Print ``record`` as JSON; ``json`` is imported here, so that a call
+    printing text does not load it."""
+    import json
+
+    print(json.dumps(record, indent=indent))
+
+
 def _load_program(path: str) -> Program:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except UnicodeDecodeError as exc:
         raise ProgramError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_program(text)
@@ -178,7 +189,7 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     rewritten = dms(q, p)
     text = print_program(rewritten)
     if args.format == "structured":
-        print(json.dumps({"rules": text.splitlines()}, indent=2))
+        _print_json({"rules": text.splitlines()})
     else:
         sys.stdout.write(text)
     return 0
@@ -195,11 +206,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     )[: args.max]
     if args.format == "structured":
         records = [sorted(str(a) for a in m) for m in ordered]
-        print(json.dumps({
+        _print_json({
             "answer_sets": records,
             "count": len(report.answer_sets),
             "candidates_examined": report.candidates_examined,
-        }, indent=2))
+        })
     else:
         for m in ordered:
             print("{" + ", ".join(str(a) for a in sorted(m)) + "}")
@@ -247,15 +258,15 @@ def _print_query_result(
     if q.is_ground:
         text = "yes" if answer.substitutions else "no"
         if args.format == "structured":
-            print(json.dumps({**record, "answer": text}, indent=2))
+            _print_json({**record, "answer": text})
         else:
             print(text)
         return 0
     ordered = sorted(answer.substitutions)
     if args.format == "structured":
-        print(json.dumps({
+        _print_json({
             **record, "substitutions": [dict(s.bindings) for s in ordered],
-        }, indent=2))
+        })
     else:
         for s in ordered:
             print(s)
@@ -273,7 +284,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if asked:
             verdict = test(p)
             if args.format == "structured":
-                print(json.dumps({"check": label, "holds": verdict}))
+                _print_json({"check": label, "holds": verdict}, indent=None)
             else:
                 print(f"{label}: {'yes' if verdict else 'no'}")
             return 0
@@ -282,7 +293,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         ground_cap=args.ground_cap, candidate_cap=args.candidate_cap,
     )
     if args.format == "structured":
-        print(json.dumps({
+        _print_json({
             "check": "super-consistent",
             "status": result.status.value,
             "counterexample": (
@@ -291,7 +302,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             ),
             "sets_tested": result.sets_tested,
             "via_shortcut": result.via_shortcut,
-        }, indent=2))
+        })
     else:
         print(f"super-consistent: {result.status.value}")
         if result.counterexample is not None:
@@ -315,7 +326,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     )
     compared_nothing = not report.fact_sets_tested
     if args.format == "structured":
-        print(json.dumps({
+        _print_json({
             "program_id": report.program_id,
             "query": str(report.query),
             "fact_sets_tested": report.fact_sets_tested,
@@ -323,7 +334,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             "brave_mismatches": _mismatch_records(report.brave_mismatches),
             "cautious_mismatches": _mismatch_records(report.cautious_mismatches),
             "ok": report.ok and not compared_nothing,
-        }, indent=2))
+        })
     else:
         print(f"program {report.program_id}, query {report.query}")
         print(f"fact sets tested: {report.fact_sets_tested}"
@@ -369,7 +380,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(benchmark_table(cells))
     if args.out is not None:
-        Path(args.out).write_text(benchmark_json(cells), encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(benchmark_json(cells))
     return 0
 
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from io import StringIO
 from itertools import product
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .analysis import is_odd_cycle_free, is_stratified
 from .parser import parse_program, print_program
@@ -39,6 +38,7 @@ from .syntax import (
     Query,
     Rule,
     Term,
+    _Frozen,
     fact,
     universe,
     var,
@@ -74,8 +74,7 @@ def ancestry_program() -> Program:
     return parse_program(_ANCESTRY_TEXT)
 
 
-@dataclass(frozen=True, eq=False)
-class RelatedInstance:
+class RelatedInstance(_Frozen):
     """A genealogy instance on an n-by-n grid of persons.
 
     Facts connect each person to the right and to the down neighbour, so
@@ -84,10 +83,12 @@ class RelatedInstance:
     bottom-right one.  The grid layout is our choice of instance shape.
     """
 
-    n: int
-    persons: tuple[str, ...]
-    facts: tuple[Rule, ...]
-    query: Query
+    _fields = ("n", "persons", "facts", "query")
+
+    def __init__(
+        self, n: int, persons: tuple[str, ...], facts: tuple[Rule, ...], query: Query
+    ) -> None:
+        self.__dict__.update(n=n, persons=persons, facts=facts, query=query)
 
     @cached_property
     def program(self) -> Program:
@@ -275,8 +276,7 @@ def random_query(p: Program, seed: int) -> Query:
     return Query(Atom(pred, tuple(args)))
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     """Substitution sets that differ between original and rewriting for
     one sampled fact set."""
 
@@ -285,8 +285,7 @@ class Mismatch:
     only_rewritten: tuple[Substitution, ...]
 
 
-@dataclass(frozen=True)
-class EquivReport:
+class EquivReport(NamedTuple):
     program_id: str
     query: Query
     fact_sets_tested: int
@@ -385,8 +384,7 @@ def check_equivalence(
     )
 
 
-@dataclass(frozen=True)
-class BenchmarkCell:
+class BenchmarkCell(NamedTuple):
     n: int
     mode: str
     rep: int
@@ -510,18 +508,6 @@ def benchmark_json(cells: Iterable[BenchmarkCell]) -> str:
     choice of instance shape rather than a given."""
     payload = {
         "instance_pattern": "grid (right and down edges; layout is an assumption)",
-        "cells": [
-            {
-                "n": c.n,
-                "mode": c.mode,
-                "rep": c.rep,
-                "status": c.status,
-                "time_ms": c.time_ms,
-                "ground_rules": c.ground_rules,
-                "candidates": c.candidates,
-                "answer": c.answer,
-            }
-            for c in cells
-        ],
+        "cells": [c._asdict() for c in cells],
     }
     return json.dumps(payload, indent=2)

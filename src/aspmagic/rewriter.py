@@ -16,9 +16,8 @@ atoms and non-selected head atoms receive bindings but never pass them on.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .syntax import (
     Atom,
@@ -27,6 +26,7 @@ from .syntax import (
     Query,
     Rule,
     Term,
+    _Frozen,
     edb_idb_split,
     fact,
 )
@@ -56,16 +56,20 @@ class ReservedPredicateError(ProgramError):
     """Input mentions a predicate in the namespace the rewriting generates."""
 
 
-@dataclass(frozen=True, order=True)
-class AdornedPredicate:
-    """A predicate with one binding label (``b`` or ``f``) per argument."""
-
+class _AdornedFields(NamedTuple):
     predicate: str
     adornment: str
 
-    def __post_init__(self) -> None:
-        if set(self.adornment) - {"b", "f"}:
-            raise ProgramError(f"bad adornment {self.adornment!r}")
+
+class AdornedPredicate(_AdornedFields):
+    """A predicate with one binding label (``b`` or ``f``) per argument."""
+
+    __slots__ = ()
+
+    def __new__(cls, predicate: str, adornment: str) -> "AdornedPredicate":
+        if set(adornment) - {"b", "f"}:
+            raise ProgramError(f"bad adornment {adornment!r}")
+        return tuple.__new__(cls, (predicate, adornment))
 
     @property
     def magic_name(self) -> str:
@@ -101,8 +105,7 @@ def split_magic_name(name: str) -> tuple[str, str] | None:
     return pred, adornment
 
 
-@dataclass(frozen=True, eq=False)
-class Sips:
+class Sips(_Frozen):
     """A per-rule binding strategy: a strict partial order on the rule's
     atoms plus the variables each atom makes bound.
 
@@ -111,12 +114,16 @@ class Sips:
     atoms and the remaining head atoms precede nothing.
     """
 
-    rule: Rule
-    selected: Atom
-    after: Mapping[Atom, frozenset[Atom]]
-    bound: Mapping[Atom, frozenset[str]]
+    _fields = ("rule", "selected", "after", "bound")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        rule: Rule,
+        selected: Atom,
+        after: Mapping[Atom, frozenset[Atom]],
+        bound: Mapping[Atom, frozenset[str]],
+    ) -> None:
+        self.__dict__.update(rule=rule, selected=selected, after=after, bound=bound)
         self._validate()
 
     def precedes(self, a: Atom, b: Atom) -> bool:
@@ -216,14 +223,16 @@ def default_sips(rule: Rule, head_atom: Atom, adornment: str) -> Sips:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class AdornedRule:
+class AdornedRule(_Frozen):
     """A rule together with the adornment of each of its intensional atoms;
     extensional atoms carry no adornment."""
 
-    rule: Rule
-    selected: Atom
-    adornments: Mapping[Atom, str]
+    _fields = ("rule", "selected", "adornments")
+
+    def __init__(
+        self, rule: Rule, selected: Atom, adornments: Mapping[Atom, str]
+    ) -> None:
+        self.__dict__.update(rule=rule, selected=selected, adornments=adornments)
 
     def adornment_of(self, atom: Atom) -> str | None:
         return self.adornments.get(atom)
@@ -335,16 +344,26 @@ def build_query_seed(q: Query, seen: set[AdornedPredicate] | None = None) -> Rul
     return fact(magic_atom(ap, q.atom.args))
 
 
-@dataclass(frozen=True, eq=False)
-class DmsResult:
+class DmsResult(_Frozen):
     """The rewriting broken into its parts, plus the assembled program."""
 
-    program: Program
-    seed: Rule
-    magic_rules: tuple[Rule, ...]
-    modified_rules: tuple[Rule, ...]
-    edb_rules: tuple[Rule, ...]
-    adorned: frozenset[AdornedPredicate]
+    _fields = (
+        "program", "seed", "magic_rules", "modified_rules", "edb_rules", "adorned"
+    )
+
+    def __init__(
+        self,
+        program: Program,
+        seed: Rule,
+        magic_rules: tuple[Rule, ...],
+        modified_rules: tuple[Rule, ...],
+        edb_rules: tuple[Rule, ...],
+        adorned: frozenset[AdornedPredicate],
+    ) -> None:
+        self.__dict__.update(
+            program=program, seed=seed, magic_rules=magic_rules,
+            modified_rules=modified_rules, edb_rules=edb_rules, adorned=adorned,
+        )
 
 
 def dms_with_details(q: Query, p: Program) -> DmsResult:

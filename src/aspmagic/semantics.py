@@ -33,7 +33,6 @@ keeps; it ends once no candidate is left open.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -405,8 +404,7 @@ def _ground_exhaustive(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> Prog
     return Program(out)
 
 
-@dataclass(frozen=True)
-class AnswerSetReport:
+class AnswerSetReport(NamedTuple):
     """The answer sets of a program and what it took to find them.
 
     ``ground_rules`` is the size of the grounding the solver searched: the
@@ -736,8 +734,7 @@ def answer_sets_via_unfounded(
     )
 
 
-@dataclass(frozen=True, order=True)
-class Substitution:
+class Substitution(NamedTuple):
     """An assignment of constants to the variables of a query, kept as a
     sorted tuple of (variable, constant) pairs."""
 

@@ -6,15 +6,23 @@ construction order of atoms and rules is preserved so that printing and the
 binding strategies of the rewriter stay deterministic.  What a rule's
 equality, hashing and grounding read over and over (its set signature,
 its atoms) is computed once and kept on the rule object.
+
+Values compared by their fields are named tuples, so they hash, compare
+and order as the tuple of their fields, in C; a term or atom validates
+its fields in ``__new__`` and, like any named tuple, also equals the plain
+tuple of its fields.  Rules and programs, which compare as sets, are plain
+classes on :class:`_Frozen`, which refuses assignment once ``__init__``
+has filled the instance ``__dict__``.  Neither kind is generated by a
+class decorator, whose module (and ``inspect``, which it loads) every CLI
+call would otherwise import.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "ProgramError",
@@ -45,8 +53,31 @@ class ProgramError(ValueError):
     """Raised when a rule or program violates a structural constraint."""
 
 
-@dataclass(frozen=True, order=True)
-class Term:
+class _Frozen:
+    """Base of the immutable classes that are not tuples.  ``__init__``
+    fills the instance ``__dict__`` directly; any later assignment or
+    deletion raises ``AttributeError``.  ``cached_property`` writes to the
+    ``__dict__`` directly too, and :meth:`__repr__` lists ``_fields``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _TermFields(NamedTuple):
+    name: str
+
+
+class Term(_TermFields):
     """A constant or a variable, told apart by the first character.
 
     Variables start with an uppercase letter; constants with a lowercase
@@ -54,14 +85,12 @@ class Term:
     alone determines the kind.
     """
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if _VARIABLE_RE.match(self.name):
-            return
-        if _CONSTANT_RE.match(self.name):
-            return
-        raise ProgramError(f"not a valid term name: {self.name!r}")
+    def __new__(cls, name: str) -> "Term":
+        if not (_VARIABLE_RE.match(name) or _CONSTANT_RE.match(name)):
+            raise ProgramError(f"not a valid term name: {name!r}")
+        return tuple.__new__(cls, (name,))
 
     @property
     def is_variable(self) -> bool:
@@ -91,20 +120,24 @@ def var(name: str) -> Term:
     return t
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+class _AtomFields(NamedTuple):
+    predicate: str
+    args: tuple[Term, ...]
+
+
+class Atom(_AtomFields):
     """A predicate applied to a tuple of terms."""
 
-    predicate: str
-    args: tuple[Term, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _CONSTANT_RE.match(self.predicate):
-            raise ProgramError(f"not a valid predicate name: {self.predicate!r}")
-        object.__setattr__(self, "args", tuple(self.args))
-        for a in self.args:
+    def __new__(cls, predicate: str, args: Iterable[Term] = ()) -> "Atom":
+        if not _CONSTANT_RE.match(predicate):
+            raise ProgramError(f"not a valid predicate name: {predicate!r}")
+        args = tuple(args)
+        for a in args:
             if not isinstance(a, Term):
                 raise ProgramError(f"atom argument is not a Term: {a!r}")
+        return tuple.__new__(cls, (predicate, args))
 
     @property
     def arity(self) -> int:
@@ -133,8 +166,7 @@ def _ordered_dedup(items: Iterable[Atom]) -> tuple[Atom, ...]:
     return tuple(dict.fromkeys(items))
 
 
-@dataclass(frozen=True, eq=False)
-class Rule:
+class Rule(_Frozen):
     """A disjunctive rule ``h1 v ... v hm :- b1, ..., not c1, ...``.
 
     Atoms are stored in construction (textual) order with duplicates
@@ -145,8 +177,8 @@ class Rule:
     """
 
     head: tuple[Atom, ...]
-    pos_body: tuple[Atom, ...] = ()
-    neg_body: tuple[Atom, ...] = ()
+    pos_body: tuple[Atom, ...]
+    neg_body: tuple[Atom, ...]
 
     def __init__(
         self,
@@ -154,9 +186,10 @@ class Rule:
         pos_body: Iterable[Atom] = (),
         neg_body: Iterable[Atom] = (),
     ) -> None:
-        object.__setattr__(self, "head", _ordered_dedup(head))
-        object.__setattr__(self, "pos_body", _ordered_dedup(pos_body))
-        object.__setattr__(self, "neg_body", _ordered_dedup(neg_body))
+        fields = self.__dict__
+        fields["head"] = _ordered_dedup(head)
+        fields["pos_body"] = _ordered_dedup(pos_body)
+        fields["neg_body"] = _ordered_dedup(neg_body)
         if not self.head:
             raise ProgramError("a rule needs at least one head atom")
         pos_vars: set[str] = set()
@@ -244,8 +277,7 @@ def _check_arity(arities: dict[str, int], atom: Atom) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Program:
+class Program(_Frozen):
     """A finite set of rules with a consistent arity per predicate.
 
     Rules keep their insertion order (duplicates collapse to the first
@@ -253,14 +285,15 @@ class Program:
     """
 
     rules: tuple[Rule, ...]
+    _arities: dict[str, int]
 
     def __init__(self, rules: Iterable[Rule] = ()) -> None:
-        object.__setattr__(self, "rules", tuple(dict.fromkeys(rules)))
+        self.__dict__["rules"] = tuple(dict.fromkeys(rules))
         arities: dict[str, int] = {}
         for rule in self.rules:
             for atom in rule.atoms():
                 _check_arity(arities, atom)
-        object.__setattr__(self, "_arities", arities)
+        self.__dict__["_arities"] = arities
 
     @cached_property
     def _rule_set(self) -> frozenset[Rule]:
@@ -283,7 +316,7 @@ class Program:
     @property
     def predicates(self) -> Mapping[str, int]:
         """Predicate name to arity, over every atom of the program."""
-        return dict(self._arities)  # type: ignore[attr-defined]
+        return dict(self._arities)
 
     @cached_property
     def constants(self) -> frozenset[Term]:
@@ -306,14 +339,14 @@ class Program:
     @cached_property
     def edb_predicates(self) -> frozenset[str]:
         """Predicates defined by facts alone, or not defined at all."""
-        return frozenset(self._arities) - self.idb_predicates  # type: ignore[attr-defined]
+        return frozenset(self._arities) - self.idb_predicates
 
     def with_facts(self, atoms: Iterable[Atom]) -> "Program":
         """A new program extended with the given ground atoms as facts.
 
         Only the added facts are checked: the new program starts from this
         one's arities and constants instead of walking every rule again."""
-        arities = dict(self._arities)  # type: ignore[attr-defined]
+        arities = dict(self._arities)
         extra: dict[Rule, None] = {}
         constants: set[Term] = set()
         for atom in sorted(atoms):
@@ -325,17 +358,18 @@ class Program:
         out = object.__new__(Program)
         known = self._rule_set
         added = (r for r in extra if r not in known)
-        object.__setattr__(out, "rules", (*self.rules, *added))
-        object.__setattr__(out, "_arities", arities)
-        object.__setattr__(out, "constants", self.constants | constants)
+        out.__dict__.update(
+            rules=(*self.rules, *added),
+            _arities=arities,
+            constants=self.constants | constants,
+        )
         return out
 
     def __repr__(self) -> str:
         return f"Program<{len(self.rules)} rules>"
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     """A single atom whose instances are asked for."""
 
     atom: Atom

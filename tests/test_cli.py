@@ -342,8 +342,10 @@ def test_parse_errors_exit_2(write, capsys):
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
-    assert main(["solve", str(tmp_path / "absent.dl")]) == 2
-    assert "error:" in capsys.readouterr().err
+    path = str(tmp_path / "absent.dl")
+    assert main(["solve", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
 
 
 def test_usage_errors_exit_2(write, capsys):
@@ -357,7 +359,10 @@ def test_non_utf8_program_exits_2(tmp_path, capsys):
     path = tmp_path / "program.dl"
     path.write_bytes(b"\xff\xfe\x00bad")
     assert main(["solve", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {path} is not UTF-8 text: 'utf-8' codec can't decode byte "
+        "0xff in position 0: invalid start byte\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -415,6 +420,47 @@ def test_import_loads_neither_multiprocessing_nor_hashlib():
         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+def _run_bare(code: str) -> str:
+    """The output of ``code`` in a fresh interpreter started without
+    ``site`` (``-S``), whose ``.pth`` files may import modules of their own."""
+    src = str(Path(aspmagic.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
+    ).stdout
+
+
+def test_cli_calls_load_neither_dataclasses_nor_inspect(write):
+    # Text output needs no json and file access no pathlib either.  The
+    # second query applies the rewriting, so the rewriter is loaded.
+    path = write(ANCESTRY)
+    calls = [
+        ["query", path, "--query", "ancestor(p1,p2)?", "--brave", "--rewrite", "off"],
+        ["query", path, "--query", "ancestor(p1,p2)?", "--brave"],
+        ["rewrite", path, "--query", "ancestor(p1,X)?"],
+        ["solve", path],
+        ["check", path, "--odd-cycle-free"],
+    ]
+    out = _run_bare(
+        "import sys; from aspmagic.cli import main; "
+        f"codes = [main(argv) for argv in {calls!r}]; "
+        "print(codes, 'aspmagic.rewriter' in sys.modules, sorted("
+        "{'dataclasses', 'inspect', 'json', 'pathlib'} & set(sys.modules)))"
+    )
+    assert out.splitlines()[-1] == "[0, 0, 0, 0, 0] True []"
+
+
+def test_no_submodule_loads_dataclasses():
+    modules = ["analysis", "cli", "harness", "lifting", "parser", "rewriter",
+               "semantics", "syntax"]
+    out = _run_bare(
+        "import importlib, sys; "
+        f"[importlib.import_module('aspmagic.' + m) for m in {modules!r}]; "
+        "print('dataclasses' in sys.modules)"
+    )
+    assert out.strip() == "False"
 
 
 def _loaded_after(code: str) -> list[str]:

@@ -259,6 +259,8 @@ def test_split_magic_name_round_trip():
     assert split_magic_name("ancestor") is None
     assert split_magic_name("magic_") is None
     assert split_magic_name("magic_p_c") is None  # not a b/f string
+    with pytest.raises(ProgramError, match="^bad adornment 'bx'$"):
+        AdornedPredicate("p", "bx")
 
 
 def test_magic_atom_keeps_bound_positions_only():

@@ -1,24 +1,39 @@
 import copy
 import pickle
+import re
 
 import pytest
 
 from aspmagic import (
+    AdornedPredicate,
+    AnswerSetReport,
     Atom,
+    BenchmarkCell,
+    DependencyEdge,
+    DependencyGraph,
+    EquivReport,
     Program,
     ProgramError,
     Query,
     Rule,
+    ScStatus,
+    ScVerdict,
+    Substitution,
     Term,
+    adorn,
     base,
     const,
+    default_sips,
+    dms_with_details,
     edb_idb_split,
     fact,
+    gen_related_instance,
     ground,
     parse_program,
     universe,
     var,
 )
+from aspmagic.harness import Mismatch
 from aspmagic.syntax import RESERVED_UNIVERSE_CONSTANT
 
 
@@ -32,7 +47,7 @@ def test_term_kinds():
 
 @pytest.mark.parametrize("bad", ["", "_x", "-a", "p q", "a.b", "ünicode"])
 def test_term_rejects_bad_names(bad):
-    with pytest.raises(ProgramError):
+    with pytest.raises(ProgramError, match=f"^not a valid term name: {re.escape(repr(bad))}$"):
         Term(bad)
 
 
@@ -57,10 +72,10 @@ def test_atom_basics():
 
 
 def test_atom_rejects_bad_predicate():
-    with pytest.raises(ProgramError):
+    with pytest.raises(ProgramError, match="^not a valid predicate name: 'Upper'$"):
         Atom("Upper", ())
-    with pytest.raises(ProgramError):
-        Atom("p", ("notaterm",))  # type: ignore[arg-type]
+    with pytest.raises(ProgramError, match="^atom argument is not a Term: 'notaterm'$"):
+        Atom("p", (Term("a"), "notaterm"))  # type: ignore[arg-type]
 
 
 def test_rule_stores_order_but_compares_as_sets():
@@ -227,3 +242,118 @@ def test_query_ground_and_str():
     assert not q.is_ground
     assert q.variables() == {"X"}
     assert str(q) == "anc(a,X)?"
+
+
+# ------------------------------------------- value and identity semantics
+
+A = Atom("p", (Term("a"), Term("X")))
+
+# Each class compared by its fields, with the plain tuple of those fields:
+# it hashes, orders and prints as a frozen record of them would.
+VALUES = [
+    (Term("a"), ("a",)),
+    (A, ("p", (Term("a"), Term("X")))),
+    (Query(A), (A,)),
+    (Substitution((("X", "a"),)), ((("X", "a"),),)),
+    (AnswerSetReport(frozenset({frozenset({A})}), 3, 2),
+     (frozenset({frozenset({A})}), 3, 2)),
+    (DependencyEdge("p", "q", True), ("p", "q", True)),
+    (DependencyGraph(("p", "q"), (DependencyEdge("p", "q", True),)),
+     (("p", "q"), (DependencyEdge("p", "q", True),))),
+    (ScVerdict(ScStatus.SUPER_CONSISTENT),
+     (ScStatus.SUPER_CONSISTENT, None, 0, False)),
+    (AdornedPredicate("p", "bf"), ("p", "bf")),
+    (Mismatch((A,), (Substitution(),), ()), ((A,), (Substitution(),), ())),
+    (EquivReport("id", Query(A), 1, (), (), ((3, 4),), ((0.5, 0.25),), ()),
+     ("id", Query(A), 1, (), (), ((3, 4),), ((0.5, 0.25),), ())),
+    (BenchmarkCell(1, "plain", 0, "ok"),
+     (1, "plain", 0, "ok", None, None, None, None)),
+]
+
+
+@pytest.mark.parametrize("value, fields", VALUES, ids=lambda v: type(v).__name__)
+def test_values_hash_print_and_freeze_as_records_of_their_fields(value, fields):
+    assert hash(value) == hash(fields)
+    # the one difference from a frozen record: the tuple of the fields is
+    # an equal value
+    assert value == fields and tuple(value) == fields
+    shown = ", ".join(f"{n}={getattr(value, n)!r}" for n in value._fields)
+    assert repr(value) == f"{type(value).__name__}({shown})"
+    for name in (value._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+
+
+def test_term_and_atom_reprs():
+    assert repr(Term("a")) == "Term(name='a')"
+    assert repr(Atom("p", (Term("a"),))) == "Atom(predicate='p', args=(Term(name='a'),))"
+    assert repr(Atom("f")) == "Atom(predicate='f', args=())"
+
+
+def test_values_sort_by_their_fields():
+    a, b, x = Term("a"), Term("b"), Term("X")
+    assert sorted([b, x, a]) == [x, a, b]  # by name: uppercase first
+    atoms = [Atom("q"), Atom("p", (b,)), Atom("p", (a, b)), Atom("p", (a,))]
+    assert sorted(atoms) == [atoms[3], atoms[2], atoms[1], atoms[0]]
+    subs = [Substitution((("X", "b"),)), Substitution(), Substitution((("X", "a"),))]
+    assert sorted(subs) == [subs[1], subs[2], subs[0]]
+    aps = [AdornedPredicate("p", "f"), AdornedPredicate("p", "bf"), AdornedPredicate("a", "f")]
+    assert sorted(aps) == [aps[2], aps[1], aps[0]]
+    edges = [DependencyEdge("p", "q", True), DependencyEdge("p", "q", False)]
+    assert sorted(edges) == edges[::-1]
+
+
+def test_atom_args_become_a_tuple():
+    a = Atom("p", [Term("a")])
+    assert type(a.args) is tuple and a.args == (Term("a"),)
+    assert Atom(predicate="p") == Atom("p", ())
+
+
+def test_identity_classes_freeze_and_print_their_fields():
+    inst = gen_related_instance(2)
+    p = inst.program
+    rule = p.rules[3]
+    sips = default_sips(rule, rule.head[0], "bb")
+    adorned = adorn(rule, AdornedPredicate("ancestor", "bb"), rule.head[0], sips,
+                    p.idb_predicates)
+    details = dms_with_details(inst.query, p)
+    for obj, field in ((rule, "head"), (p, "rules"), (p, "constants"),
+                       (sips, "rule"), (adorned, "rule"), (details, "program"),
+                       (inst, "n"), (inst, "program")):
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    # cached properties still fill in once
+    assert inst.program is p
+    assert adorned.selected_pred is adorned.selected_pred
+    assert repr(inst) == (
+        f"RelatedInstance(n=2, persons={inst.persons!r}, facts={inst.facts!r}, "
+        f"query={inst.query!r})"
+    )
+    assert repr(adorned) == (
+        f"AdornedRule(rule={rule!r}, selected={rule.head[0]!r}, "
+        f"adornments={adorned.adornments!r})"
+    )
+    assert repr(sips).startswith(f"Sips(rule={rule!r}, selected=")
+    assert repr(details).startswith(f"DmsResult(program={details.program!r}, seed=")
+    # they compare by identity
+    again = default_sips(rule, rule.head[0], "bb")
+    assert again != sips and again.after == sips.after
+
+
+def test_program_survives_pickle_and_deepcopy():
+    p = parse_program("e(a). p(X) :- e(X), not q(X). q(b) :- p(b).")
+    p.constants  # a cached value travels with the program
+    for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(twin) is Program
+        assert twin == p and hash(twin) == hash(p)
+        assert twin.rules == p.rules and twin.predicates == p.predicates
+        assert [str(r) for r in ground(twin).rules] == [str(r) for r in ground(p).rules]
+        with pytest.raises(AttributeError):
+            twin.rules = ()
