@@ -16,8 +16,8 @@ the rewriter, ``check`` the analysis module, and ``diff`` and ``bench``
 the harness (which loads the rest).  Of the standard library a call adds
 little beyond argparse: ``json`` only for ``--format structured`` (and
 ``diff`` and ``bench``, through the harness), files are read and written
-with ``open`` rather than ``pathlib``, and no module of the package
-loads ``inspect``.
+with ``open`` rather than ``pathlib``, the help width is found without
+``shutil``, and no module of the package loads ``inspect``.
 
 Exit codes: 0 success, 1 differential mismatch, 2 usage or input errors,
 3 resource cap exceeded (also ``diff`` when every trial tripped a cap, so
@@ -27,7 +27,9 @@ it compared nothing), 4 internal error (the traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from functools import partial
 from typing import Sequence
 
 from .parser import SourceError, parse_program, parse_query, print_program
@@ -68,19 +70,36 @@ def _size_list(text: str) -> list[int]:
     return sizes
 
 
+def _help_width() -> int:
+    """The help width argparse reads from ``shutil``, without loading it and
+    its compression modules: ``COLUMNS``, else the terminal's, else 80, less 2."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return (columns or 80) - 2
+
+
 def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """The parser for ``argv``.  Only subcommands named in ``argv`` get
     their arguments; argparse dispatches to no other one, and the rest are
     listed by name and help text, which is all ``aspmagic --help`` and an
     unknown-subcommand error show of them."""
+    formatter = partial(argparse.HelpFormatter, width=_help_width())
     root = argparse.ArgumentParser(
         prog="aspmagic",
         description="magic-set rewriting and reference evaluation for disjunctive programs",
+        formatter_class=formatter,
     )
     sub = root.add_subparsers(dest="command", required=True)
 
     def subcommand(name, help_text, func) -> argparse.ArgumentParser | None:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         if name not in argv:
             return None
         p.add_argument(

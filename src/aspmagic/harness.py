@@ -17,7 +17,7 @@ import random
 import time
 from functools import cached_property
 from io import StringIO
-from itertools import product
+from itertools import count, islice, product
 from typing import Iterable, NamedTuple
 
 from .analysis import is_odd_cycle_free, is_stratified
@@ -131,28 +131,18 @@ def random_edb(
         raise ProgramError("program has no extensional predicate")
     pool = set(universe(p))
     taken = {t.name for t in pool}
-    added = 0
-    i = 0
-    while added < fresh_constants:
-        i += 1
-        name = f"f{i}"
-        if name in taken:
-            continue
-        taken.add(name)
-        pool.add(Term(name))
-        added += 1
+    fresh = (f"f{i}" for i in count(1) if f"f{i}" not in taken)
+    pool.update(Term(name) for name in islice(fresh, max(fresh_constants, 0)))
     pool = sorted(pool)
-    candidates = []
-    for pred in edb:
-        arity = p.predicates[pred]
-        for args in product(pool, repeat=arity):
-            candidates.append(Atom(pred, args))
-    candidates.sort()
+    arities = p.predicates
+    # Sorted predicates over a sorted pool give the candidates in atom
+    # order; only the atoms drawn are built.
+    candidates = [(q, a) for q in edb for a in product(pool, repeat=arities[q])]
     rng = random.Random(f"edb:{seed}")
-    chosen = [a for a in candidates if rng.random() < density]
+    chosen = [c for c in candidates if rng.random() < density]
     if max_facts is not None and len(chosen) > max_facts:
         chosen = rng.sample(chosen, max_facts)
-    return frozenset(chosen)
+    return frozenset(Atom(pred, args) for pred, args in chosen)
 
 
 _PROFILES = ("stratified", "odd_cycle_free", "arbitrary")

@@ -5,29 +5,30 @@ relevance: a semi-naive join builds only the rule instances whose positive
 body is derivable with negation ignored, so the magic predicates of a
 rewritten program cut what is instantiated.  The join reads each body atom
 through an argument index on the positions already bound, and it codes
-atoms as integer ids and instances as tuples of ids, which the search
-turns straight into bitmasks; :func:`ground` decodes the same instances
-into rules.  A rule's join plan is compiled once per :class:`Rule` object
-and kept on it, so every grounding that contains the rule reuses it;
-facts and other bodiless rules need no plan and go straight to ids.  The
-search then branches over the atoms that occur in negative bodies, keeps
-monotone lower and upper bounds to cut hopeless branches early, and
-enumerates the minimal models of the positive remainder at each leaf.
-The cross-check route grounds every rule over the whole universe,
-enumerates candidate interpretations outright and accepts those that are
-models containing no nonempty unfounded subset; only it and the
+atoms as integer ids and instances as tuples of ids; a positive body is
+the ids of the rows it matched, so only heads and negative bodies are
+keyed.  The search turns the instances straight into bitmasks, and
+:func:`ground` decodes them into rules.  A rule's join plan is compiled
+once per :class:`Rule` object and kept on it, so every grounding that
+contains the rule reuses it; bodiless rules need no plan and go straight
+to ids.  The search then branches over the atoms that occur in negative
+bodies, keeps monotone lower and upper bounds to cut hopeless branches
+early, and enumerates the minimal models of the positive remainder at
+each leaf.  The cross-check route grounds every rule over the whole
+universe, enumerates candidate interpretations outright and accepts those
+that are models containing no nonempty unfounded subset; only it and the
 unfounded-set test use that exhaustive grounding.  Both are deterministic;
 neither is meant to compete with a real solver.
 
 Query answering uses the primary search, directed by the query.  The
-query atom is matched once against the derivable atoms; the matches are
-the candidates, and a ground query is a query with no variables.  A brave
-query prunes every branch whose upper bound holds no candidate still
-unwitnessed, and each answer set found witnesses the candidates it holds;
-a cautious query prunes every branch whose lower bound holds every
-candidate still unrefuted, and each answer set found refutes the
-candidates it lacks.  One search may do both, keeping each branch either
-keeps; it ends once no candidate is left open.
+query atom is matched once against the coded derivable atoms, none of
+them decoded; the matches are the candidates.  A brave query prunes every
+branch whose upper bound holds no candidate still unwitnessed, and each
+answer set found witnesses the candidates it holds; a cautious query
+prunes every branch whose lower bound holds every candidate still
+unrefuted, and each answer set found refutes the candidates it lacks.
+One search may do both, keeping each branch either keeps; it ends once no
+candidate is left open.
 """
 
 from __future__ import annotations
@@ -131,19 +132,21 @@ class _Coded(NamedTuple):
 
 
 class _Relation:
-    """The argument tuples of one predicate, numbered in the order they
-    were added, with an index per set of bound positions.  An index is
-    built on its first lookup and extended by every later row."""
+    """The argument tuples of one predicate and their atom ids, numbered
+    in the order added, with an index per set of bound positions, built
+    on its first lookup and extended by every later row."""
 
-    __slots__ = ("rows", "_index")
+    __slots__ = ("rows", "ids", "_index")
 
     def __init__(self) -> None:
         self.rows: list[tuple[str, ...]] = []
+        self.ids: list[int] = []
         self._index: dict[tuple[int, ...], dict[tuple[str, ...], list[int]]] = {}
 
-    def add(self, args: tuple[str, ...]) -> None:
+    def add(self, args: tuple[str, ...], atom: int) -> None:
         row = len(self.rows)
         self.rows.append(args)
+        self.ids.append(atom)
         for positions, buckets in self._index.items():
             buckets.setdefault(tuple(args[i] for i in positions), []).append(row)
 
@@ -203,30 +206,34 @@ def _plan(slots: Sequence[tuple[int, ...]], n: int) -> list[_Step]:
 def _join(
     steps: Sequence[tuple[_Relation, _Step, int, int]],
     binding: list,
-    found: Callable[[list], None],
+    matched: list[int],
+    found: Callable[[list, list[int]], None],
     k: int = 0,
 ) -> None:
     """Call ``found`` with every extension of ``binding`` under which each
-    step's atom matches a row of its relation numbered in ``[lo, hi)``."""
-    if k == len(steps):
-        found(binding)
-        return
+    step's atom matches a row of its relation numbered in ``[lo, hi)``,
+    and with the atom ids of those rows in ``matched``, in step order."""
     rel, (positions, keys, binds, checks), lo, hi = steps[k]
-    rows = rel.rows
+    rows, ids = rel.rows, rel.ids
     if positions:
-        bucket = rel.lookup(positions, tuple(binding[s] for s in keys))
+        bucket = rel.lookup(positions, tuple([binding[s] for s in keys]))
         within = bucket[bisect_left(bucket, lo) : bisect_left(bucket, hi)]
-        matches = [rows[r] for r in within]
     else:
-        matches = rows[lo:hi]
-    for args in matches:
+        within = range(lo, hi)
+    last = k == len(steps) - 1
+    for r in within:
+        args = rows[r]
         for pos, s in binds:
             binding[s] = args[pos]
         for pos, s in checks:
             if args[pos] != binding[s]:
                 break
         else:
-            _join(steps, binding, found, k + 1)
+            matched[k] = ids[r]
+            if last:
+                found(binding, matched)
+            else:
+                _join(steps, binding, matched, found, k + 1)
 
 
 def _key_of(a: Atom) -> _Key:
@@ -236,30 +243,32 @@ def _key_of(a: Atom) -> _Key:
 class _Compiled(NamedTuple):
     """The join plan of a rule with a positive body: the template binding
     of :func:`_layout`, the predicate and argument slots of each atom of
-    its head, positive and negative body, the positive body's predicates,
-    and for each body atom the match order that starts from it with the
-    join steps of that order."""
+    its head and negative body, and one plan per positive body atom, the
+    pivot, which is matched against new rows and the others after it in
+    body order.  A plan holds the pivot's predicate and join step, then
+    ``(step, predicate, before_pivot)`` for each other atom, and the
+    permutation that puts the matched ids back into body order."""
 
     template: tuple[str | None, ...]
-    parts: tuple[tuple[tuple[str, tuple[int, ...]], ...], ...]
-    preds: tuple[str, ...]
-    plans: tuple[tuple[tuple[int, ...], tuple[_Step, ...]], ...]
+    head: tuple[tuple[str, tuple[int, ...]], ...]
+    neg: tuple[tuple[str, tuple[int, ...]], ...]
+    plans: tuple[tuple[str, _Step, tuple, tuple[int, ...]], ...]
 
 
 def _compile(rule: Rule) -> _Compiled:
     n, template, slot = _layout(rule.atoms())
-    parts = tuple(
+    head, pos, neg = (
         tuple((a.predicate, tuple(slot[t.name] for t in a.args)) for a in part)
         for part in (rule.head, rule.pos_body, rule.neg_body)
     )
-    preds = tuple(a.predicate for a in rule.pos_body)
-    # Each body atom in turn is the one matched against new rows; the
-    # others follow in body order.
     plans = []
-    for i in range(len(preds)):
-        order = (i, *(j for j in range(len(preds)) if j != i))
-        plans.append((order, tuple(_plan([parts[1][j][1] for j in order], n))))
-    return _Compiled(tuple(template), parts, preds, tuple(plans))
+    for i in range(len(pos)):
+        order = (i, *(j for j in range(len(pos)) if j != i))
+        first, *rest = _plan([pos[j][1] for j in order], n)
+        others = tuple((step, pos[j][0], j < i) for step, j in zip(rest, order[1:]))
+        perm = tuple(order.index(j) for j in range(len(pos)))
+        plans.append((pos[i][0], first, others, perm))
+    return _Compiled(tuple(template), head, neg, tuple(plans))
 
 
 def _compiled(rule: Rule) -> _Compiled:
@@ -289,7 +298,9 @@ def _ground_coded(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> _Coded:
     one match old atoms only, so each new combination is found once.  A
     body atom reads only the rows of its predicate whose already-bound
     positions match, through the argument index of :class:`_Relation`,
-    and the old/new split is a bisection on the row numbers.  Instances
+    and the old/new split is a bisection on the row numbers.  Each row
+    carries its atom id, so an instance's positive body is the ids of the
+    rows matched and only its head and negative body are keyed.  Instances
     are kept in the order first emitted, deduplicated on their id sets;
     ``ground_cap`` bounds the distinct ones, bodiless ones included.
     """
@@ -325,16 +336,14 @@ def _ground_coded(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> _Coded:
                 derived.append(a)
                 pending.append(a)
 
-    def fire(parts, binding: list) -> None:
-        """Emit the instance of a rule with atom slots ``parts`` that a
-        complete binding gives."""
-        emit(tuple([
-            tuple([
-                atom_id((pred, tuple([binding[s] for s in arg_slots])))
-                for pred, arg_slots in part
-            ])
-            for part in parts
-        ]))
+    def fire(head, neg, perm, binding: list, matched: list) -> None:
+        """Emit the instance of a complete binding: the positive body is
+        the ids of the rows matched, put back into body order."""
+        emit((
+            tuple([atom_id((p, tuple([binding[s] for s in a]))) for p, a in head]),
+            tuple([matched[k] for k in perm]),
+            tuple([atom_id((p, tuple([binding[s] for s in a]))) for p, a in neg]),
+        ))
 
     joined = []
     for rule in p.rules:
@@ -355,23 +364,24 @@ def _ground_coded(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> _Coded:
             pred, args = keys[a]
             if pred not in relations:
                 relations[pred] = _Relation()
-            relations[pred].add(args)
+            relations[pred].add(args, a)
         pending.clear()
-        for template, parts, preds, plans in joined:
-            for order, plan in plans:
-                i = order[0]
-                rel = relations.get(preds[i])
-                if rel is None or len(rel.rows) == mark.get(preds[i], 0):
+        for template, head, neg, plans in joined:
+            for pred, first, others, perm in plans:
+                rel = relations.get(pred)
+                lo = mark.get(pred, 0)
+                if rel is None or len(rel.rows) == lo:
                     continue
-                steps = [(rel, plan[0], mark.get(preds[i], 0), len(rel.rows))]
-                for step, j in zip(plan[1:], order[1:]):
-                    rel = relations.get(preds[j])
+                steps = [(rel, first, lo, len(rel.rows))]
+                for step, other, before_pivot in others:
+                    rel = relations.get(other)
                     if rel is None:
                         break
-                    hi = mark.get(preds[j], 0) if j < i else len(rel.rows)
+                    hi = mark.get(other, 0) if before_pivot else len(rel.rows)
                     steps.append((rel, step, 0, hi))
                 else:
-                    _join(steps, list(template), partial(fire, parts))
+                    _join(steps, list(template), [0] * len(steps),
+                          partial(fire, head, neg, perm))
 
     return _Coded(keys, derived, instances)
 
@@ -584,10 +594,10 @@ def _stable_models(
 
 def _relevant_search(
     p: Program, ground_cap: int
-) -> tuple[int, list[Atom], list[tuple[int, int, int]]]:
+) -> tuple[int, list[_Key], list[tuple[int, int, int]]]:
     """The relevant grounding of ``p`` in the mask form the search takes:
-    its number of instances, the derivable atoms in bit order (atom ``k``
-    is bit ``1 << k``) and the ``(head, pos, neg)`` masks.
+    its number of instances, the coded derivable atoms in bit order (atom
+    ``k`` is bit ``1 << k``) and the ``(head, pos, neg)`` masks.
 
     The head atoms of the relevant grounding are exactly the atoms
     derivable when all negative literals are ignored.  No other atom can
@@ -606,7 +616,7 @@ def _relevant_search(
         return m
 
     masked = [(mask(h), mask(b), mask(n)) for h, b, n in coded.instances]
-    return len(coded.instances), _decode(p, [coded.keys[i] for i in order]), masked
+    return len(coded.instances), [coded.keys[i] for i in order], masked
 
 
 def _decode(p: Program, keys: Iterable[_Key]) -> list[Atom]:
@@ -628,7 +638,8 @@ def answer_sets(
     collects every stable model.  ``candidate_cap`` bounds the number of
     search states examined.
     """
-    instances, atoms, masked = _relevant_search(p, ground_cap)
+    instances, keys, masked = _relevant_search(p, ground_cap)
+    atoms = _decode(p, keys)
     budget = _Budget(candidate_cap)
     out = frozenset(
         _interpretation(atoms, m) for m in _stable_models(masked, budget)
@@ -751,31 +762,31 @@ class Substitution(NamedTuple):
 
 
 def _matches(
-    q: Query, domain: Iterable[Term], atoms: Iterable[Atom]
+    q: Query, domain: Iterable[Term], keys: Iterable[_Key]
 ) -> list[tuple[int, Substitution]]:
-    """Each atom of ``atoms`` that is an instance of ``q`` under a
+    """Each coded atom of ``keys`` that is an instance of ``q`` under a
     substitution into ``domain``, as its index with that substitution.
 
-    The query atom is unified with each atom in turn: a constant must be
-    equal, a repeated variable must take the same value each time, and a
-    substitution with a value outside ``domain`` is dropped.  A ground
-    query matches its own atom under the identity substitution."""
-    allowed = set(domain)
+    The query atom is unified with each ``(predicate, names)`` key: a
+    constant must be equal, a repeated variable must take the same value
+    each time, and a value outside ``domain`` drops the substitution.  A
+    ground query matches its own atom under the identity substitution."""
+    allowed = {t.name for t in domain}
     pred, args = q.atom.predicate, q.atom.args
     out = []
-    for k, a in enumerate(atoms):
-        if a.predicate != pred or len(a.args) != len(args):
+    for k, (p, names) in enumerate(keys):
+        if p != pred or len(names) != len(args):
             continue
-        binding: dict[str, Term] = {}
-        for qt, t in zip(args, a.args):
+        binding: dict[str, str] = {}
+        for qt, name in zip(args, names):
             if qt.is_variable:
-                if binding.setdefault(qt.name, t) != t:
+                if binding.setdefault(qt.name, name) != name:
                     break
-            elif qt != t:
+            elif qt.name != name:
                 break
         else:
             if allowed.issuperset(binding.values()):
-                out.append((k, Substitution.of(binding)))
+                out.append((k, Substitution(tuple(sorted(binding.items())))))
     return out
 
 
@@ -795,7 +806,7 @@ def substitutions_brave(
     """Substitutions into ``domain`` whose query instance holds in at least
     one answer set.  An inconsistent program bravely entails nothing."""
     held = frozenset().union(*report.answer_sets)
-    return frozenset(s for _, s in _matches(q, domain, held))
+    return frozenset(s for _, s in _matches(q, domain, map(_key_of, held)))
 
 
 def substitutions_cautious(
@@ -807,7 +818,7 @@ def substitutions_cautious(
     if not report.answer_sets:
         return _every_substitution(q, domain)
     held = frozenset.intersection(*report.answer_sets)
-    return frozenset(s for _, s in _matches(q, domain, held))
+    return frozenset(s for _, s in _matches(q, domain, map(_key_of, held)))
 
 
 class QueryAnswer(NamedTuple):
@@ -872,8 +883,8 @@ def _answer(
     of the nodes of full enumeration.
     """
     terms = frozenset(universe(p) if domain is None else domain)
-    instances, atoms, masked = _relevant_search(p, ground_cap)
-    found = _matches(q, terms, atoms)
+    instances, keys, masked = _relevant_search(p, ground_cap)
+    found = _matches(q, terms, keys)
     candidates = sum(1 << k for k, _ in found)
     unwitnessed = candidates if "brave" in modes else 0
     unrefuted = candidates if "cautious" in modes else 0

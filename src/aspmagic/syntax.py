@@ -263,8 +263,13 @@ class Rule(_Frozen):
 
 
 def fact(atom: Atom) -> Rule:
-    """A single ground atom as a bodiless rule."""
-    return Rule((atom,))
+    """A single ground atom as a bodiless rule; only a non-ground atom,
+    which makes it unsafe, goes through the checks of :class:`Rule`."""
+    if not atom.is_ground:
+        return Rule((atom,))
+    rule = object.__new__(Rule)
+    rule.__dict__.update(head=(atom,), pos_body=(), neg_body=())
+    return rule
 
 
 def _check_arity(arities: dict[str, int], atom: Atom) -> None:
@@ -341,23 +346,27 @@ class Program(_Frozen):
         """Predicates defined by facts alone, or not defined at all."""
         return frozenset(self._arities) - self.idb_predicates
 
+    @cached_property
+    def _fact_atoms(self) -> frozenset[Atom]:
+        return frozenset(rule.head[0] for rule in self.rules if rule.is_fact)
+
     def with_facts(self, atoms: Iterable[Atom]) -> "Program":
         """A new program extended with the given ground atoms as facts.
 
         Only the added facts are checked: the new program starts from this
-        one's arities and constants instead of walking every rule again."""
+        one's arities and constants instead of walking every rule again,
+        and an atom that is already a fact of this one is left out."""
         arities = dict(self._arities)
-        extra: dict[Rule, None] = {}
         constants: set[Term] = set()
-        for atom in sorted(atoms):
+        atoms = sorted(set(atoms))
+        for atom in atoms:
             if not atom.is_ground:
                 raise ProgramError(f"cannot add non-ground fact {atom}")
             _check_arity(arities, atom)
-            extra[fact(atom)] = None
             constants.update(atom.args)
         out = object.__new__(Program)
-        known = self._rule_set
-        added = (r for r in extra if r not in known)
+        known = self._fact_atoms
+        added = (fact(a) for a in atoms if a not in known)
         out.__dict__.update(
             rules=(*self.rules, *added),
             _arities=arities,

@@ -433,8 +433,9 @@ def _run_bare(code: str) -> str:
 
 
 def test_cli_calls_load_neither_dataclasses_nor_inspect(write):
-    # Text output needs no json and file access no pathlib either.  The
-    # second query applies the rewriting, so the rewriter is loaded.
+    # Text output needs no json, file access no pathlib and the help
+    # width no shutil either.  The second query applies the rewriting, so
+    # the rewriter is loaded.
     path = write(ANCESTRY)
     calls = [
         ["query", path, "--query", "ancestor(p1,p2)?", "--brave", "--rewrite", "off"],
@@ -447,9 +448,22 @@ def test_cli_calls_load_neither_dataclasses_nor_inspect(write):
         "import sys; from aspmagic.cli import main; "
         f"codes = [main(argv) for argv in {calls!r}]; "
         "print(codes, 'aspmagic.rewriter' in sys.modules, sorted("
-        "{'dataclasses', 'inspect', 'json', 'pathlib'} & set(sys.modules)))"
+        "{'dataclasses', 'inspect', 'json', 'pathlib', 'shutil'} & set(sys.modules)))"
     )
     assert out.splitlines()[-1] == "[0, 0, 0, 0, 0] True []"
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200", "0", "wide", None])
+def test_help_width_is_the_one_shutil_gives(monkeypatch, columns):
+    import shutil
+
+    from aspmagic.cli import _help_width
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert _help_width() == shutil.get_terminal_size().columns - 2
 
 
 def test_no_submodule_loads_dataclasses():

@@ -2,6 +2,8 @@
 check and benchmark machinery."""
 
 import json
+import random
+from itertools import product
 
 import pytest
 
@@ -10,6 +12,7 @@ from aspmagic import (
     BenchmarkCell,
     ProgramError,
     Substitution,
+    Term,
     answer_query,
     benchmark_json,
     benchmark_table,
@@ -88,6 +91,41 @@ def test_random_edb_max_facts_thins_the_draw():
     capped = random_edb(p, 1, 1.0, max_facts=3)
     assert len(capped) == 3
     assert capped <= random_edb(p, 1, 1.0)
+
+
+def _edb_by_atoms(p, seed, density, fresh_constants=2, max_facts=None):
+    """The reference draw for ``random_edb``: every candidate is built as
+    an ``Atom`` and the list is sorted before the draw."""
+    pool = set(universe(p))
+    taken = {t.name for t in pool}
+    added, i = 0, 0
+    while added < fresh_constants:
+        i += 1
+        if f"f{i}" not in taken:
+            taken.add(f"f{i}")
+            pool.add(Term(f"f{i}"))
+            added += 1
+    pool = sorted(pool)
+    candidates = []
+    for pred in sorted(p.edb_predicates):
+        for args in product(pool, repeat=p.predicates[pred]):
+            candidates.append(Atom(pred, args))
+    candidates.sort()
+    rng = random.Random(f"edb:{seed}")
+    chosen = [a for a in candidates if rng.random() < density]
+    if max_facts is not None and len(chosen) > max_facts:
+        chosen = rng.sample(chosen, max_facts)
+    return frozenset(chosen)
+
+
+@pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
+def test_random_edb_draws_what_the_atom_list_drew(profile):
+    for seed in range(50):
+        p = random_program(seed, profile)
+        for density, max_facts in ((0.3, None), (0.4, 4), (0.9, 3)):
+            assert random_edb(p, seed, density, max_facts=max_facts) == _edb_by_atoms(
+                p, seed, density, max_facts=max_facts
+            ), (seed, density, max_facts)
 
 
 def test_random_edb_needs_an_extensional_predicate(guarded_pair):

@@ -26,6 +26,7 @@ from aspmagic import (
     answer_sets_via_unfounded,
     base,
     check_equivalence,
+    check_super_consistent,
     const,
     dms,
     dms_with_details,
@@ -185,7 +186,8 @@ def _search_form_of(rules):
 
 
 def _assert_search_reads_ground(p):
-    count, atoms, masked = _relevant_search(p, GROUND_CAP_DEFAULT)
+    count, keys, masked = _relevant_search(p, GROUND_CAP_DEFAULT)
+    atoms = semantics._decode(p, keys)
     assert (count, atoms, masked) == _search_form_of(ground(p).rules)
 
 
@@ -1048,3 +1050,31 @@ def test_the_pipeline_never_grounds_exhaustively(monkeypatch, ancestry):
     assert sorted(str(a) for a in magic_variant(m, q, p)) == FROZEN_VARIANT
     with pytest.raises(AssertionError, match="outside the oracles"):
         is_unfounded_set(frozenset(), p, m)
+
+
+def test_answering_decodes_no_atom(monkeypatch, ancestry, choice_with_odd_loop):
+    # The query is matched against coded atoms; only ``answer_sets`` and
+    # ``ground`` build atoms from the grounding.
+    def refuse(*args, **kwargs):
+        raise AssertionError("decoded atoms while answering")
+
+    monkeypatch.setattr(semantics, "_decode", refuse)
+    p = ancestry.with_facts(_atoms("related(p1,p2)", "related(p2,p3)"))
+    yes = Substitution()
+    x2, x3 = (Substitution((("X", c),)) for c in ("p2", "p3"))
+    for text, mode, expected in [
+        ("ancestor(p1,p3)?", "brave", {yes}),
+        ("ancestor(p1,p3)?", "cautious", set()),
+        ("ancestor(p1,X)?", "brave", {x2, x3}),
+        ("ancestor(p1,X)?", "cautious", set()),
+        ("related(p1,X)?", "cautious", {x2}),
+    ]:
+        q = parse_query(text)
+        for side in (p, dms(q, p)):
+            assert answer_query(side, q, mode).substitutions == expected, (text, mode)
+    q = parse_query("ancestor(p1,X)?")
+    assert check_equivalence(ancestry, q, trials=3).fact_sets_tested == 3
+    verdict = check_super_consistent(choice_with_odd_loop, use_shortcut=False)
+    assert verdict.counterexample == _atoms("q(a)")
+    with pytest.raises(AssertionError, match="decoded atoms"):
+        answer_sets(p)

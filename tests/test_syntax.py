@@ -30,6 +30,8 @@ from aspmagic import (
     gen_related_instance,
     ground,
     parse_program,
+    random_edb,
+    random_program,
     universe,
     var,
 )
@@ -235,6 +237,47 @@ def test_with_facts_equals_a_program_built_from_scratch():
         p.with_facts([Atom("e", (const("a"), const("b")))])
     with pytest.raises(ProgramError, match="arities 2 and 1"):
         extended.with_facts([Atom("r", (const("a"),))])
+
+
+def test_fact_builds_the_rule_of_a_ground_atom():
+    a = Atom("e", (const("a"), const("b")))
+    built = fact(a)
+    assert (built.head, built.pos_body, built.neg_body) == ((a,), (), ())
+    assert built == Rule((a,)) and hash(built) == hash(Rule((a,)))
+    assert built.is_fact and built.atoms() == (a,) and not built.variables()
+    assert repr(built) == "Rule<e(a,b).>"
+    with pytest.raises(AttributeError):
+        built.head = ()
+    with pytest.raises(ProgramError) as caught:
+        fact(Atom("e", (const("a"), var("X"))))
+    assert str(caught.value) == "unsafe rule: X not bound by the positive body in e(a,X)."
+
+
+@pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
+def test_with_facts_appends_the_new_atoms_as_facts_in_atom_order(profile):
+    repeated = 0
+    for seed in range(30):
+        p = random_program(seed, profile)
+        facts = random_edb(p, seed, 0.5)
+        new = facts - {r.head[0] for r in p.rules if r.is_fact}
+        repeated += len(facts) - len(new)
+        extended = p.with_facts([*facts, *facts])
+        scratch = Program((*p.rules, *map(fact, sorted(new))))
+        assert [str(r) for r in extended.rules] == [str(r) for r in scratch.rules]
+        assert extended.rules == scratch.rules
+        assert extended.predicates == scratch.predicates
+        assert extended.constants == scratch.constants
+    assert repeated > 0  # some drawn atoms are facts of the program already
+
+
+def test_with_facts_errors_keep_their_messages():
+    p = parse_program("e(a). p(X) :- e(X).")
+    with pytest.raises(ProgramError) as caught:
+        p.with_facts([Atom("e", (const("b"),)), Atom("e", (var("X"),))])
+    assert str(caught.value) == "cannot add non-ground fact e(X)"
+    with pytest.raises(ProgramError) as caught:
+        p.with_facts([Atom("e", (const("a"), const("b")))])
+    assert str(caught.value) == "predicate e used with arities 1 and 2"
 
 
 def test_query_ground_and_str():
