@@ -27,10 +27,9 @@ _EXPORTS = {
         "print_query",
     ),
     "rewriter": (
-        "AdornedPredicate", "AdornedRule", "DmsResult",
-        "ReservedPredicateError", "Sips", "adorn", "build_query_seed",
-        "default_sips", "dms", "dms_with_details", "generate", "magic_atom",
-        "modify", "split_magic_name",
+        "AdornedPredicate", "DmsResult", "ReservedPredicateError",
+        "build_query_seed", "dms", "dms_with_details", "magic_atom",
+        "split_magic_name",
     ),
     "semantics": (
         "CANDIDATE_CAP_DEFAULT", "GROUND_CAP_DEFAULT", "AnswerSetReport",

@@ -261,7 +261,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     mode = "brave" if args.brave else "cautious"
     answer = answer_query(
         target, q, mode,
-        domain=universe(target) | {t for t in q.atom.args if t.is_constant},
+        domain=universe(p) | {t for t in q.atom.args if t.is_constant},
         ground_cap=args.ground_cap, candidate_cap=args.candidate_cap,
     )
     return _print_query_result(args, q, mode, answer, apply_rewriting)

@@ -385,28 +385,25 @@ class BenchmarkCell(NamedTuple):
     answer: str | None = None
 
 
-def _bench_worker(conn, p: Program, q: Query, mode: str,
+def _bench_worker(conn, n: int, mode: str, rep: int, p: Program, q: Query,
                   ground_cap: int, candidate_cap: int) -> None:
     try:
-        target = dms(q, p) if mode == "dms" else p
         t0 = time.perf_counter()
+        target = dms(q, p) if mode == "dms" else p
         answer = answer_query(
             target, q, "brave", ground_cap=ground_cap, candidate_cap=candidate_cap
         )
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        payload = {
-            "status": "ok",
-            "time_ms": elapsed_ms,
-            "ground_rules": answer.ground_rules,
-            "candidates": answer.candidates_examined,
-            "answer": "yes" if answer.substitutions else "no",
-        }
+        cell = BenchmarkCell(
+            n, mode, rep, "ok", elapsed_ms, answer.ground_rules,
+            answer.candidates_examined, "yes" if answer.substitutions else "no",
+        )
     except SolverCapError as exc:
-        payload = {"status": f"cap exceeded: {exc}"}
+        cell = BenchmarkCell(n, mode, rep, f"cap exceeded: {exc}")
     except Exception as exc:  # surfaced in the report, not swallowed
-        payload = {"status": f"error: {exc}"}
+        cell = BenchmarkCell(n, mode, rep, f"error: {exc}")
     try:
-        conn.send(payload)
+        conn.send(cell)
     finally:
         conn.close()
 
@@ -425,10 +422,10 @@ def run_benchmark(
 
     Each cell answers the query through :func:`answer_query`, the directed
     search that ``aspmagic query --brave`` runs, and reports the size of
-    the relevant grounding and the search states it took.  Every cell runs
-    in a forked worker, which inherits the instance, killed at ``timeout``
-    seconds, so a blown-up size yields a timeout row instead of hanging
-    the run.
+    the relevant grounding and the search states it took; a dms cell's
+    time includes the rewriting.  Every cell runs in a forked worker, which
+    inherits the instance, killed at ``timeout`` seconds, so a blown-up size
+    yields a timeout row instead of hanging the run.
     """
     if mode not in ("plain", "dms", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -444,8 +441,8 @@ def run_benchmark(
                 recv_end, send_end = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_bench_worker,
-                    args=(send_end, inst.program, inst.query, m, ground_cap,
-                          candidate_cap),
+                    args=(send_end, n, m, rep, inst.program, inst.query,
+                          ground_cap, candidate_cap),
                 )
                 proc.start()
                 send_end.close()
@@ -454,22 +451,11 @@ def run_benchmark(
                     proc.terminate()
                     proc.join()
                     cells.append(BenchmarkCell(n, m, rep, "timeout"))
+                elif recv_end.poll():
+                    cells.append(recv_end.recv())
                 else:
-                    if recv_end.poll():
-                        got = recv_end.recv()
-                    else:
-                        got = {"status": "error: worker produced no result"}
                     cells.append(
-                        BenchmarkCell(
-                            n=n,
-                            mode=m,
-                            rep=rep,
-                            status=got["status"],
-                            time_ms=got.get("time_ms"),
-                            ground_rules=got.get("ground_rules"),
-                            candidates=got.get("candidates"),
-                            answer=got.get("answer"),
-                        )
+                        BenchmarkCell(n, m, rep, "error: worker produced no result")
                     )
                 recv_end.close()
     return tuple(cells)

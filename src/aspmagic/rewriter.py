@@ -7,17 +7,24 @@ it emits a ``magic`` rule deriving the relevant bindings, and guards the
 original rule with the magic version of each head atom, so that only
 derivations reachable from the query can fire.
 
-The default binding strategy processes each rule head-first and then the
-positive body left to right; an atom is made to precede a later one exactly
-when it contributes at least one new bound variable to it.  Negative body
-atoms and non-selected head atoms receive bindings but never pass them on.
+Each rule is rewritten once per matching head atom and adorned predicate,
+in the paper's three steps (Adorn, Generate, Modify) under one fixed
+binding strategy.  The selected head binds the variables at its ``b``
+positions.  Every other atom is *fed* by some positive body atoms: a
+positive atom by earlier ones, a negative body atom or another head atom by
+all of them.  Scanning those candidates in body order, a candidate feeds
+the target when it holds a variable of the target that neither the head
+nor an earlier feeding candidate already covers; the target then also takes
+that candidate's own feeds.  An argument is bound when it is a constant,
+bound by the head or a variable of a feeding atom.  Each adorned atom's
+magic rule derives its bindings from the selected head's magic atom and
+its feeds; negative and head atoms receive bindings but pass none on.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .syntax import (
     Atom,
@@ -35,15 +42,9 @@ __all__ = [
     "MAGIC_PREFIX",
     "ReservedPredicateError",
     "AdornedPredicate",
-    "AdornedRule",
-    "Sips",
     "DmsResult",
     "magic_atom",
     "split_magic_name",
-    "default_sips",
-    "adorn",
-    "generate",
-    "modify",
     "build_query_seed",
     "dms",
     "dms_with_details",
@@ -105,222 +106,60 @@ def split_magic_name(name: str) -> tuple[str, str] | None:
     return pred, adornment
 
 
-class Sips(_Frozen):
-    """A per-rule binding strategy: a strict partial order on the rule's
-    atoms plus the variables each atom makes bound.
-
-    Only the selected head atom and positive body atoms may pass bindings;
-    the selected head atom precedes every other atom, while negative body
-    atoms and the remaining head atoms precede nothing.
-    """
-
-    _fields = ("rule", "selected", "after", "bound")
-
-    def __init__(
-        self,
-        rule: Rule,
-        selected: Atom,
-        after: Mapping[Atom, frozenset[Atom]],
-        bound: Mapping[Atom, frozenset[str]],
-    ) -> None:
-        self.__dict__.update(rule=rule, selected=selected, after=after, bound=bound)
-        self._validate()
-
-    def precedes(self, a: Atom, b: Atom) -> bool:
-        return b in self.after.get(a, frozenset())
-
-    def bound_vars(self, a: Atom) -> frozenset[str]:
-        return self.bound.get(a, frozenset())
-
-    def _validate(self) -> None:
-        atoms = self.rule.atoms()
-        atom_set = set(atoms)
-        if self.selected not in self.rule.head:
-            raise ProgramError(f"{self.selected} is not a head atom of {self.rule}")
-        pos = set(self.rule.pos_body)
-        # an atom recurring in several roles counts as a source if any of
-        # its occurrences is one, hence selected and positive atoms are
-        # removed from the passive side
-        passive = (set(self.rule.head) | set(self.rule.neg_body)) - pos - {self.selected}
-        for a, succ in self.after.items():
-            if a not in atom_set or (succ - atom_set):
-                raise ProgramError("precedence mentions a foreign atom")
-            if a in succ:
-                raise ProgramError(f"precedence is not irreflexive at {a}")
-            if a in passive and succ:
-                raise ProgramError(f"{a} may not precede other atoms")
-            for b in succ:
-                missing = self.after.get(b, frozenset()) - succ
-                if missing:
-                    raise ProgramError("precedence is not transitive")
-        others = atom_set - {self.selected}
-        if others - self.after.get(self.selected, frozenset()):
-            raise ProgramError("the selected head atom must precede every atom")
-        for a, vs in self.bound.items():
-            if vs and a != self.selected and a not in pos:
-                raise ProgramError(f"{a} cannot be a binding source")
-            if vs - a.variables():
-                raise ProgramError(f"bound variables {sorted(vs)} not in {a}")
-
-
-def default_sips(rule: Rule, head_atom: Atom, adornment: str) -> Sips:
-    """The default binding strategy for ``head_atom`` selected under
-    ``adornment``.
-
-    Scanning targets in textual order (positive body, then negative body,
-    then the other head atoms), a positive body atom is placed before a
-    target exactly when it covers a variable of the target that neither the
-    selected head nor an earlier contributing atom already bound.
-    """
+def _rewrite_rule(
+    rule: Rule, head_atom: Atom, adornment: str, idb: frozenset[str]
+) -> tuple[tuple[AdornedPredicate, ...], tuple[Rule, ...], Rule]:
+    """Adorn, Generate and Modify ``rule`` with ``head_atom`` selected under
+    ``adornment``: the adorned predicates of its intensional atoms (the
+    selected head's first, the others in textual order), their magic rules,
+    and the guarded rule."""
     if len(adornment) != head_atom.arity:
-        raise ProgramError(
-            f"adornment {adornment!r} does not fit {head_atom}"
-        )
+        raise ProgramError(f"adornment {adornment!r} does not fit {head_atom}")
     head_bound = frozenset(
         t.name
         for t, label in zip(head_atom.args, adornment)
         if label == "b" and t.is_variable
     )
-    bound: dict[Atom, frozenset[str]] = {head_atom: head_bound}
-    pos_atoms = [a for a in rule.pos_body if a != head_atom]
-    for a in pos_atoms:
-        bound[a] = a.variables()
+    pos = [a for a in rule.pos_body if a != head_atom]
+    feeds: dict[Atom, set[Atom]] = {}
 
-    after: dict[Atom, set[Atom]] = {a: set() for a in rule.atoms()}
-    after[head_atom] = {a for a in rule.atoms() if a != head_atom}
-
-    def place_sources(target: Atom, sources: list[Atom]) -> None:
+    def feeders(target: Atom, sources: list[Atom]) -> set[Atom]:
         covered = set(head_bound)
+        target_vars = target.variables()
+        out: set[Atom] = set()
         for s in sources:
-            gain = (s.variables() & target.variables()) - covered
-            if gain:
-                after[s].add(target)
-                covered |= bound[s]
+            if (s.variables() & target_vars) - covered:
+                out.add(s)
+                out |= feeds[s]
+                covered |= s.variables()
+        return out
 
-    for i, target in enumerate(pos_atoms):
-        place_sources(target, pos_atoms[:i])
-    passive = [a for a in (*rule.neg_body, *rule.head) if a not in (head_atom, *pos_atoms)]
-    for target in passive:
-        place_sources(target, pos_atoms)
+    for i, target in enumerate(pos):
+        feeds[target] = feeders(target, pos[:i])
+    for target in (*rule.neg_body, *rule.head):
+        if target != head_atom and target not in feeds:
+            feeds[target] = feeders(target, pos)
 
-    # transitive closure, so chained contributions stay a partial order
-    changed = True
-    while changed:
-        changed = False
-        for a in pos_atoms:
-            extra = set()
-            for b in after[a]:
-                extra |= after.get(b, set()) - after[a] - {a}
-            if extra:
-                after[a] |= extra
-                changed = True
-
-    return Sips(
-        rule=rule,
-        selected=head_atom,
-        after={a: frozenset(s) for a, s in after.items() if s},
-        bound=bound,
-    )
-
-
-class AdornedRule(_Frozen):
-    """A rule together with the adornment of each of its intensional atoms;
-    extensional atoms carry no adornment."""
-
-    _fields = ("rule", "selected", "adornments")
-
-    def __init__(
-        self, rule: Rule, selected: Atom, adornments: Mapping[Atom, str]
-    ) -> None:
-        self.__dict__.update(rule=rule, selected=selected, adornments=adornments)
-
-    def adornment_of(self, atom: Atom) -> str | None:
-        return self.adornments.get(atom)
-
-    @cached_property
-    def selected_pred(self) -> AdornedPredicate:
-        return AdornedPredicate(self.selected.predicate, self.adornments[self.selected])
-
-    def adorned_predicates(self) -> tuple[AdornedPredicate, ...]:
-        out = []
-        for atom in self.rule.atoms():
-            a = self.adornments.get(atom)
-            if a is not None:
-                out.append(AdornedPredicate(atom.predicate, a))
-        return tuple(dict.fromkeys(out))
-
-
-def adorn(
-    rule: Rule,
-    ap: AdornedPredicate,
-    head_atom: Atom,
-    sips: Sips,
-    idb: frozenset[str],
-) -> AdornedRule:
-    """Adorn ``rule`` for the selected ``head_atom`` bound as ``ap`` says.
-
-    A variable of an atom counts as bound when the selected head atom binds
-    it, or some positive body atom placed before that atom by ``sips`` does.
-    Constant arguments are always bound.
-    """
-    if head_atom.predicate != ap.predicate:
-        raise ProgramError(f"{head_atom} does not match {ap}")
-    adornments: dict[Atom, str] = {head_atom: ap.adornment}
+    adorned = {head_atom: AdornedPredicate(head_atom.predicate, adornment)}
     for atom in rule.atoms():
-        if atom == head_atom or atom.predicate not in idb:
-            continue
-        labels = []
-        for t in atom.args:
-            if t.is_constant:
-                labels.append("b")
-                continue
-            is_bound = t.name in sips.bound_vars(sips.selected)
-            if not is_bound:
-                for b in rule.pos_body:
-                    if sips.precedes(b, atom) and t.name in sips.bound_vars(b):
-                        is_bound = True
-                        break
-            labels.append("b" if is_bound else "f")
-        adornments[atom] = "".join(labels)
-    return AdornedRule(rule=rule, selected=head_atom, adornments=adornments)
+        if atom != head_atom and atom.predicate in idb:
+            bound = head_bound.union(*(s.variables() for s in feeds[atom]))
+            adorned[atom] = AdornedPredicate(atom.predicate, "".join(
+                "b" if t.is_constant or t.name in bound else "f" for t in atom.args
+            ))
 
-
-def generate(ra: AdornedRule, sips: Sips) -> tuple[Rule, ...]:
-    """The magic rules of an adorned rule: one per adorned atom other than
-    the selected head, deriving its relevant bindings from the magic version
-    of the selected head plus whatever atoms the strategy placed before it.
-    Body atoms appear with their original predicates."""
-    seed_atom = magic_atom(ra.selected_pred, ra.selected.args)
-    out = []
-    for atom in ra.rule.atoms():
-        if atom == ra.selected:
-            continue
-        adornment = ra.adornment_of(atom)
-        if adornment is None:
-            continue
-        head = magic_atom(AdornedPredicate(atom.predicate, adornment), atom.args)
-        body = [seed_atom]
-        body += [
-            b for b in ra.rule.atoms() if b != ra.selected and sips.precedes(b, atom)
-        ]
-        out.append(Rule((head,), body))
-    return tuple(out)
-
-
-def modify(ra: AdornedRule) -> Rule:
-    """The guarded version of an adorned rule: the original rule with the
-    magic version of every head atom prepended to the positive body."""
-    guards = []
-    for h in ra.rule.head:
-        adornment = ra.adornment_of(h)
-        if adornment is None:
-            raise ProgramError(f"head atom {h} is not adorned")
-        guards.append(magic_atom(AdornedPredicate(h.predicate, adornment), h.args))
-    return Rule(
-        ra.rule.head,
-        (*guards, *ra.rule.pos_body),
-        ra.rule.neg_body,
+    guard = magic_atom(adorned[head_atom], head_atom.args)
+    magic_rules = tuple(
+        Rule(
+            (magic_atom(ap, atom.args),),
+            (guard, *(b for b in rule.atoms() if b in feeds[atom])),
+        )
+        for atom, ap in adorned.items()
+        if atom != head_atom
     )
+    guards = (magic_atom(adorned[h], h.args) for h in rule.head)
+    modified = Rule(rule.head, (*guards, *rule.pos_body), rule.neg_body)
+    return tuple(dict.fromkeys(adorned.values())), magic_rules, modified
 
 
 def _check_magic_free(p: Program, q: Query) -> None:
@@ -370,9 +209,8 @@ def dms_with_details(q: Query, p: Program) -> DmsResult:
     """Rewrite ``p`` for query ``q`` and keep the parts separate.
 
     Adorned predicates are processed first-in first-out, each exactly once;
-    for every defining rule of the popped predicate the binding strategy is
-    built, the rule adorned, its magic rules generated and its guarded
-    version collected.  The result combines the seed, the magic rules, the
+    every defining rule of the popped predicate is adorned, its magic rules
+    generated and its guarded version collected.  The result combines the seed, the magic rules, the
     guarded rules and the extensional part of the program.  The seed keeps
     every constant of the query, so they all belong to the rewriting's
     universe; an extensional query predicate defines no rule, so its
@@ -394,14 +232,15 @@ def dms_with_details(q: Query, p: Program) -> DmsResult:
             for head_atom in rule.head:
                 if head_atom.predicate != ap.predicate:
                     continue
-                sips = default_sips(rule, head_atom, ap.adornment)
-                ra = adorn(rule, ap, head_atom, sips, idb)
-                for new_ap in ra.adorned_predicates():
+                adorned, magic, modified = _rewrite_rule(
+                    rule, head_atom, ap.adornment, idb
+                )
+                for new_ap in adorned:
                     if new_ap not in seen:
                         seen.add(new_ap)
                         queue.append(new_ap)
-                magic_rules.extend(generate(ra, sips))
-                modified_rules.append(modify(ra))
+                magic_rules.extend(magic)
+                modified_rules.append(modified)
 
     magic_part = tuple(dict.fromkeys(magic_rules))
     modified_part = tuple(dict.fromkeys(modified_rules))

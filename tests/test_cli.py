@@ -135,6 +135,19 @@ def test_forced_rewriting_warns_on_odd_cycles(write, capsys):
     assert captured.out == "yes\n"
 
 
+def test_rewritten_cautious_query_answers_over_the_programs_constants(
+    write, capsys
+):
+    # inconsistent, so every substitution is cautiously entailed; the
+    # rewriting drops t's rule and c with it, yet c stays in the domain
+    path = write("q(X) :- r(X), not q(X).\nr(a).\nt(c) :- r(a).\n")
+    for rewrite in ("on", "off"):
+        assert main([
+            "query", path, "--query", "q(X)?", "--cautious", "--rewrite", rewrite,
+        ]) == 0
+        assert capsys.readouterr().out == "X = a\nX = c\n"
+
+
 def test_structured_query_reports_the_rewriting_flag(write, capsys):
     path = write(ANCESTRY)
     code = main([

@@ -321,6 +321,22 @@ def test_run_benchmark_times_the_query_search():
         assert by_mode[mode].answer == "yes"
 
 
+def test_run_benchmark_times_the_rewriting(monkeypatch):
+    import time
+
+    import aspmagic.harness
+
+    def slow_dms(q, p):
+        time.sleep(0.2)
+        return dms(q, p)
+
+    # patched before the fork, so the worker inherits it
+    monkeypatch.setattr(aspmagic.harness, "dms", slow_dms)
+    (cell,) = run_benchmark([2], mode="dms")
+    assert cell.status == "ok" and cell.answer == "yes"
+    assert cell.time_ms >= 200
+
+
 def test_run_benchmark_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode"):
         run_benchmark([1], mode="fast")

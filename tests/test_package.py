@@ -10,7 +10,7 @@ import aspmagic
 
 
 def test_every_export_is_the_defining_modules_object():
-    assert len(aspmagic.__all__) == len(set(aspmagic.__all__)) == 70
+    assert len(aspmagic.__all__) == len(set(aspmagic.__all__)) == 64
     for name in aspmagic.__all__:
         value = getattr(aspmagic, name)
         home = importlib.import_module(f"aspmagic.{aspmagic._HOME[name]}")
@@ -45,7 +45,9 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 @pytest.mark.parametrize(
-    "name", ["GroundProgram", "reduct", "is_model", "brave", "cautious"]
+    "name",
+    ["GroundProgram", "reduct", "is_model", "brave", "cautious", "Sips",
+     "AdornedRule", "default_sips", "adorn", "generate", "modify"],
 )
 def test_removed_names_raise_attribute_error(name):
     with pytest.raises(AttributeError, match=name):

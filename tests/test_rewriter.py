@@ -12,18 +12,13 @@ from aspmagic import (
     ProgramError,
     Program,
     ReservedPredicateError,
-    Sips,
-    adorn,
     answer_sets,
     build_query_seed,
     check_equivalence,
     const,
-    default_sips,
     dms,
     dms_with_details,
-    generate,
     magic_atom,
-    modify,
     parse_program,
     parse_query,
     random_program,
@@ -34,131 +29,101 @@ from aspmagic import (
 )
 
 
-def _rule(p, idx):
-    return p.rules[idx]
+def _ancestry_rewriting(ancestry):
+    return dms_with_details(parse_query("ancestor(p1,p2)?"), ancestry)
 
 
-# ancestry rule positions: 0 father, 1 brother, 2 ancestor base, 3 ancestor step
+def _texts(rules):
+    return {str(r) for r in rules}
+
+
+# father(X,Y) :- related(X,Y), not brother(X,Y). is reached as father^bb
+# from the base rule and as father^bf from the recursive step
 
 
 def test_default_sips_head_binds_everything_when_fully_bound(ancestry):
-    father_rule = _rule(ancestry, 0)
-    s = default_sips(father_rule, father_rule.head[0], "bb")
-    related, brother = father_rule.pos_body[0], father_rule.neg_body[0]
-    assert s.bound_vars(s.selected) == {"X", "Y"}
-    assert s.precedes(s.selected, related)
-    assert s.precedes(s.selected, brother)
-    # with both variables bound by the head, related contributes nothing
-    assert not s.precedes(related, brother)
+    magic = _texts(_ancestry_rewriting(ancestry).magic_rules)
+    # with both variables bound by the head, related passes nothing on
+    assert "magic_brother_bb(X,Y) :- magic_father_bb(X,Y)." in magic
 
 
 def test_default_sips_body_source_used_when_needed(ancestry):
-    father_rule = _rule(ancestry, 0)
-    s = default_sips(father_rule, father_rule.head[0], "bf")
-    related, brother = father_rule.pos_body[0], father_rule.neg_body[0]
-    assert s.bound_vars(s.selected) == {"X"}
-    assert s.precedes(related, brother)  # related now supplies Y
-    assert s.bound_vars(related) == {"X", "Y"}
-    assert s.bound_vars(brother) == frozenset()
+    magic = _texts(_ancestry_rewriting(ancestry).magic_rules)
+    # under father^bf, related supplies Y
+    assert "magic_brother_bb(X,Y) :- magic_father_bf(X), related(X,Y)." in magic
 
 
 def test_default_sips_chains_through_positive_body(ancestry):
-    step = _rule(ancestry, 3)  # ancestor(X,Y) :- father(X,Z), ancestor(Z,Y).
-    s = default_sips(step, step.head[0], "bb")
-    father_atom, ancestor_atom = step.pos_body
-    assert s.precedes(father_atom, ancestor_atom)
-    assert not s.precedes(ancestor_atom, father_atom)
-
-
-def test_sips_rejects_passive_atoms_as_sources(ancestry):
-    father_rule = _rule(ancestry, 0)
-    brother = father_rule.neg_body[0]
-    with pytest.raises(ProgramError, match="may not precede"):
-        Sips(
-            rule=father_rule,
-            selected=father_rule.head[0],
-            after={
-                father_rule.head[0]: frozenset(father_rule.atoms()[1:]),
-                brother: frozenset({father_rule.pos_body[0]}),
-            },
-            bound={},
-        )
-
-
-def test_sips_requires_selected_head_first(ancestry):
-    father_rule = _rule(ancestry, 0)
-    with pytest.raises(ProgramError, match="selected head"):
-        Sips(rule=father_rule, selected=father_rule.head[0], after={}, bound={})
-
-
-def test_sips_requires_transitivity():
-    p = parse_program("h(X) :- e(X,Y), f(Y,Z), g(Z).")
-    rule = p.rules[0]
-    e, f, g = rule.pos_body
-    with pytest.raises(ProgramError, match="transitive"):
-        Sips(
-            rule=rule,
-            selected=rule.head[0],
-            after={
-                rule.head[0]: frozenset((e, f, g)),
-                e: frozenset({f}),
-                f: frozenset({g}),
-            },
-            bound={},
-        )
+    magic = _texts(_ancestry_rewriting(ancestry).magic_rules)
+    # ancestor(X,Y) :- father(X,Z), ancestor(Z,Y). under ancestor^bb:
+    # father feeds ancestor, never the other way round
+    assert "magic_ancestor_bb(Z,Y) :- magic_ancestor_bb(X,Y), father(X,Z)." in magic
+    assert "magic_father_bf(X) :- magic_ancestor_bb(X,Y)." in magic
 
 
 def test_default_sips_closure_keeps_chains_ordered():
-    p = parse_program("h(X) :- e(X,Y), f(Y,Z), g(Z).")
-    rule = p.rules[0]
-    e, f, g = rule.pos_body
-    s = default_sips(rule, rule.head[0], "b")
-    assert s.precedes(e, f) and s.precedes(f, g)
-    assert s.precedes(e, g)  # forced by transitivity
+    p = parse_program("h(X) :- e(X,Y), f(Y,Z), g(Z). g(Z) :- d(Z).")
+    d = dms_with_details(parse_query("h(a)?"), p)
+    # f feeds g directly, and e comes along because it feeds f
+    assert [str(r) for r in d.magic_rules] == [
+        "magic_h_b(a).",
+        "magic_g_b(Z) :- magic_h_b(X), e(X,Y), f(Y,Z).",
+    ]
 
 
 def test_adorn_marks_bound_positions(ancestry):
-    step = _rule(ancestry, 3)
-    idb = ancestry.idb_predicates
-    ap = AdornedPredicate("ancestor", "bb")
-    s = default_sips(step, step.head[0], "bb")
-    ra = adorn(step, ap, step.head[0], s, idb)
-    father_atom, ancestor_atom = step.pos_body
-    assert ra.adornment_of(father_atom) == "bf"
-    assert ra.adornment_of(ancestor_atom) == "bb"  # Z flows in from father
+    adorned = _ancestry_rewriting(ancestry).adorned
+    # in the recursive step, father gets X from the head, and ancestor gets
+    # Z from father
+    assert AdornedPredicate("father", "bf") in adorned
+    assert AdornedPredicate("ancestor", "bb") in adorned
 
 
 def test_adorn_skips_extensional_atoms(ancestry):
-    father_rule = _rule(ancestry, 0)
-    s = default_sips(father_rule, father_rule.head[0], "bb")
-    ra = adorn(
-        father_rule, AdornedPredicate("father", "bb"), father_rule.head[0],
-        s, ancestry.idb_predicates,
-    )
-    assert ra.adornment_of(father_rule.pos_body[0]) is None  # related is EDB
-    assert ra.adornment_of(father_rule.neg_body[0]) == "bb"
+    adorned = _ancestry_rewriting(ancestry).adorned
+    assert {ap.predicate for ap in adorned} == {"ancestor", "father", "brother"}
+    assert AdornedPredicate("brother", "bb") in adorned
 
 
 def test_generate_golden_rules_for_the_recursive_step(ancestry):
-    step = _rule(ancestry, 3)
-    s = default_sips(step, step.head[0], "bb")
-    ra = adorn(step, AdornedPredicate("ancestor", "bb"), step.head[0], s,
-               ancestry.idb_predicates)
-    produced = {str(r) for r in generate(ra, s)}
-    assert produced == {
+    magic = _ancestry_rewriting(ancestry).magic_rules
+    # after the seed and the one magic rule of the base rule
+    assert [str(r) for r in magic[2:4]] == [
         "magic_father_bf(X) :- magic_ancestor_bb(X,Y).",
         "magic_ancestor_bb(Z,Y) :- magic_ancestor_bb(X,Y), father(X,Z).",
-    }
+    ]
 
 
 def test_modify_prepends_magic_guards(ancestry):
-    father_rule = _rule(ancestry, 0)
-    s = default_sips(father_rule, father_rule.head[0], "bf")
-    ra = adorn(father_rule, AdornedPredicate("father", "bf"), father_rule.head[0],
-               s, ancestry.idb_predicates)
-    assert str(modify(ra)) == (
+    modified = _texts(_ancestry_rewriting(ancestry).modified_rules)
+    assert (
         "father(X,Y) :- magic_father_bf(X), related(X,Y), not brother(X,Y)."
+        in modified
     )
+
+
+def test_dms_selects_a_non_first_disjunctive_head():
+    p = parse_program("""
+        h(X) :- e(X,Y), f(Y,Z), g(Z).  g(Z) :- d(Z).
+        p(X) v q(X) :- r(X), not s(X).  s(X) :- r(X).  r(a).
+    """)
+    d = dms_with_details(parse_query("q(a)?"), p)
+    assert [str(r) for r in d.program.rules] == [
+        "magic_q_b(a).",
+        "magic_p_b(X) :- magic_q_b(X).",
+        "magic_s_b(X) :- magic_q_b(X).",
+        "magic_q_b(X) :- magic_p_b(X).",
+        "magic_s_b(X) :- magic_p_b(X).",
+        "p(X) v q(X) :- magic_p_b(X), magic_q_b(X), r(X), not s(X).",
+        "s(X) :- magic_s_b(X), r(X).",
+        "r(a).",
+    ]
+
+
+def test_query_arity_mismatch_keeps_its_message():
+    p = parse_program("p(X) :- e(X).")
+    with pytest.raises(ProgramError, match=r"^adornment 'ff' does not fit p\(X\)$"):
+        dms(parse_query("p(X,Y)?"), p)
 
 
 GOLDEN_MAGIC = """

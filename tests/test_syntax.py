@@ -20,10 +20,8 @@ from aspmagic import (
     ScVerdict,
     Substitution,
     Term,
-    adorn,
     base,
     const,
-    default_sips,
     dms_with_details,
     edb_idb_split,
     fact,
@@ -360,13 +358,9 @@ def test_identity_classes_freeze_and_print_their_fields():
     inst = gen_related_instance(2)
     p = inst.program
     rule = p.rules[3]
-    sips = default_sips(rule, rule.head[0], "bb")
-    adorned = adorn(rule, AdornedPredicate("ancestor", "bb"), rule.head[0], sips,
-                    p.idb_predicates)
     details = dms_with_details(inst.query, p)
     for obj, field in ((rule, "head"), (p, "rules"), (p, "constants"),
-                       (sips, "rule"), (adorned, "rule"), (details, "program"),
-                       (inst, "n"), (inst, "program")):
+                       (details, "program"), (inst, "n"), (inst, "program")):
         for name in (field, "extra"):
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
@@ -374,20 +368,14 @@ def test_identity_classes_freeze_and_print_their_fields():
             delattr(obj, field)
     # cached properties still fill in once
     assert inst.program is p
-    assert adorned.selected_pred is adorned.selected_pred
     assert repr(inst) == (
         f"RelatedInstance(n=2, persons={inst.persons!r}, facts={inst.facts!r}, "
         f"query={inst.query!r})"
     )
-    assert repr(adorned) == (
-        f"AdornedRule(rule={rule!r}, selected={rule.head[0]!r}, "
-        f"adornments={adorned.adornments!r})"
-    )
-    assert repr(sips).startswith(f"Sips(rule={rule!r}, selected=")
     assert repr(details).startswith(f"DmsResult(program={details.program!r}, seed=")
     # they compare by identity
-    again = default_sips(rule, rule.head[0], "bb")
-    assert again != sips and again.after == sips.after
+    again = dms_with_details(inst.query, p)
+    assert again != details and again.program == details.program
 
 
 def test_program_survives_pickle_and_deepcopy():
