@@ -11,8 +11,8 @@ rewriting relies on.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations, product
-from typing import NamedTuple
+from itertools import combinations, islice, product
+from typing import Iterator, NamedTuple
 
 from .semantics import (
     CANDIDATE_CAP_DEFAULT,
@@ -168,14 +168,21 @@ def _witness_constants(p: Program) -> list[Term]:
     return sorted(universe(p) | set(fresh))
 
 
+def _candidate_atoms(p: Program) -> Iterator[Atom]:
+    """Every atom a hostile fact set could contain, built one at a time in
+    sorted order: predicates by name, then arguments over the sorted
+    witness constants."""
+    consts = _witness_constants(p)
+    return (
+        Atom(pred, args)
+        for pred, arity in sorted(p.predicates.items())
+        for args in product(consts, repeat=arity)
+    )
+
+
 def sc_candidate_atoms(p: Program) -> tuple[Atom, ...]:
     """Every atom a hostile fact set could contain, in sorted order."""
-    consts = _witness_constants(p)
-    atoms = []
-    for pred, arity in sorted(p.predicates.items()):
-        for args in product(consts, repeat=arity):
-            atoms.append(Atom(pred, args))
-    return tuple(sorted(atoms))
+    return tuple(_candidate_atoms(p))
 
 
 def check_super_consistent(
@@ -196,7 +203,9 @@ def check_super_consistent(
     these searches."""
     if use_shortcut and is_odd_cycle_free(p):
         return ScVerdict(ScStatus.SUPER_CONSISTENT, via_shortcut=True)
-    candidates = sc_candidate_atoms(p)
+    # Every single atom is tried before any pair, so a search stopped by
+    # the budget never looks past the first ``budget`` atoms.
+    candidates = tuple(islice(_candidate_atoms(p), budget + 1))
     tested = 0
     for size in range(len(candidates) + 1):
         for combo in combinations(candidates, size):

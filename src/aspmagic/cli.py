@@ -8,6 +8,12 @@ program, differential-test the rewriting, and run the grid benchmark.
 (``diff`` once per side for both modes), so a bench cell takes the search
 states ``query --brave`` reports; only ``solve`` enumerates every answer set.
 
+Each subcommand builds its report once, as one record: ``--format
+structured`` prints that record as indented JSON, and the text output (the
+CSV table, for ``bench``) is rendered from the same record, so a field is
+added in one place.  ``rewrite`` takes no cap options, since it neither
+grounds nor searches.
+
 A call loads only the modules its subcommand runs, and argparse builds
 only that subcommand's arguments.  The parser, syntax and semantics
 modules load with this one; ``query`` adds the analysis module when it
@@ -36,7 +42,6 @@ from .parser import SourceError, parse_program, parse_query, print_program
 from .semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
-    QueryAnswer,
     SolverCapError,
     answer_query,
     answer_sets,
@@ -102,15 +107,16 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         if name not in argv:
             return None
-        p.add_argument(
-            "--ground-cap", type=_positive_int, default=GROUND_CAP_DEFAULT,
-            help="largest allowed number of ground rule instances; only "
-                 "instances whose positive body is derivable are counted",
-        )
-        p.add_argument(
-            "--candidate-cap", type=_positive_int, default=CANDIDATE_CAP_DEFAULT,
-            help="largest allowed number of candidate states",
-        )
+        if name != "rewrite":  # the one subcommand that neither grounds nor searches
+            p.add_argument(
+                "--ground-cap", type=_positive_int, default=GROUND_CAP_DEFAULT,
+                help="largest allowed number of ground rule instances; only "
+                     "instances whose positive body is derivable are counted",
+            )
+            p.add_argument(
+                "--candidate-cap", type=_positive_int, default=CANDIDATE_CAP_DEFAULT,
+                help="largest allowed number of candidate states",
+            )
         p.add_argument(
             "--format", choices=("text", "structured"), default="text",
             help="plain text or JSON output",
@@ -170,12 +176,17 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     return root
 
 
-def _print_json(record: dict, indent: int | None = 2) -> None:
-    """Print ``record`` as JSON; ``json`` is imported here, so that a call
+def _report(args: argparse.Namespace, record: dict | str, lines) -> None:
+    """Print a report: under ``--format structured`` its ``record`` as
+    indented JSON (or as the JSON text given), else the text ``lines``
+    rendered from that record.  ``json`` is imported here, so that a call
     printing text does not load it."""
-    import json
+    if args.format == "structured":
+        import json
 
-    print(json.dumps(record, indent=indent))
+        print(record if isinstance(record, str) else json.dumps(record, indent=2))
+    else:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
 def _load_program(path: str) -> Program:
@@ -205,12 +216,8 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 
     p = _load_program(args.program)
     q = _load_query(args.query, p)
-    rewritten = dms(q, p)
-    text = print_program(rewritten)
-    if args.format == "structured":
-        _print_json({"rules": text.splitlines()})
-    else:
-        sys.stdout.write(text)
+    record = {"rules": print_program(dms(q, p)).splitlines()}
+    _report(args, record, record["rules"])
     return 0
 
 
@@ -219,20 +226,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     report = answer_sets(
         p, ground_cap=args.ground_cap, candidate_cap=args.candidate_cap
     )
-    ordered = sorted(
-        report.answer_sets,
-        key=lambda m: (len(m), tuple(sorted(str(a) for a in m))),
+    # sorted strings keep the order of sorted atoms: "(", "," and ")" sort
+    # below every character of a name
+    listed = sorted(
+        (sorted(map(str, m)) for m in report.answer_sets), key=lambda m: (len(m), m)
     )[: args.max]
-    if args.format == "structured":
-        records = [sorted(str(a) for a in m) for m in ordered]
-        _print_json({
-            "answer_sets": records,
-            "count": len(report.answer_sets),
-            "candidates_examined": report.candidates_examined,
-        })
-    else:
-        for m in ordered:
-            print("{" + ", ".join(str(a) for a in sorted(m)) + "}")
+    record = {
+        "answer_sets": listed,
+        "count": len(report.answer_sets),
+        "candidates_examined": report.candidates_examined,
+    }
+    _report(args, record, ("{" + ", ".join(m) + "}" for m in listed))
     return 0
 
 
@@ -264,31 +268,18 @@ def _cmd_query(args: argparse.Namespace) -> int:
         domain=universe(p) | {t for t in q.atom.args if t.is_constant},
         ground_cap=args.ground_cap, candidate_cap=args.candidate_cap,
     )
-    return _print_query_result(args, q, mode, answer, apply_rewriting)
-
-
-def _print_query_result(
-    args, q: Query, mode: str, answer: QueryAnswer, rewritten: bool
-) -> int:
     record = {
-        "query": str(q), "mode": mode, "rewriting_applied": rewritten,
+        "query": str(q), "mode": mode, "rewriting_applied": apply_rewriting,
         "candidates_examined": answer.candidates_examined,
     }
     if q.is_ground:
-        text = "yes" if answer.substitutions else "no"
-        if args.format == "structured":
-            _print_json({**record, "answer": text})
-        else:
-            print(text)
-        return 0
-    ordered = sorted(answer.substitutions)
-    if args.format == "structured":
-        _print_json({
-            **record, "substitutions": [dict(s.bindings) for s in ordered],
-        })
+        record["answer"] = "yes" if answer.substitutions else "no"
+        lines = [record["answer"]]
     else:
-        for s in ordered:
-            print(s)
+        ordered = sorted(answer.substitutions)
+        record["substitutions"] = [dict(s.bindings) for s in ordered]
+        lines = map(str, ordered)
+    _report(args, record, lines)
     return 0
 
 
@@ -301,36 +292,35 @@ def _cmd_check(args: argparse.Namespace) -> int:
         (args.odd_cycle_free, "odd-cycle-free", is_odd_cycle_free),
     ):
         if asked:
-            verdict = test(p)
-            if args.format == "structured":
-                _print_json({"check": label, "holds": verdict}, indent=None)
-            else:
-                print(f"{label}: {'yes' if verdict else 'no'}")
+            holds = test(p)
+            _report(
+                args, {"check": label, "holds": holds},
+                [f"{label}: {'yes' if holds else 'no'}"],
+            )
             return 0
     result = check_super_consistent(
         p, args.budget,
         ground_cap=args.ground_cap, candidate_cap=args.candidate_cap,
     )
-    if args.format == "structured":
-        _print_json({
-            "check": "super-consistent",
-            "status": result.status.value,
-            "counterexample": (
-                None if result.counterexample is None
-                else sorted(str(a) for a in result.counterexample)
-            ),
-            "sets_tested": result.sets_tested,
-            "via_shortcut": result.via_shortcut,
-        })
-    else:
-        print(f"super-consistent: {result.status.value}")
-        if result.counterexample is not None:
-            listing = ", ".join(str(a) for a in sorted(result.counterexample))
-            print(f"inconsistent after adding: {{{listing}}}")
-        if result.via_shortcut:
-            print("decided by the dependency-cycle check")
-        else:
-            print(f"fact sets tested: {result.sets_tested}")
+    record = {
+        "check": "super-consistent",
+        "status": result.status.value,
+        "counterexample": (
+            None if result.counterexample is None
+            else sorted(str(a) for a in result.counterexample)
+        ),
+        "sets_tested": result.sets_tested,
+        "via_shortcut": result.via_shortcut,
+    }
+    lines = [f"super-consistent: {record['status']}"]
+    if record["counterexample"] is not None:
+        listing = ", ".join(record["counterexample"])
+        lines.append(f"inconsistent after adding: {{{listing}}}")
+    lines.append(
+        "decided by the dependency-cycle check" if record["via_shortcut"]
+        else f"fact sets tested: {record['sets_tested']}"
+    )
+    _report(args, record, lines)
     return 0
 
 
@@ -344,47 +334,38 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         ground_cap=args.ground_cap, candidate_cap=args.candidate_cap,
     )
     compared_nothing = not report.fact_sets_tested
-    if args.format == "structured":
-        _print_json({
-            "program_id": report.program_id,
-            "query": str(report.query),
-            "fact_sets_tested": report.fact_sets_tested,
-            "skipped": list(report.skipped),
-            "brave_mismatches": _mismatch_records(report.brave_mismatches),
-            "cautious_mismatches": _mismatch_records(report.cautious_mismatches),
-            "ok": report.ok and not compared_nothing,
-        })
-    else:
-        print(f"program {report.program_id}, query {report.query}")
-        print(f"fact sets tested: {report.fact_sets_tested}"
-              + (f" (skipped {len(report.skipped)})" if report.skipped else ""))
-        for kind, mms in (
-            ("brave", report.brave_mismatches),
-            ("cautious", report.cautious_mismatches),
-        ):
-            for m in mms:
-                facts = ", ".join(str(a) for a in m.fact_set) or "(none)"
-                print(f"{kind} mismatch with facts {{{facts}}}:")
-                for s in m.only_original:
-                    print(f"  only original: {s}")
-                for s in m.only_rewritten:
-                    print(f"  only rewritten: {s}")
-        if compared_nothing:
-            print("nothing compared: every trial tripped a cap")
-        elif report.ok:
-            print("no mismatches")
-    return 3 if compared_nothing else 0 if report.ok else 1
-
-
-def _mismatch_records(mismatches: Sequence) -> list[dict]:
-    return [
-        {
-            "facts": [str(a) for a in m.fact_set],
-            "only_original": [str(s) for s in m.only_original],
-            "only_rewritten": [str(s) for s in m.only_rewritten],
-        }
-        for m in mismatches
+    record = {
+        "program_id": report.program_id,
+        "query": str(report.query),
+        "fact_sets_tested": report.fact_sets_tested,
+        "skipped": list(report.skipped),
+    }
+    lines = [
+        f"program {record['program_id']}, query {record['query']}",
+        f"fact sets tested: {record['fact_sets_tested']}"
+        + (f" (skipped {len(record['skipped'])})" if record["skipped"] else ""),
     ]
+    for kind in ("brave", "cautious"):
+        mismatches = record[f"{kind}_mismatches"] = [
+            {
+                "facts": [str(a) for a in m.fact_set],
+                "only_original": [str(s) for s in m.only_original],
+                "only_rewritten": [str(s) for s in m.only_rewritten],
+            }
+            for m in getattr(report, f"{kind}_mismatches")
+        ]
+        for m in mismatches:
+            facts = ", ".join(m["facts"]) or "(none)"
+            lines.append(f"{kind} mismatch with facts {{{facts}}}:")
+            for side in ("original", "rewritten"):
+                lines += [f"  only {side}: {s}" for s in m[f"only_{side}"]]
+    record["ok"] = report.ok and not compared_nothing
+    if compared_nothing:
+        lines.append("nothing compared: every trial tripped a cap")
+    elif record["ok"]:
+        lines.append("no mismatches")
+    _report(args, record, lines)
+    return 3 if compared_nothing else 0 if report.ok else 1
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -394,13 +375,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         args.sizes, args.mode, args.reps,
         ground_cap=args.ground_cap, candidate_cap=args.candidate_cap,
     )
-    if args.format == "structured":
-        print(benchmark_json(cells))
-    else:
-        sys.stdout.write(benchmark_table(cells))
+    report = benchmark_json(cells)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as f:
-            f.write(benchmark_json(cells))
+            f.write(report)
+    _report(args, report, benchmark_table(cells).splitlines())
     return 0
 
 

@@ -462,19 +462,18 @@ def run_benchmark(
 
 
 def benchmark_table(cells: Iterable[BenchmarkCell]) -> str:
-    """The cells as comma-separated text, one row per repetition; empty
-    fields are values a timed-out or capped cell does not have."""
+    """The cells as comma-separated text, one row per repetition, with the
+    fields of :class:`BenchmarkCell` in order and ``time_ms`` to one
+    decimal; empty fields are values a timed-out or capped cell does not
+    have."""
     import csv  # loaded only here, not by every CLI call
 
     out = StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ("n", "mode", "status", "time_ms", "ground_rules", "candidates", "answer")
-    )
+    writer.writerow(BenchmarkCell._fields)
     for c in cells:
-        time_ms = None if c.time_ms is None else f"{c.time_ms:.1f}"
         writer.writerow(
-            (c.n, c.mode, c.status, time_ms, c.ground_rules, c.candidates, c.answer)
+            c if c.time_ms is None else c._replace(time_ms=f"{c.time_ms:.1f}")
         )
     return out.getvalue()
 

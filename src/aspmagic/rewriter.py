@@ -163,10 +163,10 @@ def _rewrite_rule(
 
 
 def _check_magic_free(p: Program, q: Query) -> None:
-    offenders = sorted(
+    offenders = sorted({
         name for name in (*p.predicates, q.atom.predicate)
         if split_magic_name(name) is not None
-    )
+    })
     if offenders:
         raise ReservedPredicateError(
             f"predicate names reserved for the rewriting: {', '.join(offenders)}"

@@ -10,6 +10,7 @@ from itertools import chain, combinations, islice
 import pytest
 
 from aspmagic import (
+    Atom,
     DependencyEdge,
     ScStatus,
     answer_sets,
@@ -174,6 +175,27 @@ def test_sc_witness_constants_skip_collisions():
     assert "xi_1" in names  # the program's own constant
     assert "xi_2" in names  # the fresh witness avoided the clash
     assert len(names) == 2
+
+
+def test_sc_check_builds_no_candidate_atom_past_the_budget(monkeypatch):
+    # 33 constants plus 4 witnesses: 37**4, about 1.87 million e/4 atoms,
+    # but the empty fact set already breaks the odd loop.
+    import aspmagic.analysis
+
+    built = []
+
+    def counting_atom(*args):
+        built.append(args)
+        return Atom(*args)
+
+    monkeypatch.setattr(aspmagic.analysis, "Atom", counting_atom)
+    facts = " ".join(f"e(c{i},c{i + 1},c{i + 2},c{i + 3})." for i in range(30))
+    p = parse_program("p(X) :- e(X,Y,Z,W), not p(X). " + facts)
+    verdict = check_super_consistent(p, 5)
+    assert verdict.status is ScStatus.NOT_SUPER_CONSISTENT
+    assert verdict.counterexample == frozenset()
+    assert verdict.sets_tested == 1
+    assert len(built) <= 5 + 1
 
 
 @pytest.mark.parametrize("seed", range(8))

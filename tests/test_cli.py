@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -338,11 +339,108 @@ def test_bench_writes_csv_and_report(write, capsys, tmp_path):
     ])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "n,mode,status,time_ms,ground_rules,candidates,answer"
-    assert lines[1].startswith("1,plain,ok,")
+    assert lines[0] == "n,mode,rep,status,time_ms,ground_rules,candidates,answer"
+    assert lines[1].startswith("1,plain,0,ok,")
     assert lines[1].endswith(",no")
     payload = json.loads(out_path.read_text(encoding="utf-8"))
     assert payload["cells"][0]["status"] == "ok"
+
+
+# ------------------------------------------------------------ pinned output
+
+# One representative call of each report, with its literal stdout in both
+# formats and its exit code.  Bench times are masked.
+PINNED = [
+    (
+        ["rewrite", "{choice}", "--query", "p(a)?"], 0,
+        "edb(a).\n"
+        "magic_p_b(X) :- magic_q_b(X).\n"
+        "magic_p_b(a).\n"
+        "magic_q_b(X) :- magic_p_b(X).\n"
+        "q(X) v p(X) :- magic_q_b(X), magic_p_b(X), edb(X).\n",
+        '{\n  "rules": [\n    "edb(a).",\n'
+        '    "magic_p_b(X) :- magic_q_b(X).",\n    "magic_p_b(a).",\n'
+        '    "magic_q_b(X) :- magic_p_b(X).",\n'
+        '    "q(X) v p(X) :- magic_q_b(X), magic_p_b(X), edb(X)."\n  ]\n}\n',
+    ),
+    (
+        ["solve", "{guarded}"], 0,
+        "{a}\n{b}\n",
+        '{\n  "answer_sets": [\n    [\n      "a"\n    ],\n    [\n      "b"\n'
+        '    ]\n  ],\n  "count": 2,\n  "candidates_examined": 16\n}\n',
+    ),
+    (
+        ["query", "{ancestry}", "--query", "ancestor(p1,X)?", "--brave"], 0,
+        "X = p2\n",
+        '{\n  "query": "ancestor(p1,X)?",\n  "mode": "brave",\n'
+        '  "rewriting_applied": true,\n  "candidates_examined": 4,\n'
+        '  "substitutions": [\n    {\n      "X": "p2"\n    }\n  ]\n}\n',
+    ),
+    (
+        ["query", "{choice}", "--query", "p(a)?", "--cautious"], 0,
+        "yes\n",
+        '{\n  "query": "p(a)?",\n  "mode": "cautious",\n'
+        '  "rewriting_applied": false,\n  "candidates_examined": 6,\n'
+        '  "answer": "yes"\n}\n',
+    ),
+    (
+        ["check", "{ancestry}", "--odd-cycle-free"], 0,
+        "odd-cycle-free: yes\n",
+        '{\n  "check": "odd-cycle-free",\n  "holds": true\n}\n',
+    ),
+    (
+        ["check", "{choice}", "--super-consistent"], 0,
+        "super-consistent: not_super_consistent\n"
+        "inconsistent after adding: {q(a)}\n"
+        "fact sets tested: 11\n",
+        '{\n  "check": "super-consistent",\n'
+        '  "status": "not_super_consistent",\n'
+        '  "counterexample": [\n    "q(a)"\n  ],\n  "sets_tested": 11,\n'
+        '  "via_shortcut": false\n}\n',
+    ),
+    (
+        ["diff", "{choice}", "--query", "q(a)?", "--trials", "1",
+         "--density", "0.0"], 1,
+        "program 2569573d3168, query q(a)?\n"
+        "fact sets tested: 1\n"
+        "brave mismatch with facts {(none)}:\n"
+        "  only rewritten: {}\n",
+        '{\n  "program_id": "2569573d3168",\n  "query": "q(a)?",\n'
+        '  "fact_sets_tested": 1,\n  "skipped": [],\n'
+        '  "brave_mismatches": [\n    {\n      "facts": [],\n'
+        '      "only_original": [],\n      "only_rewritten": [\n'
+        '        "{}"\n      ]\n    }\n  ],\n  "cautious_mismatches": [],\n'
+        '  "ok": false\n}\n',
+    ),
+    (
+        ["bench", "related", "--sizes", "1", "--mode", "plain"], 0,
+        "n,mode,rep,status,time_ms,ground_rules,candidates,answer\n"
+        "1,plain,0,ok,T,0,0,no\n",
+        '{\n  "instance_pattern": "grid (right and down edges; layout is an '
+        'assumption)",\n  "cells": [\n    {\n      "n": 1,\n'
+        '      "mode": "plain",\n      "rep": 0,\n      "status": "ok",\n'
+        '      "time_ms": T,\n      "ground_rules": 0,\n'
+        '      "candidates": 0,\n      "answer": "no"\n    }\n  ]\n}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize(
+    "argv, code, text, structured", PINNED, ids=[p[0][0] for p in PINNED]
+)
+def test_output_is_pinned(write, capsys, argv, code, text, structured, fmt):
+    paths = {
+        "ancestry": write(ANCESTRY, "ancestry.dl"),
+        "choice": write(CHOICE, "choice.dl"),
+        "guarded": write(GUARDED, "guarded.dl"),
+    }
+    argv = [a.format(**paths) if a.startswith("{") else a for a in argv]
+    assert main([*argv, "--format", fmt]) == code
+    out = capsys.readouterr().out
+    if argv[0] == "bench":
+        out = re.sub(r"\d+\.\d+(e-?\d+)?", "T", out)
+    assert out == (text if fmt == "text" else structured)
 
 
 # --------------------------------------------------------------- exit codes
@@ -387,6 +485,14 @@ def test_diff_rejects_out_of_range_sampling(write, capsys, flags):
     argv = ["diff", write(ANCESTRY), "--query", "ancestor(p1,X)?", *flags]
     assert main(argv) == 2
     assert "no mismatches" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cap", ["--ground-cap", "--candidate-cap"])
+def test_rewrite_takes_no_caps(write, capsys, cap):
+    # it neither grounds nor searches
+    argv = ["rewrite", write(ANCESTRY), "--query", "ancestor(p1,p2)?", cap, "5"]
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {cap} 5" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):

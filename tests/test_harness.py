@@ -348,9 +348,9 @@ def test_benchmark_table_format():
         BenchmarkCell(3, "dms", 0, "timeout"),
     )
     lines = benchmark_table(cells).splitlines()
-    assert lines[0] == "n,mode,status,time_ms,ground_rules,candidates,answer"
-    assert lines[1] == "1,plain,ok,1.2,10,3,no"
-    assert lines[2] == "3,dms,timeout,,,,"
+    assert lines[0] == "n,mode,rep,status,time_ms,ground_rules,candidates,answer"
+    assert lines[1] == "1,plain,0,ok,1.2,10,3,no"
+    assert lines[2] == "3,dms,0,timeout,,,,"
 
 
 def test_benchmark_json_round_trips():

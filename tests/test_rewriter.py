@@ -217,6 +217,14 @@ def test_reserved_namespace_is_refused():
         dms(parse_query("q(a)?"), p)
 
 
+def test_reserved_name_is_listed_once():
+    # the query's predicate is also one of the program's
+    p = parse_program("magic_p_b(a).")
+    with pytest.raises(ReservedPredicateError) as err:
+        dms(parse_query("magic_p_b(a)?"), p)
+    assert str(err.value) == "predicate names reserved for the rewriting: magic_p_b"
+
+
 def test_split_magic_name_round_trip():
     for pred, adornment in [("anc", "bbf"), ("p", ""), ("x_y", "b")]:
         name = AdornedPredicate(pred, adornment).magic_name
