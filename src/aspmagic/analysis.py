@@ -18,6 +18,7 @@ from .semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
     _Budget,
+    _key_of,
     _relevant_search,
     _stable_models,
 )
@@ -198,25 +199,29 @@ def check_super_consistent(
     With the shortcut enabled, an even-cycled dependency graph settles the
     question immediately.  Otherwise fact sets over the witness constants
     are enumerated by ascending size; ``budget`` bounds how many are tested
-    before giving up.  Each extended program is searched only up to its
-    first answer set, and ``candidate_cap`` bounds the states of each of
-    these searches."""
+    before giving up.  The candidate atoms are coded once, and each fact
+    set is ground with ``p`` as coded atoms (see :func:`_ground_coded`),
+    with no extended program built.  Each grounding is searched only up
+    to its first answer set, and ``candidate_cap`` bounds the states of
+    each of these searches."""
     if use_shortcut and is_odd_cycle_free(p):
         return ScVerdict(ScStatus.SUPER_CONSISTENT, via_shortcut=True)
     # Every single atom is tried before any pair, so a search stopped by
     # the budget never looks past the first ``budget`` atoms.
     candidates = tuple(islice(_candidate_atoms(p), budget + 1))
+    keys = [_key_of(a) for a in candidates]
     tested = 0
     for size in range(len(candidates) + 1):
-        for combo in combinations(candidates, size):
+        for combo in combinations(range(len(candidates)), size):
             if tested >= budget:
                 return ScVerdict(ScStatus.BUDGET_EXCEEDED, sets_tested=tested)
             tested += 1
-            _, _, masked = _relevant_search(p.with_facts(combo), ground_cap)
+            facts = [keys[i] for i in combo]
+            _, _, masked = _relevant_search(p, ground_cap, facts)
             if next(_stable_models(masked, _Budget(candidate_cap)), None) is None:
                 return ScVerdict(
                     ScStatus.NOT_SUPER_CONSISTENT,
-                    counterexample=frozenset(combo),
+                    counterexample=frozenset(candidates[i] for i in combo),
                     sets_tested=tested,
                 )
     return ScVerdict(ScStatus.SUPER_CONSISTENT, sets_tested=tested)

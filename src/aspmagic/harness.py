@@ -17,7 +17,7 @@ import random
 import time
 from functools import cached_property
 from io import StringIO
-from itertools import count, islice, product
+from itertools import count, islice, product, starmap
 from typing import Iterable, NamedTuple
 
 from .analysis import is_odd_cycle_free, is_stratified
@@ -124,8 +124,23 @@ def random_edb(
     The constant pool is the universe of ``p`` plus ``fresh_constants``
     constants not occurring in it; each candidate atom is kept with
     probability ``density``.  ``max_facts``, when given, thins an
-    oversized draw so downstream exhaustive checks stay feasible.
+    oversized draw so downstream exhaustive checks stay feasible.  The
+    candidates come from :func:`_edb_pool` and the draw from
+    :func:`_draw_edb`, which :func:`check_equivalence` calls itself so
+    that it builds the candidates once for all its trials.
     """
+    chosen = _draw_edb(_edb_pool(p, fresh_constants), seed, density, max_facts)
+    return frozenset(Atom(pred, args) for pred, args in chosen)
+
+
+# A candidate fact: an extensional predicate and its argument terms.
+_Candidate = tuple[str, tuple[Term, ...]]
+
+
+def _edb_pool(p: Program, fresh_constants: int) -> list[_Candidate]:
+    """Every candidate fact of :func:`random_edb` on ``p``, in atom order:
+    each extensional predicate over the universe of ``p`` plus
+    ``fresh_constants`` fresh constants."""
     edb = sorted(p.edb_predicates)
     if not edb:
         raise ProgramError("program has no extensional predicate")
@@ -137,12 +152,19 @@ def random_edb(
     arities = p.predicates
     # Sorted predicates over a sorted pool give the candidates in atom
     # order; only the atoms drawn are built.
-    candidates = [(q, a) for q in edb for a in product(pool, repeat=arities[q])]
+    return [(q, a) for q in edb for a in product(pool, repeat=arities[q])]
+
+
+def _draw_edb(
+    candidates: list[_Candidate], seed: int, density: float, max_facts: int | None
+) -> list[_Candidate]:
+    """The candidates :func:`random_edb` keeps for ``seed``: each with
+    probability ``density``, then at most ``max_facts`` of them."""
     rng = random.Random(f"edb:{seed}")
     chosen = [c for c in candidates if rng.random() < density]
     if max_facts is not None and len(chosen) > max_facts:
         chosen = rng.sample(chosen, max_facts)
-    return frozenset(Atom(pred, args) for pred, args in chosen)
+    return chosen
 
 
 _PROFILES = ("stratified", "odd_cycle_free", "arbitrary")
@@ -316,20 +338,24 @@ def check_equivalence(
     """Compare brave and cautious answers of ``p`` and its rewriting on
     ``trials`` sampled fact sets.
 
-    The rewriting is computed once; each trial adds the same sampled
-    facts to both sides and evaluates the query over a shared
-    substitution domain, so any reported difference is a genuine answer
-    difference.  Each side is answered by one directed search, the one
-    ``aspmagic query`` runs, settling its brave and cautious answers
-    together; ``timings_ms`` holds the time of each side's grounding,
-    search and answering.  Trials tripping a solver cap are skipped and
-    counted.
+    The rewriting is computed once, and so are the candidate facts of
+    :func:`random_edb`, before the first trial.  Each trial draws its
+    facts as ``random_edb`` would, codes them once and grounds both sides
+    with them added (see :func:`_ground_coded`), never building an
+    extended program; the query is evaluated over a shared substitution
+    domain, the universe of ``p`` with the facts added plus the query's
+    constants, so any reported difference is a genuine answer difference.
+    Each side is answered by one directed search, the one ``aspmagic
+    query`` runs, settling its brave and cautious answers together;
+    ``timings_ms`` holds the time of each side's grounding, search and
+    answering.  Trials tripping a solver cap are skipped and counted.
     """
     import hashlib  # loaded only here, not by every CLI call
 
     program_id = hashlib.sha1(print_program(p).encode()).hexdigest()[:12]
     rewritten = dms(q, p)
     qconsts = frozenset(t for t in q.atom.args if t.is_constant)
+    candidates = _edb_pool(p, 2) if trials > 0 else []
 
     modes = ("brave", "cautious")
     bad: dict[str, list[Mismatch]] = {mode: [] for mode in modes}
@@ -338,19 +364,20 @@ def check_equivalence(
     skipped: list[str] = []
     tested = 0
     for t in range(trials):
-        trial_seed = seed * 1_000_003 + t
-        facts = random_edb(p, trial_seed, density, max_facts=max_facts)
-        side_a = p.with_facts(facts)
-        side_b = rewritten.with_facts(facts)
-        domain = universe(side_a) | qconsts
+        drawn = _draw_edb(candidates, seed * 1_000_003 + t, density, max_facts)
+        facts = [(pred, tuple([a.name for a in args])) for pred, args in drawn]
+        # universe(p.with_facts(drawn)): the reserved constant only when
+        # neither the program nor the facts have one
+        terms = p.constants.union(*[args for _, args in drawn]) or universe(p)
+        domain = terms | qconsts
         try:
             t0 = time.perf_counter()
             answers_a, _, rules_a = _answer(
-                side_a, q, modes, domain, ground_cap, candidate_cap
+                p, q, modes, domain, ground_cap, candidate_cap, facts
             )
             t1 = time.perf_counter()
             answers_b, _, rules_b = _answer(
-                side_b, q, modes, domain, ground_cap, candidate_cap
+                rewritten, q, modes, domain, ground_cap, candidate_cap, facts
             )
             t2 = time.perf_counter()
         except SolverCapError as exc:
@@ -360,7 +387,7 @@ def check_equivalence(
         counts.append((rules_a, rules_b))
         timings.append(((t1 - t0) * 1000.0, (t2 - t1) * 1000.0))
         for mode, mismatches in bad.items():
-            if mm := _diff(answers_a[mode], answers_b[mode], facts):
+            if mm := _diff(answers_a[mode], answers_b[mode], starmap(Atom, drawn)):
                 mismatches.append(mm)
     return EquivReport(
         program_id=program_id,

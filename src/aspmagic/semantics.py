@@ -11,10 +11,12 @@ keyed.  The search turns the instances straight into bitmasks, and
 :func:`ground` decodes them into rules.  A rule's join plan is compiled
 once per :class:`Rule` object and kept on it, so every grounding that
 contains the rule reuses it; bodiless rules need no plan and go straight
-to ids.  The search then branches over the atoms that occur in negative
-bodies, keeps monotone lower and upper bounds to cut hopeless branches
-early, and enumerates the minimal models of the positive remainder at
-each leaf.  The cross-check route grounds every rule over the whole
+to ids.  Facts added to a fixed program, as the differential check and
+the super-consistency check add one fact set after another, enter the
+grounder as coded atoms too, so no extended program is built for them.
+The search then branches over the atoms that occur in negative bodies,
+keeps monotone lower and upper bounds to cut hopeless branches early, and
+enumerates the minimal models of the positive remainder at each leaf.  The cross-check route grounds every rule over the whole
 universe, enumerates candidate interpretations outright and accepts those
 that are models containing no nonempty unfounded subset; only it and the
 unfounded-set test use that exhaustive grounding.  Both are deterministic;
@@ -282,27 +284,36 @@ def _compiled(rule: Rule) -> _Compiled:
     return compiled
 
 
-def _ground_coded(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> _Coded:
-    """The relevant grounding of ``p`` in integer coding.
+def _ground_coded(
+    p: Program, ground_cap: int = GROUND_CAP_DEFAULT, facts: Iterable[_Key] = ()
+) -> _Coded:
+    """The relevant grounding of ``p`` with the ground atoms ``facts``
+    added as facts, in integer coding.
 
     Each derived atom gets an id the first time it is derived, keyed by
     predicate and argument names; an atom of a negative body that nothing
     derives gets one too, so instances compare by their ids alone.
     Bodiless rules are ground by safety and come first, their atoms coded
-    directly; every other rule joins along the plan :func:`_compiled`
-    keeps on the rule object, compiled by the first grounding that meets
-    it and only read here, each join starting from a copy of its template
-    binding.  The join runs in semi-naive rounds.  Each round matches
-    every positive body against the atoms derived so far with at least
-    one body atom on an atom new in the previous round; atoms before that
-    one match old atoms only, so each new combination is found once.  A
-    body atom reads only the rows of its predicate whose already-bound
-    positions match, through the argument index of :class:`_Relation`,
-    and the old/new split is a bisection on the row numbers.  Each row
-    carries its atom id, so an instance's positive body is the ids of the
-    rows matched and only its head and negative body are keyed.  Instances
-    are kept in the order first emitted, deduplicated on their id sets;
-    ``ground_cap`` bounds the distinct ones, bodiless ones included.
+    directly, followed by ``facts`` in sorted order; a fact that repeats
+    an instance is dropped like any other repeat.  So the result is that
+    of ``p.with_facts(atoms)`` for the atoms that ``facts`` code, order
+    included, without building that program; the caller takes the
+    predicates of ``facts`` from ``p`` with their arities, which is what
+    :meth:`Program.with_facts` would check.  Every other rule joins along
+    the plan :func:`_compiled` keeps on the rule object, compiled by the
+    first grounding that meets it and only read here, each join starting
+    from a copy of its template binding.  The join runs in semi-naive
+    rounds.  Each round matches every positive body against the atoms
+    derived so far with at least one body atom on an atom new in the
+    previous round; atoms before that one match old atoms only, so each
+    new combination is found once.  A body atom reads only the rows of its
+    predicate whose already-bound positions match, through the argument
+    index of :class:`_Relation`, and the old/new split is a bisection on
+    the row numbers.  Each row carries its atom id, so an instance's
+    positive body is the ids of the rows matched and only its head and
+    negative body are keyed.  Instances are kept in the order first
+    emitted, deduplicated on their id sets; ``ground_cap`` bounds the
+    distinct ones, bodiless ones and added facts included.
     """
     keys: list[_Key] = []
     ids: dict[_Key, int] = {}
@@ -356,6 +367,8 @@ def _ground_coded(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> _Coded:
             ))
             continue
         joined.append(_compiled(rule))
+    for key in sorted(facts):
+        emit(((atom_id(key),), (), ()))
 
     relations: dict[str, _Relation] = {}
     while pending:
@@ -593,9 +606,10 @@ def _stable_models(
 
 
 def _relevant_search(
-    p: Program, ground_cap: int
+    p: Program, ground_cap: int, facts: Iterable[_Key] = ()
 ) -> tuple[int, list[_Key], list[tuple[int, int, int]]]:
-    """The relevant grounding of ``p`` in the mask form the search takes:
+    """The relevant grounding of ``p`` with ``facts`` added (see
+    :func:`_ground_coded`) in the mask form the search takes:
     its number of instances, the coded derivable atoms in bit order (atom
     ``k`` is bit ``1 << k``) and the ``(head, pos, neg)`` masks.
 
@@ -603,7 +617,7 @@ def _relevant_search(
     derivable when all negative literals are ignored.  No other atom can
     appear in an answer set, so only these get a bit, in the order of
     predicate and argument names, and negative bodies lose the rest."""
-    coded = _ground_coded(p, ground_cap)
+    coded = _ground_coded(p, ground_cap, facts)
     order = sorted(coded.derived, key=coded.keys.__getitem__)
     bits = [0] * len(coded.keys)
     for k, i in enumerate(order):
@@ -860,17 +874,22 @@ def answer_query(
     """
     if mode not in ("brave", "cautious"):
         raise ValueError(f"unknown query mode {mode!r}")
-    answers, *counts = _answer(p, q, (mode,), domain, ground_cap, candidate_cap)
+    answers, *counts = _answer(
+        p, q, (mode,), universe(p) if domain is None else domain,
+        ground_cap, candidate_cap,
+    )
     return QueryAnswer(answers[mode], *counts)
 
 
 def _answer(
-    p: Program, q: Query, modes: Sequence[str], domain: Iterable[Term] | None,
-    ground_cap: int, candidate_cap: int,
+    p: Program, q: Query, modes: Sequence[str], domain: Iterable[Term],
+    ground_cap: int, candidate_cap: int, facts: Iterable[_Key] = (),
 ) -> tuple[dict[str, frozenset[Substitution]], int, int]:
-    """The answers to ``q`` over ``p`` in each of ``modes`` (``"brave"``,
-    ``"cautious"`` or both) from one search, with its number of states
-    and of rule instances in the relevant grounding.
+    """The answers to ``q`` over ``p`` with ``facts`` added (see
+    :func:`_ground_coded`), substitutions ranging over ``domain``, in each
+    of ``modes`` (``"brave"``, ``"cautious"`` or both) from one search,
+    with its number of states and of rule instances in the relevant
+    grounding.
 
     Two masks keep the candidates still open: ``unwitnessed`` for brave,
     ``unrefuted`` for cautious, each empty when its mode is not asked.  A
@@ -882,8 +901,8 @@ def _answer(
     only the nodes that both modes would cut, so it still visits a subset
     of the nodes of full enumeration.
     """
-    terms = frozenset(universe(p) if domain is None else domain)
-    instances, keys, masked = _relevant_search(p, ground_cap)
+    terms = frozenset(domain)
+    instances, keys, masked = _relevant_search(p, ground_cap, facts)
     found = _matches(q, terms, keys)
     candidates = sum(1 << k for k, _ in found)
     unwitnessed = candidates if "brave" in modes else 0

@@ -22,6 +22,13 @@ from aspmagic import (
     random_program,
     sc_candidate_atoms,
 )
+from aspmagic.semantics import (
+    CANDIDATE_CAP_DEFAULT,
+    GROUND_CAP_DEFAULT,
+    _Budget,
+    _relevant_search,
+    _stable_models,
+)
 
 
 def _simple_cycle_negative_counts(p) -> set[int]:
@@ -244,3 +251,35 @@ def test_sc_verdicts_match_full_enumeration(seed):
             expected = ScStatus.BUDGET_EXCEEDED, None, budget
     verdict = check_super_consistent(p, budget, use_shortcut=False)
     assert (verdict.status, verdict.counterexample, verdict.sets_tested) == expected
+
+
+def _sc_by_programs(p, budget):
+    """The reference for ``check_super_consistent`` without the shortcut:
+    each fact set is added with ``with_facts`` and the extended program is
+    searched up to its first answer set."""
+    candidates = tuple(islice(sc_candidate_atoms(p), budget + 1))
+    sets = chain.from_iterable(
+        combinations(candidates, k) for k in range(len(candidates) + 1)
+    )
+    tested = 0
+    for combo in sets:
+        if tested >= budget:
+            return ScStatus.BUDGET_EXCEEDED, None, tested
+        tested += 1
+        _, _, masked = _relevant_search(p.with_facts(combo), GROUND_CAP_DEFAULT)
+        if next(_stable_models(masked, _Budget(CANDIDATE_CAP_DEFAULT)), None) is None:
+            return ScStatus.NOT_SUPER_CONSISTENT, frozenset(combo), tested
+    return ScStatus.SUPER_CONSISTENT, None, tested
+
+
+def test_sc_verdicts_match_the_extended_programs():
+    programs = (random_program(seed, "arbitrary") for seed in range(1000))
+    drawn = list(islice((p for p in programs if not is_odd_cycle_free(p)), 60))
+    assert len(drawn) == 60
+    statuses = set()
+    for p in drawn:
+        verdict = check_super_consistent(p, 300, use_shortcut=False)
+        got = verdict.status, verdict.counterexample, verdict.sets_tested
+        assert got == _sc_by_programs(p, 300), str(p.rules)
+        statuses.add(verdict.status)
+    assert statuses == {ScStatus.NOT_SUPER_CONSISTENT, ScStatus.BUDGET_EXCEEDED}

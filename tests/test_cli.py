@@ -292,6 +292,41 @@ def test_diff_passes_on_cycle_free_input(write, capsys):
     assert "no mismatches" in capsys.readouterr().out
 
 
+ODD_DIFF = (
+    "g1(c1). p1(X) :- g1(X), not g1(X). p1(X) :- p1(X). "
+    "p2(X) :- g1(X), not p2(X).\n"
+)
+
+
+def test_diff_prints_the_fact_sets_of_its_mismatches(write, capsys):
+    # Sampled facts with fresh constants: each mismatch names its facts in
+    # atom order, and the domain holds the constants they bring.
+    code = main([
+        "diff", write(ODD_DIFF), "--query", "p1(X)?", "--trials", "2", "--seed", "34",
+    ])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "program 70f3a3456a81, query p1(X)?\n"
+        "fact sets tested: 2\n"
+        "cautious mismatch with facts {g1(f1), g1(f2)}:\n"
+        "  only original: X = c1\n"
+        "  only original: X = f1\n"
+        "  only original: X = f2\n"
+        "cautious mismatch with facts {g1(f1)}:\n"
+        "  only original: X = c1\n"
+        "  only original: X = f1\n"
+    )
+
+
+def test_diff_needs_an_extensional_predicate(write, capsys):
+    path = write("a :- not b. b :- not a.\n")
+    code = main(["diff", path, "--query", "a?", "--trials", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: program has no extensional predicate\n"
+
+
 def test_diff_structured(write, capsys):
     code = main([
         "diff", write(CHOICE), "--query", "q(a)?",

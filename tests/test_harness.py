@@ -10,6 +10,7 @@ import pytest
 from aspmagic import (
     Atom,
     BenchmarkCell,
+    EquivReport,
     ProgramError,
     Substitution,
     Term,
@@ -23,12 +24,21 @@ from aspmagic import (
     ground,
     is_odd_cycle_free,
     is_stratified,
+    parse_program,
     parse_query,
+    print_program,
     random_edb,
     random_program,
     random_query,
     run_benchmark,
     universe,
+)
+from aspmagic.harness import _diff
+from aspmagic.semantics import (
+    CANDIDATE_CAP_DEFAULT,
+    GROUND_CAP_DEFAULT,
+    SolverCapError,
+    _answer,
 )
 
 
@@ -216,11 +226,17 @@ def test_equivalence_flags_the_odd_loop_program(choice_with_odd_loop):
     assert report.cautious_mismatches == ()
 
 
-def test_equivalence_with_no_trials(ancestry):
+def test_equivalence_with_no_trials(ancestry, guarded_pair):
     report = check_equivalence(ancestry, parse_query("ancestor(p1,X)?"), trials=0)
     assert report.ok
     assert report.fact_sets_tested == 0
     assert report.ground_rule_counts == ()
+    # the candidate facts are built for a first trial only, so a program
+    # with nothing to sample fails only when a trial needs facts
+    report = check_equivalence(guarded_pair, parse_query("a?"), trials=0)
+    assert report.ok and report.fact_sets_tested == 0 and report.skipped == ()
+    with pytest.raises(ProgramError, match="no extensional"):
+        check_equivalence(guarded_pair, parse_query("a?"), trials=1)
 
 
 def test_equivalence_counts_capped_trials(ancestry):
@@ -242,6 +258,83 @@ def test_equivalence_answers_the_grid_3_through_the_directed_search(text):
     assert report.fact_sets_tested == 1
     assert report.skipped == ()
     assert report.ok
+
+
+def _check_by_programs(p, q, trials, seed, density, max_facts):
+    """The reference for ``check_equivalence``: each trial draws its facts
+    with ``random_edb``, builds both extended programs with ``with_facts``
+    and takes the domain from the extended original's universe."""
+    import hashlib
+
+    rewritten = dms(q, p)
+    qconsts = frozenset(t for t in q.atom.args if t.is_constant)
+    modes = ("brave", "cautious")
+    bad = {mode: [] for mode in modes}
+    counts, skipped = [], []
+    for t in range(trials):
+        facts = random_edb(p, seed * 1_000_003 + t, density, max_facts=max_facts)
+        side_a, side_b = p.with_facts(facts), rewritten.with_facts(facts)
+        domain = universe(side_a) | qconsts
+        try:
+            answers_a, _, rules_a = _answer(
+                side_a, q, modes, domain, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT
+            )
+            answers_b, _, rules_b = _answer(
+                side_b, q, modes, domain, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT
+            )
+        except SolverCapError as exc:
+            skipped.append(f"trial {t}: {exc}")
+            continue
+        counts.append((rules_a, rules_b))
+        for mode, mismatches in bad.items():
+            if mm := _diff(answers_a[mode], answers_b[mode], facts):
+                mismatches.append(mm)
+    return EquivReport(
+        program_id=hashlib.sha1(print_program(p).encode()).hexdigest()[:12],
+        query=q,
+        fact_sets_tested=len(counts),
+        brave_mismatches=tuple(bad["brave"]),
+        cautious_mismatches=tuple(bad["cautious"]),
+        ground_rule_counts=tuple(counts),
+        timings_ms=(),
+        skipped=tuple(skipped),
+    )
+
+
+@pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
+def test_equivalence_reports_what_extended_programs_report(profile):
+    with_facts = 0
+    for seed in range(100):
+        p = random_program(seed, profile)
+        q = random_query(p, seed)
+        max_facts = (8, None, 3)[seed % 3]
+        report = check_equivalence(p, q, 4, seed, 0.3, max_facts=max_facts)
+        assert len(report.timings_ms) == report.fact_sets_tested
+        assert report._replace(timings_ms=()) == _check_by_programs(
+            p, q, 4, seed, 0.3, max_facts
+        ), seed
+        with_facts += sum(
+            1 for mm in report.brave_mismatches + report.cautious_mismatches
+            if mm.fact_set
+        )
+    if profile == "arbitrary":
+        assert with_facts > 0
+
+
+def test_equivalence_domain_falls_back_to_the_reserved_constant():
+    # No constant in the program: the domain is the facts' constants, or
+    # the reserved one when a trial draws no fact.  Without ``e`` the
+    # original is inconsistent, so it cautiously entails c(u0).
+    p = parse_program(
+        "a :- e. b :- not a, f. c(X) :- d(X), not a. z :- not z, not e."
+    )
+    for q in (parse_query("c(X)?"), parse_query("b?")):
+        for seed in range(10):
+            for density in (0.0, 0.3):
+                report = check_equivalence(p, q, 3, seed, density)
+                assert report._replace(timings_ms=()) == _check_by_programs(
+                    p, q, 3, seed, density, None
+                )
 
 
 def test_equivalence_report_is_reproducible(ancestry):

@@ -55,6 +55,7 @@ from aspmagic.semantics import (
     _ground_coded,
     _ground_exhaustive,
     _index_rules,
+    _key_of,
     _relevant_search,
 )
 
@@ -200,6 +201,47 @@ def test_search_reads_exactly_what_ground_returns(profile):
         facts = random_edb(p, seed, 0.4, fresh_constants=2, max_facts=12)
         for side in (p, dms(random_query(p, seed), p)):
             _assert_search_reads_ground(side.with_facts(facts))
+
+
+def _assert_keyed_facts_ground_like_with_facts(p, facts):
+    """``_ground_coded`` with ``facts`` as coded atoms, in no particular
+    order and one of them twice, equals the grounding of ``p.with_facts``,
+    order included, and its cap counts the added facts the same way."""
+    keys = [_key_of(a) for a in facts]
+    keys += keys[:1]
+    expected = _ground_coded(p.with_facts(facts), GROUND_CAP_DEFAULT)
+    assert _ground_coded(p, GROUND_CAP_DEFAULT, keys) == expected
+    cap = len(expected.instances) - 1
+    if cap >= 0:
+        with pytest.raises(GroundingTooLarge):
+            _ground_coded(p, cap, keys)
+        with pytest.raises(GroundingTooLarge):
+            _ground_coded(p.with_facts(facts), cap)
+
+
+@pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
+def test_keyed_facts_ground_like_with_facts(profile):
+    for seed in range(50):
+        p = random_program(seed, profile)
+        own = next(r.head[0] for r in p.rules if r.is_fact)
+        fact_sets = (
+            random_edb(p, seed, 0.3, max_facts=8),
+            random_edb(p, seed + 1000, 0.6, fresh_constants=1),
+            random_edb(p, seed + 2000, 0.3, max_facts=3) | {own},
+        )
+        for side in (p, dms(random_query(p, seed), p)):
+            for facts in fact_sets:
+                _assert_keyed_facts_ground_like_with_facts(side, facts)
+
+
+def test_keyed_facts_ground_like_with_facts_on_a_nullary_predicate():
+    p = parse_program("g(a). p(X) :- g(X), s. q(X) :- g(X), not s. r :- s, not q(b).")
+    assert p.predicates["s"] == 0 and "s" in p.edb_predicates
+    drawn = [random_edb(p, seed, 0.5) for seed in range(20)]
+    assert any(Atom("s") in facts for facts in drawn)
+    for facts in drawn:
+        for side in (p, dms(parse_query("p(X)?"), p), dms(parse_query("r?"), p)):
+            _assert_keyed_facts_ground_like_with_facts(side, facts)
 
 
 JOIN_CASES = {
