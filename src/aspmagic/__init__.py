@@ -16,10 +16,10 @@ _EXPORTS = {
         "is_stratified", "sc_candidate_atoms",
     ),
     "harness": (
-        "BenchmarkCell", "EquivReport", "RelatedInstance", "ancestry_program",
-        "benchmark_json", "benchmark_table", "check_equivalence",
-        "gen_related_instance", "random_edb", "random_program",
-        "random_query", "run_benchmark",
+        "BenchmarkCell", "EquivReport", "Mismatch", "RelatedInstance",
+        "ancestry_program", "benchmark_json", "benchmark_table",
+        "check_equivalence", "gen_related_instance", "random_edb",
+        "random_program", "random_query", "run_benchmark",
     ),
     "lifting": ("killed_atoms", "magic_variant"),
     "parser": (
@@ -27,9 +27,9 @@ _EXPORTS = {
         "print_query",
     ),
     "rewriter": (
-        "AdornedPredicate", "DmsResult", "ReservedPredicateError",
-        "build_query_seed", "dms", "dms_with_details", "magic_atom",
-        "split_magic_name",
+        "MAGIC_PREFIX", "AdornedPredicate", "DmsResult",
+        "ReservedPredicateError", "build_query_seed", "dms",
+        "dms_with_details", "magic_atom", "split_magic_name",
     ),
     "semantics": (
         "CANDIDATE_CAP_DEFAULT", "GROUND_CAP_DEFAULT", "AnswerSetReport",
@@ -39,8 +39,9 @@ _EXPORTS = {
         "substitutions_brave", "substitutions_cautious",
     ),
     "syntax": (
-        "Atom", "Interpretation", "Program", "ProgramError", "Query", "Rule",
-        "Term", "base", "const", "edb_idb_split", "fact", "universe", "var",
+        "RESERVED_UNIVERSE_CONSTANT", "Atom", "Interpretation", "Program",
+        "ProgramError", "Query", "Rule", "Term", "base", "const",
+        "edb_idb_split", "fact", "universe", "var",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -12,7 +12,8 @@ and order as the tuple of their fields, in C; a term or atom validates
 its fields in ``__new__`` and, like any named tuple, also equals the plain
 tuple of its fields.  Rules and programs, which compare as sets, are plain
 classes on :class:`_Frozen`, which refuses assignment once ``__init__``
-has filled the instance ``__dict__``.  Neither kind is generated by a
+has filled the instance ``__dict__``; every rule and program is built by
+its ``__init__``, which checks it.  Neither kind is generated by a
 class decorator, whose module (and ``inspect``, which it loads) every CLI
 call would otherwise import.
 """
@@ -263,23 +264,9 @@ class Rule(_Frozen):
 
 
 def fact(atom: Atom) -> Rule:
-    """A single ground atom as a bodiless rule; only a non-ground atom,
-    which makes it unsafe, goes through the checks of :class:`Rule`."""
-    if not atom.is_ground:
-        return Rule((atom,))
-    rule = object.__new__(Rule)
-    rule.__dict__.update(head=(atom,), pos_body=(), neg_body=())
-    return rule
-
-
-def _check_arity(arities: dict[str, int], atom: Atom) -> None:
-    """Record the arity of ``atom``'s predicate in ``arities``, unless it
-    clashes with the one recorded there."""
-    seen = arities.setdefault(atom.predicate, atom.arity)
-    if seen != atom.arity:
-        raise ProgramError(
-            f"predicate {atom.predicate} used with arities {seen} and {atom.arity}"
-        )
+    """A ground atom as a bodiless rule.  A non-ground atom makes the rule
+    unsafe, which :class:`Rule` rejects."""
+    return Rule((atom,))
 
 
 class Program(_Frozen):
@@ -293,12 +280,16 @@ class Program(_Frozen):
     _arities: dict[str, int]
 
     def __init__(self, rules: Iterable[Rule] = ()) -> None:
-        self.__dict__["rules"] = tuple(dict.fromkeys(rules))
         arities: dict[str, int] = {}
+        self.__dict__.update(rules=tuple(dict.fromkeys(rules)), _arities=arities)
         for rule in self.rules:
             for atom in rule.atoms():
-                _check_arity(arities, atom)
-        self.__dict__["_arities"] = arities
+                seen = arities.setdefault(atom.predicate, atom.arity)
+                if seen != atom.arity:
+                    raise ProgramError(
+                        f"predicate {atom.predicate} used with arities "
+                        f"{seen} and {atom.arity}"
+                    )
 
     @cached_property
     def _rule_set(self) -> frozenset[Rule]:
@@ -346,33 +337,16 @@ class Program(_Frozen):
         """Predicates defined by facts alone, or not defined at all."""
         return frozenset(self._arities) - self.idb_predicates
 
-    @cached_property
-    def _fact_atoms(self) -> frozenset[Atom]:
-        return frozenset(rule.head[0] for rule in self.rules if rule.is_fact)
-
     def with_facts(self, atoms: Iterable[Atom]) -> "Program":
-        """A new program extended with the given ground atoms as facts.
-
-        Only the added facts are checked: the new program starts from this
-        one's arities and constants instead of walking every rule again,
-        and an atom that is already a fact of this one is left out."""
-        arities = dict(self._arities)
-        constants: set[Term] = set()
+        """A new program: this one's rules, then the given ground atoms as
+        facts in atom order.  The constructor checks the arities and
+        collapses an atom that is already a fact of this one, or is given
+        twice, to its first occurrence."""
         atoms = sorted(set(atoms))
         for atom in atoms:
             if not atom.is_ground:
                 raise ProgramError(f"cannot add non-ground fact {atom}")
-            _check_arity(arities, atom)
-            constants.update(atom.args)
-        out = object.__new__(Program)
-        known = self._fact_atoms
-        added = (fact(a) for a in atoms if a not in known)
-        out.__dict__.update(
-            rules=(*self.rules, *added),
-            _arities=arities,
-            constants=self.constants | constants,
-        )
-        return out
+        return Program((*self.rules, *map(fact, atoms)))
 
     def __repr__(self) -> str:
         return f"Program<{len(self.rules)} rules>"

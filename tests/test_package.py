@@ -10,7 +10,7 @@ import aspmagic
 
 
 def test_every_export_is_the_defining_modules_object():
-    assert len(aspmagic.__all__) == len(set(aspmagic.__all__)) == 64
+    assert len(aspmagic.__all__) == len(set(aspmagic.__all__)) == 67
     for name in aspmagic.__all__:
         value = getattr(aspmagic, name)
         home = importlib.import_module(f"aspmagic.{aspmagic._HOME[name]}")
@@ -19,6 +19,12 @@ def test_every_export_is_the_defining_modules_object():
             isinstance(value, type) and not isinstance(value, types.GenericAlias)
         ):
             assert value.__module__ == home.__name__  # defined there
+
+
+def test_exports_match_each_modules_all():
+    for module, names in aspmagic._EXPORTS.items():
+        home = importlib.import_module(f"aspmagic.{module}")
+        assert set(names) == set(home.__all__), module
 
 
 def test_star_import_and_dir_cover_every_export():

@@ -278,6 +278,16 @@ def test_with_facts_errors_keep_their_messages():
     assert str(caught.value) == "predicate e used with arities 1 and 2"
 
 
+def test_with_facts_checks_groundness_before_arity():
+    # every added atom is checked for groundness before the constructor of
+    # the extended program checks arities, whatever the atoms' order
+    p = parse_program("f(a). p(X) :- f(X).")
+    added = [Atom("f", (const("a"), const("b"))), Atom("g", (var("X"),))]
+    with pytest.raises(ProgramError) as caught:
+        p.with_facts(added)
+    assert str(caught.value) == "cannot add non-ground fact g(X)"
+
+
 def test_query_ground_and_str():
     q = Query(Atom("anc", (const("a"), var("X"))))
     assert not q.is_ground
