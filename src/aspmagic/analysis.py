@@ -14,14 +14,7 @@ from enum import Enum
 from itertools import combinations, islice, product
 from typing import Iterator, NamedTuple
 
-from .semantics import (
-    CANDIDATE_CAP_DEFAULT,
-    GROUND_CAP_DEFAULT,
-    _Budget,
-    _key_of,
-    _relevant_search,
-    _stable_models,
-)
+from .semantics import CANDIDATE_CAP_DEFAULT, GROUND_CAP_DEFAULT, _consistent
 from .syntax import Atom, Program, Term, universe
 
 __all__ = [
@@ -199,29 +192,26 @@ def check_super_consistent(
     With the shortcut enabled, an even-cycled dependency graph settles the
     question immediately.  Otherwise fact sets over the witness constants
     are enumerated by ascending size; ``budget`` bounds how many are tested
-    before giving up.  The candidate atoms are coded once, and each fact
-    set is ground with ``p`` as coded atoms (see :func:`_ground_coded`),
-    with no extended program built.  Each grounding is searched only up
-    to its first answer set, and ``candidate_cap`` bounds the states of
-    each of these searches."""
+    before giving up.  Each fact set is passed beside ``p`` as its atoms
+    (see :func:`_consistent`), with no extended program built, and is
+    searched only up to its first answer set; ``candidate_cap`` bounds the
+    states of each of these searches."""
     if use_shortcut and is_odd_cycle_free(p):
         return ScVerdict(ScStatus.SUPER_CONSISTENT, via_shortcut=True)
     # Every single atom is tried before any pair, so a search stopped by
     # the budget never looks past the first ``budget`` atoms.
     candidates = tuple(islice(_candidate_atoms(p), budget + 1))
-    keys = [_key_of(a) for a in candidates]
     tested = 0
     for size in range(len(candidates) + 1):
         for combo in combinations(range(len(candidates)), size):
             if tested >= budget:
                 return ScVerdict(ScStatus.BUDGET_EXCEEDED, sets_tested=tested)
             tested += 1
-            facts = [keys[i] for i in combo]
-            _, _, masked = _relevant_search(p, ground_cap, facts)
-            if next(_stable_models(masked, _Budget(candidate_cap)), None) is None:
+            facts = [candidates[i] for i in combo]
+            if not _consistent(p, facts, ground_cap, candidate_cap):
                 return ScVerdict(
                     ScStatus.NOT_SUPER_CONSISTENT,
-                    counterexample=frozenset(candidates[i] for i in combo),
+                    counterexample=frozenset(facts),
                     sets_tested=tested,
                 )
     return ScVerdict(ScStatus.SUPER_CONSISTENT, sets_tested=tested)

@@ -340,11 +340,11 @@ def check_equivalence(
 
     The rewriting is computed once, and so are the candidate facts of
     :func:`random_edb`, before the first trial.  Each trial draws its
-    facts as ``random_edb`` would, codes them once and grounds both sides
-    with them added (see :func:`_ground_coded`), never building an
-    extended program; the query is evaluated over a shared substitution
-    domain, the universe of ``p`` with the facts added plus the query's
-    constants, so any reported difference is a genuine answer difference.
+    facts as ``random_edb`` would and passes them beside each side (see
+    :func:`_answer`), never building an extended program; the query is
+    evaluated over a shared substitution domain, the universe of ``p``
+    with the facts added plus the query's constants, so any reported
+    difference is a genuine answer difference.
     Each side is answered by one directed search, the one ``aspmagic
     query`` runs, settling its brave and cautious answers together;
     ``timings_ms`` holds the time of each side's grounding, search and
@@ -365,7 +365,6 @@ def check_equivalence(
     tested = 0
     for t in range(trials):
         drawn = _draw_edb(candidates, seed * 1_000_003 + t, density, max_facts)
-        facts = [(pred, tuple([a.name for a in args])) for pred, args in drawn]
         # universe(p.with_facts(drawn)): the reserved constant only when
         # neither the program nor the facts have one
         terms = p.constants.union(*[args for _, args in drawn]) or universe(p)
@@ -373,11 +372,11 @@ def check_equivalence(
         try:
             t0 = time.perf_counter()
             answers_a, _, rules_a = _answer(
-                p, q, modes, domain, ground_cap, candidate_cap, facts
+                p, q, modes, domain, ground_cap, candidate_cap, drawn
             )
             t1 = time.perf_counter()
             answers_b, _, rules_b = _answer(
-                rewritten, q, modes, domain, ground_cap, candidate_cap, facts
+                rewritten, q, modes, domain, ground_cap, candidate_cap, drawn
             )
             t2 = time.perf_counter()
         except SolverCapError as exc:

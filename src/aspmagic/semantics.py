@@ -12,15 +12,18 @@ keyed.  The search turns the instances straight into bitmasks, and
 once per :class:`Rule` object and kept on it, so every grounding that
 contains the rule reuses it; bodiless rules need no plan and go straight
 to ids.  Facts added to a fixed program, as the differential check and
-the super-consistency check add one fact set after another, enter the
-grounder as coded atoms too, so no extended program is built for them.
-The search then branches over the atoms that occur in negative bodies,
-keeps monotone lower and upper bounds to cut hopeless branches early, and
-enumerates the minimal models of the positive remainder at each leaf.  The cross-check route grounds every rule over the whole
-universe, enumerates candidate interpretations outright and accepts those
-that are models containing no nonempty unfounded subset; only it and the
-unfounded-set test use that exhaustive grounding.  Both are deterministic;
-neither is meant to compete with a real solver.
+the super-consistency check add one fact set after another, are passed as
+atoms beside it and keyed by the grounder like its own bodiless rules, so
+no extended program is built for them; how a fact is keyed and how the
+search is driven stay inside this module.  The search then branches over
+the atoms that occur in negative bodies, keeps monotone lower and upper
+bounds to cut hopeless branches early, and enumerates the minimal models
+of the positive remainder at each leaf.  The cross-check route grounds
+every rule over the whole universe, enumerates candidate interpretations
+outright and accepts those that are models containing no nonempty
+unfounded subset; only it and the unfounded-set test use that exhaustive
+grounding, and both decide unfoundedness by one mask test.  Both routes
+are deterministic; neither is meant to compete with a real solver.
 
 Query answering uses the primary search, directed by the query.  The
 query atom is matched once against the coded derivable atoms, none of
@@ -119,6 +122,8 @@ def ground(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> Program:
 
 # A ground atom in the grounder's coding: predicate and argument names.
 _Key = tuple[str, tuple[str, ...]]
+# An added fact: predicate and ground terms, as an Atom holds them.
+_Fact = tuple[str, Sequence[Term]]
 # A coded instance: the atom ids of its head, positive and negative body.
 _Instance = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -206,7 +211,7 @@ def _plan(slots: Sequence[tuple[int, ...]], n: int) -> list[_Step]:
 
 
 def _join(
-    steps: Sequence[tuple[_Relation, _Step, int, int]],
+    steps: Sequence[tuple[_Relation, _Step, int, int, int]],
     binding: list,
     matched: list[int],
     found: Callable[[list, list[int]], None],
@@ -214,8 +219,9 @@ def _join(
 ) -> None:
     """Call ``found`` with every extension of ``binding`` under which each
     step's atom matches a row of its relation numbered in ``[lo, hi)``,
-    and with the atom ids of those rows in ``matched``, in step order."""
-    rel, (positions, keys, binds, checks), lo, hi = steps[k]
+    and with the atom id of each such row in ``matched`` at the step's
+    body position."""
+    rel, (positions, keys, binds, checks), at, lo, hi = steps[k]
     rows, ids = rel.rows, rel.ids
     if positions:
         bucket = rel.lookup(positions, tuple([binding[s] for s in keys]))
@@ -231,15 +237,18 @@ def _join(
             if args[pos] != binding[s]:
                 break
         else:
-            matched[k] = ids[r]
+            matched[at] = ids[r]
             if last:
                 found(binding, matched)
             else:
                 _join(steps, binding, matched, found, k + 1)
 
 
-def _key_of(a: Atom) -> _Key:
-    return a.predicate, tuple(t.name for t in a.args)
+def _key_of(a: _Fact) -> _Key:
+    """The key of a ground atom given as a ``(predicate, terms)`` pair,
+    such as an :class:`Atom`."""
+    pred, args = a
+    return pred, tuple([t.name for t in args])
 
 
 class _Compiled(NamedTuple):
@@ -247,14 +256,14 @@ class _Compiled(NamedTuple):
     of :func:`_layout`, the predicate and argument slots of each atom of
     its head and negative body, and one plan per positive body atom, the
     pivot, which is matched against new rows and the others after it in
-    body order.  A plan holds the pivot's predicate and join step, then
-    ``(step, predicate, before_pivot)`` for each other atom, and the
-    permutation that puts the matched ids back into body order."""
+    body order.  A plan holds the pivot's predicate, join step and body
+    position, then ``(step, predicate, position)`` for each other atom; an
+    atom before the pivot in the body matches old rows only."""
 
     template: tuple[str | None, ...]
     head: tuple[tuple[str, tuple[int, ...]], ...]
     neg: tuple[tuple[str, tuple[int, ...]], ...]
-    plans: tuple[tuple[str, _Step, tuple, tuple[int, ...]], ...]
+    plans: tuple[tuple[str, _Step, int, tuple], ...]
 
 
 def _compile(rule: Rule) -> _Compiled:
@@ -267,9 +276,8 @@ def _compile(rule: Rule) -> _Compiled:
     for i in range(len(pos)):
         order = (i, *(j for j in range(len(pos)) if j != i))
         first, *rest = _plan([pos[j][1] for j in order], n)
-        others = tuple((step, pos[j][0], j < i) for step, j in zip(rest, order[1:]))
-        perm = tuple(order.index(j) for j in range(len(pos)))
-        plans.append((pos[i][0], first, others, perm))
+        others = tuple((step, pos[j][0], j) for step, j in zip(rest, order[1:]))
+        plans.append((pos[i][0], first, i, others))
     return _Compiled(tuple(template), head, neg, tuple(plans))
 
 
@@ -285,20 +293,21 @@ def _compiled(rule: Rule) -> _Compiled:
 
 
 def _ground_coded(
-    p: Program, ground_cap: int = GROUND_CAP_DEFAULT, facts: Iterable[_Key] = ()
+    p: Program, ground_cap: int = GROUND_CAP_DEFAULT, facts: Iterable[_Fact] = ()
 ) -> _Coded:
-    """The relevant grounding of ``p`` with the ground atoms ``facts``
-    added as facts, in integer coding.
+    """The relevant grounding of ``p`` with the ground atoms ``facts``,
+    each a ``(predicate, terms)`` pair such as an :class:`Atom`, added as
+    facts, in integer coding.
 
     Each derived atom gets an id the first time it is derived, keyed by
     predicate and argument names; an atom of a negative body that nothing
     derives gets one too, so instances compare by their ids alone.
-    Bodiless rules are ground by safety and come first, their atoms coded
-    directly, followed by ``facts`` in sorted order; a fact that repeats
-    an instance is dropped like any other repeat.  So the result is that
-    of ``p.with_facts(atoms)`` for the atoms that ``facts`` code, order
-    included, without building that program; the caller takes the
-    predicates of ``facts`` from ``p`` with their arities, which is what
+    Bodiless rules are ground by safety and come first, their atoms keyed
+    directly, followed by ``facts``, keyed the same way, in key order; a
+    fact that repeats an instance is dropped like any other repeat.  So
+    the result is that of ``p.with_facts(facts)``, order included, without
+    building that program; the caller takes the predicates of ``facts``
+    from ``p`` with their arities, which is what
     :meth:`Program.with_facts` would check.  Every other rule joins along
     the plan :func:`_compiled` keeps on the rule object, compiled by the
     first grounding that meets it and only read here, each join starting
@@ -311,9 +320,11 @@ def _ground_coded(
     index of :class:`_Relation`, and the old/new split is a bisection on
     the row numbers.  Each row carries its atom id, so an instance's
     positive body is the ids of the rows matched and only its head and
-    negative body are keyed.  Instances are kept in the order first
-    emitted, deduplicated on their id sets; ``ground_cap`` bounds the
-    distinct ones, bodiless ones and added facts included.
+    negative body are keyed; the join writes each id at its atom's body
+    position, so the positive body comes out in body order.  Instances
+    are kept in the order first emitted, deduplicated on their id sets;
+    ``ground_cap`` bounds the distinct ones, bodiless ones and added facts
+    included.
     """
     keys: list[_Key] = []
     ids: dict[_Key, int] = {}
@@ -347,12 +358,12 @@ def _ground_coded(
                 derived.append(a)
                 pending.append(a)
 
-    def fire(head, neg, perm, binding: list, matched: list) -> None:
+    def fire(head, neg, binding: list, matched: list) -> None:
         """Emit the instance of a complete binding: the positive body is
-        the ids of the rows matched, put back into body order."""
+        the ids of the rows matched."""
         emit((
             tuple([atom_id((p, tuple([binding[s] for s in a]))) for p, a in head]),
-            tuple([matched[k] for k in perm]),
+            tuple(matched),
             tuple([atom_id((p, tuple([binding[s] for s in a]))) for p, a in neg]),
         ))
 
@@ -367,7 +378,7 @@ def _ground_coded(
             ))
             continue
         joined.append(_compiled(rule))
-    for key in sorted(facts):
+    for key in sorted(map(_key_of, facts)):
         emit(((atom_id(key),), (), ()))
 
     relations: dict[str, _Relation] = {}
@@ -380,21 +391,21 @@ def _ground_coded(
             relations[pred].add(args, a)
         pending.clear()
         for template, head, neg, plans in joined:
-            for pred, first, others, perm in plans:
+            for pred, first, at, others in plans:
                 rel = relations.get(pred)
                 lo = mark.get(pred, 0)
                 if rel is None or len(rel.rows) == lo:
                     continue
-                steps = [(rel, first, lo, len(rel.rows))]
-                for step, other, before_pivot in others:
+                steps = [(rel, first, at, lo, len(rel.rows))]
+                for step, other, j in others:
                     rel = relations.get(other)
                     if rel is None:
                         break
-                    hi = mark.get(other, 0) if before_pivot else len(rel.rows)
-                    steps.append((rel, step, 0, hi))
+                    hi = mark.get(other, 0) if j < at else len(rel.rows)
+                    steps.append((rel, step, j, 0, hi))
                 else:
                     _join(steps, list(template), [0] * len(steps),
-                          partial(fire, head, neg, perm))
+                          partial(fire, head, neg))
 
     return _Coded(keys, derived, instances)
 
@@ -447,8 +458,8 @@ class _Budget:
         self.cap = cap
         self.spent = 0
 
-    def spend(self, amount: int = 1) -> None:
-        self.spent += amount
+    def spend(self) -> None:
+        self.spent += 1
         if self.spent > self.cap:
             raise CandidateSpaceTooLarge(
                 f"more than {self.cap} candidate states examined"
@@ -606,7 +617,7 @@ def _stable_models(
 
 
 def _relevant_search(
-    p: Program, ground_cap: int, facts: Iterable[_Key] = ()
+    p: Program, ground_cap: int, facts: Iterable[_Fact] = ()
 ) -> tuple[int, list[_Key], list[tuple[int, int, int]]]:
     """The relevant grounding of ``p`` with ``facts`` added (see
     :func:`_ground_coded`) in the mask form the search takes:
@@ -631,6 +642,16 @@ def _relevant_search(
 
     masked = [(mask(h), mask(b), mask(n)) for h, b, n in coded.instances]
     return len(coded.instances), [coded.keys[i] for i in order], masked
+
+
+def _consistent(
+    p: Program, facts: Iterable[_Fact], ground_cap: int, candidate_cap: int
+) -> bool:
+    """Whether ``p`` with ``facts`` added (see :func:`_ground_coded`) has
+    an answer set; the search stops at the first one, and ``candidate_cap``
+    bounds its states."""
+    _, _, masked = _relevant_search(p, ground_cap, facts)
+    return next(_stable_models(masked, _Budget(candidate_cap)), None) is not None
 
 
 def _decode(p: Program, keys: Iterable[_Key]) -> list[Atom]:
@@ -669,26 +690,32 @@ def _interpretation(atoms: Sequence[Atom], m: int) -> Interpretation:
     return frozenset(a for i, a in enumerate(atoms) if m >> i & 1)
 
 
+def _unfounded(masked: Iterable[tuple[int, int, int]], x: int, i: int) -> bool:
+    """Whether the atoms of mask ``x`` are unfounded with respect to the
+    interpretation ``i``, over ``(head, pos, neg)`` rule masks: every rule
+    with a head atom in ``x`` is either blocked under ``i``, consumes an
+    atom of ``x`` positively, or is already satisfied by ``i`` outside
+    ``x``."""
+    for h, p, n in masked:
+        if h & x and p & ~i == 0 and n & i == 0 and p & x == 0 and h & i & ~x == 0:
+            return False
+    return True
+
+
 def is_unfounded_set(x: frozenset[Atom], p: Program, i: Interpretation) -> bool:
-    """Whether ``x`` is unfounded with respect to ``i``: every rule with a
-    head atom in ``x`` is either blocked under ``i``, consumes an atom of
-    ``x`` positively, or is already satisfied by ``i`` outside ``x``.
+    """Whether ``x`` is unfounded with respect to ``i`` (see
+    :func:`_unfounded`).
 
     ``p`` is ground over its whole universe, since ``x`` and ``i`` may hold
-    atoms that nothing derives; a ground program grounds to itself."""
-    for rule in _ground_exhaustive(p).rules:
-        if not any(a in x for a in rule.head):
-            continue
-        if not all(a in i for a in rule.pos_body):
-            continue
-        if any(a in i for a in rule.neg_body):
-            continue
-        if any(a in x for a in rule.pos_body):
-            continue
-        if any(a in i and a not in x for a in rule.head):
-            continue
-        return False
-    return True
+    atoms that nothing derives; a ground program grounds to itself.  An
+    atom that no ground rule mentions cannot decide the test, so only the
+    others get a bit."""
+    _, pos_of, masked = _index_rules(_ground_exhaustive(p).rules)
+
+    def mask(atoms: Iterable[Atom]) -> int:
+        return sum(1 << pos_of[a] for a in atoms if a in pos_of)
+
+    return _unfounded(masked, mask(x), mask(i))
 
 
 def answer_sets_via_unfounded(
@@ -714,29 +741,12 @@ def answer_sets_via_unfounded(
     head_bits = [1 << pos_of[a] for a in head_atoms]
 
     def unfounded_free(imask: int) -> bool:
-        inside = [b for b in head_bits if imask & b]
-        full = 0
-        for b in inside:
-            full |= b
-        sub = full
+        # imask holds head atoms only; walk its nonempty subsets
+        sub = imask
         while sub:
-            ok = False
-            for h, pb, nb in masked:
-                if h & sub == 0:
-                    continue
-                if pb & ~imask:
-                    continue
-                if nb & imask:
-                    continue
-                if pb & sub:
-                    continue
-                if h & imask & ~sub:
-                    continue
-                ok = True
-                break
-            if not ok:
+            if _unfounded(masked, sub, imask):
                 return False
-            sub = (sub - 1) & full
+            sub = (sub - 1) & imask
         return True
 
     found = []
@@ -883,7 +893,7 @@ def answer_query(
 
 def _answer(
     p: Program, q: Query, modes: Sequence[str], domain: Iterable[Term],
-    ground_cap: int, candidate_cap: int, facts: Iterable[_Key] = (),
+    ground_cap: int, candidate_cap: int, facts: Iterable[_Fact] = (),
 ) -> tuple[dict[str, frozenset[Substitution]], int, int]:
     """The answers to ``q`` over ``p`` with ``facts`` added (see
     :func:`_ground_coded`), substitutions ranging over ``domain``, in each

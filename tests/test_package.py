@@ -1,8 +1,10 @@
 """The package root: lazy exports that load a submodule on first use."""
 
+import ast
 import importlib
 import inspect
 import types
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +60,37 @@ def test_unknown_attribute_raises_attribute_error():
 def test_removed_names_raise_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(aspmagic, name)
+
+
+def _private_semantics_names(tree: ast.Module) -> set[str]:
+    """The private names of ``aspmagic.semantics`` a module imports or
+    reads as an attribute of the module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.level == 1 and node.module == "semantics")
+            or node.module == "aspmagic.semantics"
+        ):
+            names.update(a.name for a in node.names if a.name.startswith("_"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "semantics"
+            and node.attr.startswith("_")
+        ):
+            names.add(node.attr)
+    return names
+
+
+def test_semantics_keeps_its_fact_keys_and_search_private():
+    # Neighbours pass atoms and ask one question each: how a fact is keyed
+    # and how the search is driven stay inside semantics.
+    allowed = {"harness": {"_answer"}, "analysis": {"_consistent"}}
+    modules = sorted(Path(aspmagic.__file__).parent.glob("*.py"))
+    assert {"analysis", "cli", "harness", "semantics"} <= {m.stem for m in modules}
+    for module in modules:
+        if module.stem != "semantics":
+            tree = ast.parse(module.read_text(), filename=str(module))
+            assert _private_semantics_names(tree) == allowed.get(module.stem, set()), (
+                module.stem
+            )

@@ -56,6 +56,17 @@ def test_error_position_unexpected_character():
     assert (err.value.line, err.value.column) == (2, 6)
 
 
+@pytest.mark.parametrize("parse, text, line, column, found", [
+    (parse_program, "ok.\np(,).", 2, 3, "','"),
+    (parse_query, "q(a,)?", 1, 5, "')'"),
+])
+def test_missing_term_is_reported_where_it_is_missing(parse, text, line, column, found):
+    with pytest.raises(SourceError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert err.value.message == f"expected a term, found {found}"
+
+
 def test_not_cannot_name_an_atom():
     with pytest.raises(SourceError, match="reserved"):
         parse_program("not(a).")

@@ -55,7 +55,6 @@ from aspmagic.semantics import (
     _ground_coded,
     _ground_exhaustive,
     _index_rules,
-    _key_of,
     _relevant_search,
 )
 
@@ -96,6 +95,19 @@ def test_ground_cap_is_checked_before_materializing():
     with pytest.raises(GroundingTooLarge):
         ground(p, ground_cap=20)
     assert len(ground(p, ground_cap=30).rules) == 30
+
+
+def test_oracle_ground_cap_is_checked_before_materializing(monkeypatch):
+    # 2 x 2 instances of the rule plus the 2 facts
+    p = parse_program("p(X,Y) :- e(X), e(Y). e(a). e(b).")
+    assert answer_sets_via_unfounded(p, ground_cap=6).ground_rules == 6
+
+    def refuse(rule, binding):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(Rule, "substitute", refuse)
+    with pytest.raises(GroundingTooLarge, match="more than 5 instances"):
+        answer_sets_via_unfounded(p, ground_cap=5)
 
 
 def test_ground_cap_counts_instantiated_rules():
@@ -204,17 +216,18 @@ def test_search_reads_exactly_what_ground_returns(profile):
 
 
 def _assert_keyed_facts_ground_like_with_facts(p, facts):
-    """``_ground_coded`` with ``facts`` as coded atoms, in no particular
-    order and one of them twice, equals the grounding of ``p.with_facts``,
+    """``_ground_coded`` with ``facts`` passed beside ``p``, in no
+    particular order and one of them twice, the repeat as a plain
+    ``(predicate, terms)`` pair, equals the grounding of ``p.with_facts``,
     order included, and its cap counts the added facts the same way."""
-    keys = [_key_of(a) for a in facts]
-    keys += keys[:1]
+    added = list(facts)
+    added += [tuple(a) for a in added[:1]]
     expected = _ground_coded(p.with_facts(facts), GROUND_CAP_DEFAULT)
-    assert _ground_coded(p, GROUND_CAP_DEFAULT, keys) == expected
+    assert _ground_coded(p, GROUND_CAP_DEFAULT, added) == expected
     cap = len(expected.instances) - 1
     if cap >= 0:
         with pytest.raises(GroundingTooLarge):
-            _ground_coded(p, cap, keys)
+            _ground_coded(p, cap, added)
         with pytest.raises(GroundingTooLarge):
             _ground_coded(p.with_facts(facts), cap)
 
