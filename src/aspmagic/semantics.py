@@ -8,16 +8,19 @@ through an argument index on the positions already bound, and it codes
 atoms as integer ids and instances as tuples of ids; a positive body is
 the ids of the rows it matched, so only heads and negative bodies are
 keyed.  The search turns the instances straight into bitmasks, and
-:func:`ground` decodes them into rules.  A rule's join plan is compiled
-once per :class:`Rule` object and kept on it, so every grounding that
-contains the rule reuses it; bodiless rules need no plan and go straight
-to ids.  Facts added to a fixed program, as the differential check and
-the super-consistency check add one fact set after another, are passed as
-atoms beside it and keyed by the grounder like its own bodiless rules, so
-no extended program is built for them; how a fact is keyed and how the
-search is driven stay inside this module.  The search then branches over
-the atoms that occur in negative bodies, keeps monotone lower and upper
-bounds to cut hopeless branches early, and enumerates the minimal models
+:func:`ground` decodes them into rules.  A rule's variable layout is made
+once per :class:`Rule` object and kept on it, with one join plan per
+positive body atom, the pivot, built there the first time a round can
+match that pivot, so every grounding that contains the rule reuses them
+and a plan no round needs is never built; bodiless rules need no plan and
+go straight to ids.  Facts added to a fixed program, as the differential
+check and the super-consistency check add one fact set after another, are
+passed as atoms beside it and keyed by the grounder like its own bodiless
+rules, so no extended program is built for them; how a fact is keyed and
+how the search is driven stay inside this module.  The search then
+branches over the atoms that occur in negative bodies, keeps monotone
+lower and upper bounds to cut hopeless branches early, the lower one
+carried from each node to its children, and enumerates the minimal models
 of the positive remainder at each leaf.  The cross-check route grounds
 every rule over the whole universe, enumerates candidate interpretations
 outright and accepts those that are models containing no nonempty
@@ -99,11 +102,12 @@ def ground(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> Program:
     set of bound positions.  The grounder codes atoms as integer ids and
     instances as tuples of ids; the search reads those directly, and this
     function decodes the same instances into the rules of a ground
-    :class:`Program`.  Each rule's join plan is compiled on the first
-    grounding that meets the rule object and reused by every later one;
-    bodiless rules are ground without a plan.  Instances come in
-    derivation order: each positive body atom heads an earlier instance,
-    and of two instances that collide the first one derived is kept.
+    :class:`Program`.  Each rule's join plans are built on the first
+    grounding that needs them and reused by every later one that meets
+    the rule object; bodiless rules are ground without a plan.  Instances
+    come in derivation order: each positive body atom heads an earlier
+    instance, and of two instances that collide the first one derived is
+    kept.
 
     ``ground_cap`` bounds the number of distinct instances as they are
     emitted; crossing it raises :class:`GroundingTooLarge`.
@@ -251,19 +255,28 @@ def _key_of(a: _Fact) -> _Key:
     return pred, tuple([t.name for t in args])
 
 
-class _Compiled(NamedTuple):
-    """The join plan of a rule with a positive body: the template binding
-    of :func:`_layout`, the predicate and argument slots of each atom of
-    its head and negative body, and one plan per positive body atom, the
-    pivot, which is matched against new rows and the others after it in
-    body order.  A plan holds the pivot's predicate, join step and body
-    position, then ``(step, predicate, position)`` for each other atom; an
-    atom before the pivot in the body matches old rows only."""
+# A pivot's join plan: its step, then each other positive body atom's step
+# and body position.
+_Plan = tuple[_Step, tuple[tuple[_Step, int], ...]]
 
+
+class _Compiled(NamedTuple):
+    """A rule with a positive body, laid out for the join: the number of
+    variables and the template binding of :func:`_layout`, and the
+    predicate and argument slots of each atom of its head, positive body
+    and negative body.  ``plans[i]`` is the join plan with positive body
+    atom ``i`` as the pivot, ``None`` until a grounding first needs it: the
+    pivot's join step, then ``(step, position)`` for each other atom,
+    matched after the pivot in body order.  ``preds`` holds the predicates
+    of the positive body."""
+
+    n: int
     template: tuple[str | None, ...]
     head: tuple[tuple[str, tuple[int, ...]], ...]
+    pos: tuple[tuple[str, tuple[int, ...]], ...]
     neg: tuple[tuple[str, tuple[int, ...]], ...]
-    plans: tuple[tuple[str, _Step, int, tuple], ...]
+    preds: frozenset[str]
+    plans: list[_Plan | None]
 
 
 def _compile(rule: Rule) -> _Compiled:
@@ -272,20 +285,27 @@ def _compile(rule: Rule) -> _Compiled:
         tuple((a.predicate, tuple(slot[t.name] for t in a.args)) for a in part)
         for part in (rule.head, rule.pos_body, rule.neg_body)
     )
-    plans = []
-    for i in range(len(pos)):
-        order = (i, *(j for j in range(len(pos)) if j != i))
-        first, *rest = _plan([pos[j][1] for j in order], n)
-        others = tuple((step, pos[j][0], j) for step, j in zip(rest, order[1:]))
-        plans.append((pos[i][0], first, i, others))
-    return _Compiled(tuple(template), head, neg, tuple(plans))
+    preds = frozenset(pred for pred, _ in pos)
+    return _Compiled(n, tuple(template), head, pos, neg, preds, [None] * len(pos))
+
+
+def _pivot_plan(c: _Compiled, i: int) -> _Plan:
+    """The join plan of ``c`` with positive body atom ``i`` as the pivot,
+    built on first use and kept in ``c.plans``."""
+    plan = c.plans[i]
+    if plan is None:
+        order = (i, *(j for j in range(len(c.pos)) if j != i))
+        first, *rest = _plan([c.pos[j][1] for j in order], c.n)
+        plan = c.plans[i] = (first, tuple(zip(rest, order[1:])))
+    return plan
 
 
 def _compiled(rule: Rule) -> _Compiled:
-    """The join plan of ``rule``, compiled on first use and kept in the
-    rule's own ``__dict__``, like its cached signature: it is tied to this
-    object, whose atom order fixes the order of the decoded atoms, not to
-    the equal rules, and it lives exactly as long as the rule."""
+    """The layout of ``rule`` for the join, made on first use and kept in
+    the rule's own ``__dict__``, like its cached signature, with the pivot
+    plans built so far: it is tied to this object, whose atom order fixes
+    the order of the decoded atoms, not to the equal rules, and it lives
+    exactly as long as the rule."""
     compiled = rule.__dict__.get("_join_plan")
     if compiled is None:
         compiled = rule.__dict__["_join_plan"] = _compile(rule)
@@ -309,22 +329,26 @@ def _ground_coded(
     building that program; the caller takes the predicates of ``facts``
     from ``p`` with their arities, which is what
     :meth:`Program.with_facts` would check.  Every other rule joins along
-    the plan :func:`_compiled` keeps on the rule object, compiled by the
-    first grounding that meets it and only read here, each join starting
-    from a copy of its template binding.  The join runs in semi-naive
-    rounds.  Each round matches every positive body against the atoms
-    derived so far with at least one body atom on an atom new in the
-    previous round; atoms before that one match old atoms only, so each
-    new combination is found once.  A body atom reads only the rows of its
+    the layout :func:`_compiled` keeps on the rule object, each join
+    starting from a copy of its template binding.  The join runs in
+    semi-naive rounds.  Each round matches every positive body against the
+    atoms derived so far with one body atom, the pivot, on an atom new in
+    the previous round; atoms before the pivot match old atoms only, so
+    each new combination is found once.  A round visits a pivot only when
+    its predicate grew and every body atom before it has old rows, the only
+    pivots that can match, and a rule none of whose body predicates grew is
+    passed over whole; a pivot's plan is built by :func:`_pivot_plan` the
+    first time it is visited.  A body atom reads only the rows of its
     predicate whose already-bound positions match, through the argument
     index of :class:`_Relation`, and the old/new split is a bisection on
     the row numbers.  Each row carries its atom id, so an instance's
     positive body is the ids of the rows matched and only its head and
-    negative body are keyed; the join writes each id at its atom's body
-    position, so the positive body comes out in body order.  Instances
-    are kept in the order first emitted, deduplicated on their id sets;
-    ``ground_cap`` bounds the distinct ones, bodiless ones and added facts
-    included.
+    negative body are keyed, inline; the join writes each id at its atom's
+    body position, so the positive body comes out in body order.
+    Instances are kept in the order first emitted, deduplicated on their
+    parts as sets of ids: a part with fewer than two ids as it is, a
+    longer one as its sorted distinct ids.  ``ground_cap`` bounds the
+    distinct ones, bodiless ones and added facts included.
     """
     keys: list[_Key] = []
     ids: dict[_Key, int] = {}
@@ -341,9 +365,15 @@ def _ground_coded(
             keys.append(key)
         return i
 
-    def emit(instance: _Instance) -> None:
-        head, pos, neg = instance
-        signature = (frozenset(head), frozenset(pos), frozenset(neg))
+    def emit(
+        head: tuple[int, ...], pos: tuple[int, ...], neg: tuple[int, ...]
+    ) -> None:
+        # each part as a set: sorted and without repeats
+        signature = (
+            head if len(head) < 2 else tuple(sorted(set(head))),
+            pos if len(pos) < 2 else tuple(sorted(set(pos))),
+            neg if len(neg) < 2 else tuple(sorted(set(neg))),
+        )
         if signature in distinct:
             return
         distinct.add(signature)
@@ -351,61 +381,77 @@ def _ground_coded(
             raise GroundingTooLarge(
                 f"grounding needs more than {ground_cap} instances"
             )
-        instances.append(instance)
+        instances.append((head, pos, neg))
         for a in head:
             if a not in known:
                 known.add(a)
                 derived.append(a)
                 pending.append(a)
 
-    def fire(head, neg, binding: list, matched: list) -> None:
-        """Emit the instance of a complete binding: the positive body is
-        the ids of the rows matched."""
-        emit((
-            tuple([atom_id((p, tuple([binding[s] for s in a]))) for p, a in head]),
-            tuple(matched),
-            tuple([atom_id((p, tuple([binding[s] for s in a]))) for p, a in neg]),
-        ))
+    def fire(keyed, split: int, binding: list, matched: list) -> None:
+        """Emit the instance of a complete binding: ``keyed`` holds the
+        head atoms, then from ``split`` on the negative body atoms, each
+        keyed here rather than through ``atom_id``, which would cost a call
+        per atom, and the positive body is the ids of the rows matched."""
+        out = []
+        for pred, slots in keyed:
+            key = (pred, tuple([binding[s] for s in slots]))
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(keys)
+                keys.append(key)
+            out.append(i)
+        emit(tuple(out[:split]), tuple(matched), tuple(out[split:]))
 
     joined = []
     for rule in p.rules:
         if not rule.pos_body:
             # Ground by safety: its atoms go straight to their ids.
-            emit((
+            emit(
                 tuple([atom_id(_key_of(a)) for a in rule.head]),
                 (),
                 tuple([atom_id(_key_of(a)) for a in rule.neg_body]),
-            ))
+            )
             continue
         joined.append(_compiled(rule))
     for key in sorted(map(_key_of, facts)):
-        emit(((atom_id(key),), (), ()))
+        emit((atom_id(key),), (), ())
 
     relations: dict[str, _Relation] = {}
     while pending:
         mark = {pred: len(rel.rows) for pred, rel in relations.items()}
+        grown = set()
         for a in pending:
             pred, args = keys[a]
             if pred not in relations:
                 relations[pred] = _Relation()
             relations[pred].add(args, a)
+            grown.add(pred)
         pending.clear()
-        for template, head, neg, plans in joined:
-            for pred, first, at, others in plans:
+        for c in joined:
+            if grown.isdisjoint(c.preds):
+                continue
+            # each body atom's relation and old rows; no match without rows
+            body = []
+            for pred, _ in c.pos:
                 rel = relations.get(pred)
-                lo = mark.get(pred, 0)
-                if rel is None or len(rel.rows) == lo:
-                    continue
-                steps = [(rel, first, at, lo, len(rel.rows))]
-                for step, other, j in others:
-                    rel = relations.get(other)
-                    if rel is None:
+                if rel is None:
+                    break
+                body.append((rel, mark.get(pred, 0)))
+            else:
+                found = partial(fire, c.head + c.neg, len(c.head))
+                for i, (rel, old) in enumerate(body):
+                    if old < len(rel.rows):
+                        first, others = _pivot_plan(c, i)
+                        steps = [(rel, first, i, old, len(rel.rows))]
+                        for step, j in others:
+                            other, other_old = body[j]
+                            hi = other_old if j < i else len(other.rows)
+                            steps.append((other, step, j, 0, hi))
+                        _join(steps, list(c.template), [0] * len(steps), found)
+                    if not old:
+                        # pivots after this atom match it against old rows
                         break
-                    hi = mark.get(other, 0) if j < at else len(rel.rows)
-                    steps.append((rel, step, j, 0, hi))
-                else:
-                    _join(steps, list(template), [0] * len(steps),
-                          partial(fire, head, neg))
 
     return _Coded(keys, derived, instances)
 
@@ -566,8 +612,14 @@ def _stable_models(
     so ``goal(possible, cert)`` is asked at every node, and a node where it
     fails is pruned too; a model ``m`` is yielded only if ``goal(m, m)``.
     The goal is called afresh each time, so a caller may narrow it between
-    yields.  Each surviving leaf fixes the reduct; its minimal models that
+    yields.  The lower bound only grows as atoms are assumed false, so each
+    node closes it from its parent's rather than from nothing; with nothing
+    assumed true the upper bound is every atom, since the heads of a
+    relevant grounding are exactly the atoms derivable with negation
+    ignored.  Each surviving leaf fixes the reduct; its minimal models that
     reproduce the assumed assignment are exactly the stable models there.
+    Without disjunctive rules the reduct's only minimal model is the lower
+    bound itself, which still counts as one state.
     A node branches on the lowest undecided atom that heads an applicable
     rule (positive body certain, negative body free of assumed-true atoms),
     else on the lowest undecided atom, so under a rewriting an atom waits
@@ -576,21 +628,22 @@ def _stable_models(
     default goal produces every stable model, in the same order, and any
     other goal visits a subset of the same nodes.
     """
-    nb_mask = 0
-    for _, _, n in masked:
+    everything = nb_mask = 0
+    for h, _, n in masked:
+        everything |= h
         nb_mask |= n
     normal = [(h, p, n) for h, p, n in masked if h & (h - 1) == 0]
     disjunctive = [(h, p, n) for h, p, n in masked if h & (h - 1) != 0]
 
-    stack = [(0, 0)]
+    stack = [(0, 0, 0)]
     while stack:
-        t, f = stack.pop()
+        t, f, cert = stack.pop()
         budget.spend()
         while True:
-            possible = _closure(masked, t)
+            possible = _closure(masked, t) if t else everything
             if t & ~possible:
                 break
-            cert = _closure(normal, ~f)
+            cert = _closure(normal, ~f, cert)
             if cert & f or not goal(possible, cert):
                 break
             undecided = nb_mask & ~t & ~f
@@ -601,7 +654,14 @@ def _stable_models(
                 f |= force_false
                 continue
             if undecided == 0:
-                for m in _minimal_models_masks(normal, disjunctive, t, budget):
+                if disjunctive:
+                    models = _minimal_models_masks(normal, disjunctive, t, budget)
+                else:
+                    # the reduct's rules are those whose negative body
+                    # lies in f, so its least model is cert
+                    budget.spend()
+                    models = [cert]
+                for m in models:
                     if m & nb_mask == t and goal(m, m):
                         yield m
             else:
@@ -611,8 +671,8 @@ def _stable_models(
                         ready |= h
                 choice = undecided & ready or undecided
                 bit = choice & -choice
-                stack.append((t, f | bit))
-                stack.append((t | bit, f))
+                stack.append((t, f | bit, cert))
+                stack.append((t | bit, f, cert))
             break
 
 
@@ -634,13 +694,16 @@ def _relevant_search(
     for k, i in enumerate(order):
         bits[i] = 1 << k
 
-    def mask(ids: tuple[int, ...]) -> int:
-        m = 0
-        for i in ids:
-            m |= bits[i]
-        return m
-
-    masked = [(mask(h), mask(b), mask(n)) for h, b, n in coded.instances]
+    masked = []
+    for head, pos, neg in coded.instances:
+        h = b = n = 0
+        for i in head:
+            h |= bits[i]
+        for i in pos:
+            b |= bits[i]
+        for i in neg:
+            n |= bits[i]
+        masked.append((h, b, n))
     return len(coded.instances), [coded.keys[i] for i in order], masked
 
 

@@ -6,6 +6,7 @@ definitions before the solver existed; they are frozen here as literals.
 """
 
 import ast
+import hashlib
 import random
 import sys
 from collections import defaultdict
@@ -48,10 +49,12 @@ from aspmagic import (
     var,
 )
 from aspmagic import semantics
+from aspmagic.harness import _draw_edb, _edb_pool
 from aspmagic.semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
     _answer,
+    _closure,
     _ground_coded,
     _ground_exhaustive,
     _index_rules,
@@ -88,6 +91,28 @@ def test_ground_deduplicates_collapsing_instances():
     p = parse_program("e(a). e(b). p(X) :- e(X), e(X).")
     g = ground(p)
     assert len(g.rules) == 4
+
+
+def test_instances_equal_as_sets_are_one_instance():
+    # Atom ids: q(a) 0, q(b) 1, then the first head.  The positive body
+    # keeps the rows matched, so q(a), q(a) stays (0, 0); q(b), q(a)
+    # repeats q(a), q(b) as a set and is dropped.
+    p = parse_program("q(a). q(b). r :- q(X), q(Y).")
+    assert len(ground(p).rules) == 5
+    facts = [((0,), (), ()), ((1,), (), ())]
+    assert _ground_coded(p).instances == facts + [
+        ((2,), (0, 0), ()), ((2,), (0, 1), ()), ((2,), (1, 1), ()),
+    ]
+    # of two rules with the same instance, the one derived first is kept
+    for rules, pos in (
+        ("p(X) :- q(X), q(Y). p(X) :- q(X).", (0, 0)),
+        ("p(X) :- q(X). p(X) :- q(X), q(Y).", (0,)),
+    ):
+        coded = _ground_coded(parse_program(f"q(a). {rules}"))
+        assert coded.instances == [((0,), (), ()), ((1,), pos, ())]
+    # an added fact repeating a fact of the program is dropped
+    added = [Atom("q", (const("b"),)), Atom("q", (const("a"),))]
+    assert _ground_coded(p, GROUND_CAP_DEFAULT, added) == _ground_coded(p)
 
 
 def test_ground_cap_is_checked_before_materializing():
@@ -391,6 +416,61 @@ def test_check_equivalence_compiles_each_rule_once(monkeypatch):
         assert sum(any(r is c for c in compiled) for r in mine) == len(mine)
         expected = mine + [r for r in dms(q, p).rules if r.pos_body]
         assert sorted(map(str, compiled)) == sorted(map(str, expected))
+
+
+def _corpus(seeds=range(100), trials=3):
+    """The trials of ``check_equivalence(p, q, trials, seed, 0.3,
+    max_facts=8)`` on the random programs of every profile, drawn as it
+    draws them: each side, the program and its rewriting, with the drawn
+    facts, the query and the shared substitution domain."""
+    for profile in ("stratified", "odd_cycle_free", "arbitrary"):
+        for seed in seeds:
+            p = random_program(seed, profile)
+            q = random_query(p, seed)
+            rewritten = dms(q, p)
+            candidates = _edb_pool(p, 2)
+            qconsts = frozenset(t for t in q.atom.args if t.is_constant)
+            for t in range(trials):
+                drawn = _draw_edb(candidates, seed * 1_000_003 + t, 0.3, 8)
+                terms = p.constants.union(*[args for _, args in drawn]) or universe(p)
+                for side in (p, rewritten):
+                    yield side, q, terms | qconsts, drawn
+
+
+# A digest of the coded groundings of the corpus, in order, and of every
+# answer with its state and instance counts, for brave, cautious and both,
+# and the total state count.  A change that only makes the grounder or the
+# search cheaper must leave both as they are.
+CORPUS_DIGEST = "9a346aa6b2024e50b70a08369f9d8721a4831b05c783b3bb3888142b78163a1a"
+CORPUS_STATES = 16956
+
+
+def test_grounding_and_search_are_unchanged_on_the_corpus():
+    digest = hashlib.sha256()
+    states = 0
+    for side, q, domain, drawn in _corpus():
+        coded = _ground_coded(side, GROUND_CAP_DEFAULT, drawn)
+        digest.update(repr(coded).encode())
+        for modes in (("brave",), ("cautious",), ("brave", "cautious")):
+            answers, spent, instances = _answer(
+                side, q, modes, domain, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT,
+                drawn,
+            )
+            states += spent
+            got = sorted((mode, sorted(subs)) for mode, subs in answers.items())
+            digest.update(repr((got, spent, instances)).encode())
+    assert (digest.hexdigest(), states) == (CORPUS_DIGEST, CORPUS_STATES)
+
+
+def test_every_relevant_atom_is_derivable_at_the_root():
+    # The search starts its upper bound at every atom, which is the
+    # closure of the masks with nothing assumed true.
+    for side, _, _, drawn in _corpus():
+        _, keys, masked = _relevant_search(side, GROUND_CAP_DEFAULT, drawn)
+        heads = 0
+        for h, _, _ in masked:
+            heads |= h
+        assert _closure(masked, 0) == heads == (1 << len(keys)) - 1
 
 
 def test_semantics_does_not_import_the_rewriter():
