@@ -28,7 +28,7 @@ from .semantics import (
     GROUND_CAP_DEFAULT,
     SolverCapError,
     Substitution,
-    _answer,
+    _trial_answers,
     answer_query,
 )
 from .syntax import (
@@ -340,15 +340,22 @@ def check_equivalence(
 
     The rewriting is computed once, and so are the candidate facts of
     :func:`random_edb`, before the first trial.  Each trial draws its
-    facts as ``random_edb`` would and passes them beside each side (see
-    :func:`_answer`), never building an extended program; the query is
-    evaluated over a shared substitution domain, the universe of ``p``
-    with the facts added plus the query's constants, so any reported
+    facts as ``random_edb`` would, and every draw is made before the first
+    trial.  Each side is ground once, with the union of the draws added as
+    facts, and each trial's grounding is cut from it: the instances whose
+    positive body the trial's own facts derive, which are exactly those
+    of grounding the trial alone (see :func:`_trial_answers`).  No
+    extended program is built.  When the union trips ``ground_cap``, that
+    side grounds each trial on its own instead.  The query is evaluated
+    over a shared substitution domain, the universe of ``p`` with the
+    trial's facts added plus the query's constants, so any reported
     difference is a genuine answer difference.
     Each side is answered by one directed search, the one ``aspmagic
     query`` runs, settling its brave and cautious answers together;
     ``timings_ms`` holds the time of each side's grounding, search and
-    answering.  Trials tripping a solver cap are skipped and counted.
+    answering, and the first trial tested also carries each side's
+    shared grounding.  Trials tripping a solver cap are skipped and
+    counted.
     """
     import hashlib  # loaded only here, not by every CLI call
 
@@ -358,40 +365,45 @@ def check_equivalence(
     candidates = _edb_pool(p, 2) if trials > 0 else []
 
     modes = ("brave", "cautious")
+    draws = [
+        _draw_edb(candidates, seed * 1_000_003 + t, density, max_facts)
+        for t in range(trials)
+    ]
+    # each side is ground once for all trials, and the first trial
+    # tested is charged with that time
+    sides, shared = [], []
+    for side in (p, rewritten) if draws else ():
+        t0 = time.perf_counter()
+        sides.append(_trial_answers(side, q, modes, ground_cap, candidate_cap, draws))
+        shared.append((time.perf_counter() - t0) * 1000.0)
     bad: dict[str, list[Mismatch]] = {mode: [] for mode in modes}
     counts: list[tuple[int, int]] = []
     timings: list[tuple[float, float]] = []
     skipped: list[str] = []
-    tested = 0
-    for t in range(trials):
-        drawn = _draw_edb(candidates, seed * 1_000_003 + t, density, max_facts)
+    for t, drawn in enumerate(draws):
         # universe(p.with_facts(drawn)): the reserved constant only when
         # neither the program nor the facts have one
         terms = p.constants.union(*[args for _, args in drawn]) or universe(p)
         domain = terms | qconsts
         try:
             t0 = time.perf_counter()
-            answers_a, _, rules_a = _answer(
-                p, q, modes, domain, ground_cap, candidate_cap, drawn
-            )
+            answers_a, _, rules_a = sides[0](t, domain)
             t1 = time.perf_counter()
-            answers_b, _, rules_b = _answer(
-                rewritten, q, modes, domain, ground_cap, candidate_cap, drawn
-            )
+            answers_b, _, rules_b = sides[1](t, domain)
             t2 = time.perf_counter()
         except SolverCapError as exc:
             skipped.append(f"trial {t}: {exc}")
             continue
-        tested += 1
         counts.append((rules_a, rules_b))
-        timings.append(((t1 - t0) * 1000.0, (t2 - t1) * 1000.0))
+        timings.append(((t1 - t0) * 1000.0 + shared[0], (t2 - t1) * 1000.0 + shared[1]))
+        shared = [0.0, 0.0]
         for mode, mismatches in bad.items():
             if mm := _diff(answers_a[mode], answers_b[mode], starmap(Atom, drawn)):
                 mismatches.append(mm)
     return EquivReport(
         program_id=program_id,
         query=q,
-        fact_sets_tested=tested,
+        fact_sets_tested=len(counts),
         brave_mismatches=tuple(bad["brave"]),
         cautious_mismatches=tuple(bad["cautious"]),
         ground_rule_counts=tuple(counts),

@@ -17,7 +17,10 @@ go straight to ids.  Facts added to a fixed program, as the differential
 check and the super-consistency check add one fact set after another, are
 passed as atoms beside it and keyed by the grounder like its own bodiless
 rules, so no extended program is built for them; how a fact is keyed and
-how the search is driven stay inside this module.  The search then
+how the search is driven stay inside this module.  Since a relevant
+grounding is monotone in the facts, several fact sets share one grounding
+over their union, and each one's own grounding is cut from it by a
+positive closure from its facts.  The search then
 branches over the atoms that occur in negative bodies, keeps monotone
 lower and upper bounds to cut hopeless branches early, the lower one
 carried from each node to its children, and enumerates the minimal models
@@ -680,22 +683,29 @@ def _relevant_search(
     p: Program, ground_cap: int, facts: Iterable[_Fact] = ()
 ) -> tuple[int, list[_Key], list[tuple[int, int, int]]]:
     """The relevant grounding of ``p`` with ``facts`` added (see
-    :func:`_ground_coded`) in the mask form the search takes:
-    its number of instances, the coded derivable atoms in bit order (atom
-    ``k`` is bit ``1 << k``) and the ``(head, pos, neg)`` masks.
+    :func:`_ground_coded`) in the mask form the search takes (see
+    :func:`_mask_form`)."""
+    return _mask_form(*_ground_coded(p, ground_cap, facts))
 
-    The head atoms of the relevant grounding are exactly the atoms
-    derivable when all negative literals are ignored.  No other atom can
-    appear in an answer set, so only these get a bit, in the order of
-    predicate and argument names, and negative bodies lose the rest."""
-    coded = _ground_coded(p, ground_cap, facts)
-    order = sorted(coded.derived, key=coded.keys.__getitem__)
-    bits = [0] * len(coded.keys)
+
+def _mask_form(
+    keys: Sequence[_Key], derived: Iterable[int], instances: Sequence[_Instance]
+) -> tuple[int, list[_Key], list[tuple[int, int, int]]]:
+    """Coded instances whose heads are the atoms ``derived`` in the form
+    the search takes: their number, the derivable atoms' keys in bit order
+    (atom ``k`` is bit ``1 << k``) and the ``(head, pos, neg)`` masks.
+
+    The head atoms of a relevant grounding are exactly the atoms derivable
+    when all negative literals are ignored.  No other atom can appear in
+    an answer set, so only these get a bit, in the order of predicate and
+    argument names, and negative bodies lose the rest."""
+    order = sorted(derived, key=keys.__getitem__)
+    bits = [0] * len(keys)
     for k, i in enumerate(order):
         bits[i] = 1 << k
 
     masked = []
-    for head, pos, neg in coded.instances:
+    for head, pos, neg in instances:
         h = b = n = 0
         for i in head:
             h |= bits[i]
@@ -704,7 +714,80 @@ def _relevant_search(
         for i in neg:
             n |= bits[i]
         masked.append((h, b, n))
-    return len(coded.instances), [coded.keys[i] for i in order], masked
+    return len(instances), [keys[i] for i in order], masked
+
+
+def _relevant_searches(
+    p: Program, ground_cap: int, fact_sets: Sequence[Sequence[_Fact]]
+) -> Callable[[int], tuple[int, list[_Key], list[tuple[int, int, int]]]]:
+    """A function giving for each ``t`` what :func:`_relevant_search`
+    gives for ``p`` with ``fact_sets[t]`` added, from one grounding of
+    ``p`` with the union of ``fact_sets`` added.
+
+    A relevant grounding is monotone in the facts: the instances for a
+    fact set are those of the union's grounding whose positive body the
+    fact set derives.  So trial ``t`` starts from the program's bodiless
+    instances and its own facts, not the union's other facts, and closes
+    over the union's instances with negation ignored.  The instances
+    reached are kept stage by stage, a stage being the pass in which an
+    instance's body became derivable, which is the grounder's semi-naive
+    round, and within a stage in the union's order; the atoms reached
+    are numbered by :func:`_mask_form`.  So the instances, keys and
+    masks are those of grounding the trial alone, up to the order of
+    instances within a round.  When the union trips ``ground_cap`` each
+    fact set is ground on its own instead; a trial's grounding is part of
+    the union's, so no trial trips the cap when the union does not."""
+    try:
+        keys, _, instances = _ground_coded(
+            p, ground_cap, {f for facts in fact_sets for f in facts}
+        )
+    except GroundingTooLarge:
+        return lambda t: _relevant_search(p, ground_cap, fact_sets[t])
+
+    program_facts = {
+        _key_of(r.head[0])
+        for r in p.rules
+        if not r.pos_body and not r.neg_body and len(r.head) == 1
+    }
+    # every trial's bodiless instances, the instance of each fact only
+    # added, and for each instance the number of distinct positive body
+    # atoms it waits for, with the instances waiting for each atom
+    bodiless: list[int] = []
+    added: dict[_Key, int] = {}
+    waits = [0] * len(instances)
+    waiting: list[list[int]] = [[] for _ in keys]
+    for j, (head, pos, neg) in enumerate(instances):
+        if pos:
+            body = set(pos)
+            waits[j] = len(body)
+            for a in body:
+                waiting[a].append(j)
+        elif neg or len(head) != 1 or keys[head[0]] in program_facts:
+            bodiless.append(j)
+        else:
+            added[keys[head[0]]] = j
+
+    def search(t: int) -> tuple[int, list[_Key], list[tuple[int, int, int]]]:
+        facts = {added[k] for k in map(_key_of, fact_sets[t]) if k in added}
+        stage = sorted([*bodiless, *facts])
+        left = waits.copy()
+        derived: dict[int, None] = {}
+        kept: list[int] = []
+        while stage:
+            kept += stage
+            ready = []
+            for j in stage:
+                for a in instances[j][0]:
+                    if a not in derived:
+                        derived[a] = None
+                        for w in waiting[a]:
+                            left[w] -= 1
+                            if not left[w]:
+                                ready.append(w)
+            stage = sorted(ready)
+        return _mask_form(keys, derived, [instances[j] for j in kept])
+
+    return search
 
 
 def _consistent(
@@ -959,10 +1042,32 @@ def _answer(
     ground_cap: int, candidate_cap: int, facts: Iterable[_Fact] = (),
 ) -> tuple[dict[str, frozenset[Substitution]], int, int]:
     """The answers to ``q`` over ``p`` with ``facts`` added (see
-    :func:`_ground_coded`), substitutions ranging over ``domain``, in each
-    of ``modes`` (``"brave"``, ``"cautious"`` or both) from one search,
-    with its number of states and of rule instances in the relevant
-    grounding.
+    :func:`_ground_coded`), as :func:`_search_answers` gives them."""
+    return _search_answers(
+        q, modes, domain, candidate_cap, *_relevant_search(p, ground_cap, facts)
+    )
+
+
+def _trial_answers(
+    p: Program, q: Query, modes: Sequence[str], ground_cap: int,
+    candidate_cap: int, fact_sets: Sequence[Sequence[_Fact]],
+) -> Callable[[int, Iterable[Term]], tuple[dict[str, frozenset[Substitution]], int, int]]:
+    """A function giving for each ``t`` and ``domain`` what :func:`_answer`
+    gives for ``p`` with ``fact_sets[t]`` added.  ``p`` is ground once,
+    here, with the union of ``fact_sets`` added, and each trial's
+    grounding is cut from it (see :func:`_relevant_searches`)."""
+    search = _relevant_searches(p, ground_cap, fact_sets)
+    return lambda t, domain: _search_answers(q, modes, domain, candidate_cap, *search(t))
+
+
+def _search_answers(
+    q: Query, modes: Sequence[str], domain: Iterable[Term], candidate_cap: int,
+    instances: int, keys: list[_Key], masked: list[tuple[int, int, int]],
+) -> tuple[dict[str, frozenset[Substitution]], int, int]:
+    """The answers to ``q`` over a relevant grounding in the mask form of
+    :func:`_mask_form`, substitutions ranging over ``domain``, in each of
+    ``modes`` (``"brave"``, ``"cautious"`` or both) from one search, with
+    its number of states and the grounding's number of instances.
 
     Two masks keep the candidates still open: ``unwitnessed`` for brave,
     ``unrefuted`` for cautious, each empty when its mode is not asked.  A
@@ -975,7 +1080,6 @@ def _answer(
     of the nodes of full enumeration.
     """
     terms = frozenset(domain)
-    instances, keys, masked = _relevant_search(p, ground_cap, facts)
     found = _matches(q, terms, keys)
     candidates = sum(1 << k for k, _ in found)
     unwitnessed = candidates if "brave" in modes else 0

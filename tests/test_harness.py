@@ -260,10 +260,13 @@ def test_equivalence_answers_the_grid_3_through_the_directed_search(text):
     assert report.ok
 
 
-def _check_by_programs(p, q, trials, seed, density, max_facts):
+def _check_by_programs(
+    p, q, trials, seed, density, max_facts, ground_cap=GROUND_CAP_DEFAULT
+):
     """The reference for ``check_equivalence``: each trial draws its facts
-    with ``random_edb``, builds both extended programs with ``with_facts``
-    and takes the domain from the extended original's universe."""
+    with ``random_edb``, builds both extended programs with ``with_facts``,
+    grounds each on its own under ``ground_cap`` and takes the domain from
+    the extended original's universe."""
     import hashlib
 
     rewritten = dms(q, p)
@@ -277,10 +280,10 @@ def _check_by_programs(p, q, trials, seed, density, max_facts):
         domain = universe(side_a) | qconsts
         try:
             answers_a, _, rules_a = _answer(
-                side_a, q, modes, domain, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT
+                side_a, q, modes, domain, ground_cap, CANDIDATE_CAP_DEFAULT
             )
             answers_b, _, rules_b = _answer(
-                side_b, q, modes, domain, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT
+                side_b, q, modes, domain, ground_cap, CANDIDATE_CAP_DEFAULT
             )
         except SolverCapError as exc:
             skipped.append(f"trial {t}: {exc}")
@@ -335,6 +338,36 @@ def test_equivalence_domain_falls_back_to_the_reserved_constant():
                 assert report._replace(timings_ms=()) == _check_by_programs(
                     p, q, 3, seed, density, None
                 )
+
+
+def _instance_counts(p, q, facts):
+    """The relevant grounding sizes of ``p`` and its rewriting with
+    ``facts`` added, each ground on its own."""
+    return [len(ground(side.with_facts(facts)).rules) for side in (p, dms(q, p))]
+
+
+def test_a_union_over_the_cap_falls_back_to_grounding_each_trial(ancestry):
+    # Each side is ground once over the union of the draws; when that
+    # union trips the cap, every trial is ground on its own as before.
+    q = parse_query("ancestor(p1,X)?")
+    draws = [random_edb(ancestry, t, 0.3) for t in range(4)]  # seed 0's trials
+    largest = [max(_instance_counts(ancestry, q, facts)) for facts in draws]
+    cap = max(largest)
+    assert max(_instance_counts(ancestry, q, frozenset().union(*draws))) > cap
+    report = check_equivalence(ancestry, q, 4, 0, 0.3, ground_cap=cap)
+    assert report.fact_sets_tested == 4 and report.skipped == ()
+    assert report._replace(timings_ms=()) == _check_by_programs(
+        ancestry, q, 4, 0, 0.3, None, ground_cap=cap
+    )
+    # a cap that one draw alone exceeds skips that trial, and only it
+    cap = sorted(largest)[-2]
+    (over,) = [t for t, n in enumerate(largest) if n > cap]
+    report = check_equivalence(ancestry, q, 4, 0, 0.3, ground_cap=cap)
+    assert report.fact_sets_tested == 3
+    assert report.skipped == (f"trial {over}: grounding needs more than {cap} instances",)
+    assert report._replace(timings_ms=()) == _check_by_programs(
+        ancestry, q, 4, 0, 0.3, None, ground_cap=cap
+    )
 
 
 def test_equivalence_report_is_reproducible(ancestry):

@@ -85,7 +85,7 @@ def _private_semantics_names(tree: ast.Module) -> set[str]:
 def test_semantics_keeps_its_fact_keys_and_search_private():
     # Neighbours pass atoms and ask one question each: how a fact is keyed
     # and how the search is driven stay inside semantics.
-    allowed = {"harness": {"_answer"}, "analysis": {"_consistent"}}
+    allowed = {"harness": {"_trial_answers"}, "analysis": {"_consistent"}}
     modules = sorted(Path(aspmagic.__file__).parent.glob("*.py"))
     assert {"analysis", "cli", "harness", "semantics"} <= {m.stem for m in modules}
     for module in modules:

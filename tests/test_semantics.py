@@ -59,6 +59,8 @@ from aspmagic.semantics import (
     _ground_exhaustive,
     _index_rules,
     _relevant_search,
+    _relevant_searches,
+    _trial_answers,
 )
 
 
@@ -418,23 +420,32 @@ def test_check_equivalence_compiles_each_rule_once(monkeypatch):
         assert sorted(map(str, compiled)) == sorted(map(str, expected))
 
 
-def _corpus(seeds=range(100), trials=3):
-    """The trials of ``check_equivalence(p, q, trials, seed, 0.3,
-    max_facts=8)`` on the random programs of every profile, drawn as it
-    draws them: each side, the program and its rewriting, with the drawn
-    facts, the query and the shared substitution domain."""
+def _corpus_checks(seeds=range(100), trials=3):
+    """The checks ``check_equivalence(p, q, trials, seed, 0.3,
+    max_facts=8)`` makes on the random programs of every profile, drawn
+    as it draws them: both sides, the program and its rewriting, the
+    query, and each trial's shared substitution domain and drawn facts."""
     for profile in ("stratified", "odd_cycle_free", "arbitrary"):
         for seed in seeds:
             p = random_program(seed, profile)
             q = random_query(p, seed)
-            rewritten = dms(q, p)
             candidates = _edb_pool(p, 2)
             qconsts = frozenset(t for t in q.atom.args if t.is_constant)
+            draws = []
             for t in range(trials):
                 drawn = _draw_edb(candidates, seed * 1_000_003 + t, 0.3, 8)
                 terms = p.constants.union(*[args for _, args in drawn]) or universe(p)
-                for side in (p, rewritten):
-                    yield side, q, terms | qconsts, drawn
+                draws.append((terms | qconsts, drawn))
+            yield (p, dms(q, p)), q, draws
+
+
+def _corpus(seeds=range(100), trials=3):
+    """The trials of :func:`_corpus_checks`, one side at a time: the side,
+    the query, the domain and the drawn facts."""
+    for sides, q, draws in _corpus_checks(seeds, trials):
+        for domain, drawn in draws:
+            for side in sides:
+                yield side, q, domain, drawn
 
 
 # A digest of the coded groundings of the corpus, in order, and of every
@@ -471,6 +482,64 @@ def test_every_relevant_atom_is_derivable_at_the_root():
         for h, _, _ in masked:
             heads |= h
         assert _closure(masked, 0) == heads == (1 << len(keys)) - 1
+
+
+MODES = (("brave",), ("cautious",), ("brave", "cautious"))
+
+
+def _assert_cut_grounds_like_each_trial(side, q, draws):
+    """Each trial's grounding cut from the union of ``draws`` has the
+    instances and keys of the trial's own grounding, and answers alike;
+    without a disjunctive rule, whose branching follows the instance
+    order, the search takes the same states too."""
+    fact_sets = [drawn for _, drawn in draws]
+    cut = _relevant_searches(side, GROUND_CAP_DEFAULT, fact_sets)
+    disjunctive = any(len(r.head) > 1 for r in side.rules)
+    for t, (domain, drawn) in enumerate(draws):
+        instances, keys, masked = cut(t)
+        own = _relevant_search(side, GROUND_CAP_DEFAULT, drawn)
+        assert (instances, keys) == own[:2]
+        assert sorted(masked) == sorted(own[2])
+        for modes in MODES:
+            answer = _trial_answers(
+                side, q, modes, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT, fact_sets
+            )
+            got = answer(t, domain)
+            expected = _answer(
+                side, q, modes, domain, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT,
+                drawn,
+            )
+            assert (got[0], got[2]) == (expected[0], expected[2])
+            if not disjunctive:
+                assert got[1] == expected[1]
+
+
+def test_a_grounding_cut_from_the_union_is_the_trials_own():
+    for sides, q, draws in _corpus_checks():
+        for side in sides:
+            _assert_cut_grounds_like_each_trial(side, q, draws)
+
+
+def test_a_cross_product_cut_from_the_union_is_the_trials_own():
+    # The body joins two unrelated atoms, so the union of the draws can
+    # ground more instances than all the trials together.
+    p = parse_program("p(X,Y) :- e(X), e(Y), not q(X).")
+    candidates = _edb_pool(p, 3)
+    larger = 0
+    for seed in range(10):
+        draws = []
+        for t in range(4):
+            drawn = _draw_edb(candidates, seed * 1_000_003 + t, 0.4, None)
+            terms = p.constants.union(*[args for _, args in drawn]) or universe(p)
+            draws.append((terms, drawn))
+        union = {f for _, drawn in draws for f in drawn}
+        own = sum(len(_ground_coded(p, GROUND_CAP_DEFAULT, d).instances) for _, d in draws)
+        larger += len(_ground_coded(p, GROUND_CAP_DEFAULT, union).instances) > own
+        for text in ("p(X,Y)?", "p(X,X)?", "p(f1,Y)?"):
+            q = parse_query(text)
+            for side in (p, dms(q, p)):
+                _assert_cut_grounds_like_each_trial(side, q, draws)
+    assert larger
 
 
 def test_semantics_does_not_import_the_rewriter():
