@@ -193,7 +193,8 @@ def check_super_consistent(
     question immediately.  Otherwise fact sets over the witness constants
     are enumerated by ascending size; ``budget`` bounds how many are tested
     before giving up.  Each fact set is passed beside ``p`` as its atoms
-    (see :func:`_consistent`), with no extended program built, and is
+    (see :func:`_consistent`), with no extended program built, to one
+    grounder that lays ``p`` out once for the whole check, and is
     searched only up to its first answer set; ``candidate_cap`` bounds the
     states of each of these searches."""
     if use_shortcut and is_odd_cycle_free(p):
@@ -201,6 +202,7 @@ def check_super_consistent(
     # Every single atom is tried before any pair, so a search stopped by
     # the budget never looks past the first ``budget`` atoms.
     candidates = tuple(islice(_candidate_atoms(p), budget + 1))
+    consistent = _consistent(p, ground_cap, candidate_cap)
     tested = 0
     for size in range(len(candidates) + 1):
         for combo in combinations(range(len(candidates)), size):
@@ -208,7 +210,7 @@ def check_super_consistent(
                 return ScVerdict(ScStatus.BUDGET_EXCEEDED, sets_tested=tested)
             tested += 1
             facts = [candidates[i] for i in combo]
-            if not _consistent(p, facts, ground_cap, candidate_cap):
+            if not consistent(facts):
                 return ScVerdict(
                     ScStatus.NOT_SUPER_CONSISTENT,
                     counterexample=frozenset(facts),

@@ -8,16 +8,17 @@ through an argument index on the positions already bound, and it codes
 atoms as integer ids and instances as tuples of ids; a positive body is
 the ids of the rows it matched, so only heads and negative bodies are
 keyed.  The search turns the instances straight into bitmasks, and
-:func:`ground` decodes them into rules.  A rule's variable layout is made
-once per :class:`Rule` object and kept on it, with one join plan per
-positive body atom, the pivot, built there the first time a round can
-match that pivot, so every grounding that contains the rule reuses them
-and a plan no round needs is never built; bodiless rules need no plan and
-go straight to ids.  Facts added to a fixed program, as the differential
-check and the super-consistency check add one fact set after another, are
-passed as atoms beside it and keyed by the grounder like its own bodiless
-rules, so no extended program is built for them; how a fact is keyed and
-how the search is driven stay inside this module.  Since a relevant
+:func:`ground` decodes them into rules.  One grounder serves each
+question, be it one query, one side of a differential check or one
+super-consistency check: it lays the program's rules out once, a bodiless
+one as the keys of its atoms and any other as a variable layout with one
+join plan per positive body atom, the pivot, built the first time a round
+can match that pivot, and every grounding it makes shares them.  Nothing
+of this is kept on the :class:`Rule` objects.  Facts added to a fixed
+program, as those two checks add one fact set after another, are passed as
+atoms to the grounder and keyed like the program's own bodiless rules, so
+no extended program is built for them; how a fact is keyed and how the
+search is driven stay inside this module.  Since a relevant
 grounding is monotone in the facts, several fact sets share one grounding
 over their union, and each one's own grounding is cut from it by a
 positive closure from its facts.  The search then
@@ -105,17 +106,16 @@ def ground(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> Program:
     set of bound positions.  The grounder codes atoms as integer ids and
     instances as tuples of ids; the search reads those directly, and this
     function decodes the same instances into the rules of a ground
-    :class:`Program`.  Each rule's join plans are built on the first
-    grounding that needs them and reused by every later one that meets
-    the rule object; bodiless rules are ground without a plan.  Instances
-    come in derivation order: each positive body atom heads an earlier
-    instance, and of two instances that collide the first one derived is
-    kept.
+    :class:`Program`.  Each rule's join plans are built by the grounder of
+    this one call as its rounds need them; bodiless rules are ground
+    without a plan.  Instances come in derivation order: each positive
+    body atom heads an earlier instance, and of two instances that collide
+    the first one derived is kept.
 
     ``ground_cap`` bounds the number of distinct instances as they are
     emitted; crossing it raises :class:`GroundingTooLarge`.
     """
-    coded = _ground_coded(p, ground_cap)
+    coded = _grounder(p, ground_cap)()
     atoms = _decode(p, coded.keys)
     return Program(
         Rule(
@@ -303,37 +303,54 @@ def _pivot_plan(c: _Compiled, i: int) -> _Plan:
     return plan
 
 
-def _compiled(rule: Rule) -> _Compiled:
-    """The layout of ``rule`` for the join, made on first use and kept in
-    the rule's own ``__dict__``, like its cached signature, with the pivot
-    plans built so far: it is tied to this object, whose atom order fixes
-    the order of the decoded atoms, not to the equal rules, and it lives
-    exactly as long as the rule."""
-    compiled = rule.__dict__.get("_join_plan")
-    if compiled is None:
-        compiled = rule.__dict__["_join_plan"] = _compile(rule)
-    return compiled
+# A bodiless rule, laid out: the keys of its head and negative body atoms.
+_Bodiless = tuple[tuple[_Key, ...], tuple[_Key, ...]]
+
+
+def _grounder(
+    p: Program, ground_cap: int = GROUND_CAP_DEFAULT
+) -> Callable[..., _Coded]:
+    """A function ``ground(facts=())`` giving the relevant grounding of
+    ``p`` with the ground atoms ``facts`` added (see :func:`_ground_coded`).
+
+    The rules of ``p`` are laid out once, here: each bodiless rule as the
+    keys of its atoms, every other one by :func:`_compile`, whose pivot
+    plans the groundings build as they need them and then share.  The
+    layouts live as long as the caller keeps the function, which is the
+    caller's question: one query, one side of a differential check, one
+    super-consistency check; nothing is kept on the rules themselves."""
+    # a bodiless rule is ground by safety: its atoms go straight to keys
+    bodiless = [
+        (tuple(map(_key_of, r.head)), tuple(map(_key_of, r.neg_body)))
+        for r in p.rules
+        if not r.pos_body
+    ]
+    joined = [_compile(r) for r in p.rules if r.pos_body]
+    return partial(_ground_coded, bodiless, joined, ground_cap)
 
 
 def _ground_coded(
-    p: Program, ground_cap: int = GROUND_CAP_DEFAULT, facts: Iterable[_Fact] = ()
+    bodiless: Sequence[_Bodiless],
+    joined: Sequence[_Compiled],
+    ground_cap: int,
+    facts: Iterable[_Fact] = (),
 ) -> _Coded:
-    """The relevant grounding of ``p`` with the ground atoms ``facts``,
-    each a ``(predicate, terms)`` pair such as an :class:`Atom`, added as
-    facts, in integer coding.
+    """The relevant grounding of a program ``p``, laid out by
+    :func:`_grounder` as its ``bodiless`` and ``joined`` rules in program
+    order, with the ground atoms ``facts``, each a ``(predicate, terms)``
+    pair such as an :class:`Atom`, added as facts, in integer coding.
 
     Each derived atom gets an id the first time it is derived, keyed by
     predicate and argument names; an atom of a negative body that nothing
     derives gets one too, so instances compare by their ids alone.
-    Bodiless rules are ground by safety and come first, their atoms keyed
-    directly, followed by ``facts``, keyed the same way, in key order; a
-    fact that repeats an instance is dropped like any other repeat.  So
-    the result is that of ``p.with_facts(facts)``, order included, without
-    building that program; the caller takes the predicates of ``facts``
-    from ``p`` with their arities, which is what
-    :meth:`Program.with_facts` would check.  Every other rule joins along
-    the layout :func:`_compiled` keeps on the rule object, each join
-    starting from a copy of its template binding.  The join runs in
+    Bodiless rules come first, their atoms keyed already, followed by
+    ``facts``, keyed the same way, in key order; a fact that repeats an
+    instance is dropped like any other repeat.  So the result is that of
+    ``p.with_facts(facts)``, order included, without building that
+    program; the caller takes the predicates of ``facts`` from ``p`` with
+    their arities, which is what :meth:`Program.with_facts` would check.
+    Every other rule joins along its layout, each join starting from a
+    copy of its template binding.  The join runs in
     semi-naive rounds.  Each round matches every positive body against the
     atoms derived so far with one body atom, the pivot, on an atom new in
     the previous round; atoms before the pivot match old atoms only, so
@@ -341,7 +358,8 @@ def _ground_coded(
     its predicate grew and every body atom before it has old rows, the only
     pivots that can match, and a rule none of whose body predicates grew is
     passed over whole; a pivot's plan is built by :func:`_pivot_plan` the
-    first time it is visited.  A body atom reads only the rows of its
+    first time a grounding of the same grounder visits it.  A body atom
+    reads only the rows of its
     predicate whose already-bound positions match, through the argument
     index of :class:`_Relation`, and the old/new split is a bisection on
     the row numbers.  Each row carries its atom id, so an instance's
@@ -406,17 +424,8 @@ def _ground_coded(
             out.append(i)
         emit(tuple(out[:split]), tuple(matched), tuple(out[split:]))
 
-    joined = []
-    for rule in p.rules:
-        if not rule.pos_body:
-            # Ground by safety: its atoms go straight to their ids.
-            emit(
-                tuple([atom_id(_key_of(a)) for a in rule.head]),
-                (),
-                tuple([atom_id(_key_of(a)) for a in rule.neg_body]),
-            )
-            continue
-        joined.append(_compiled(rule))
+    for head, neg in bodiless:
+        emit(tuple([atom_id(k) for k in head]), (), tuple([atom_id(k) for k in neg]))
     for key in sorted(map(_key_of, facts)):
         emit((atom_id(key),), (), ())
 
@@ -679,21 +688,13 @@ def _stable_models(
             break
 
 
-def _relevant_search(
-    p: Program, ground_cap: int, facts: Iterable[_Fact] = ()
-) -> tuple[int, list[_Key], list[tuple[int, int, int]]]:
-    """The relevant grounding of ``p`` with ``facts`` added (see
-    :func:`_ground_coded`) in the mask form the search takes (see
-    :func:`_mask_form`)."""
-    return _mask_form(*_ground_coded(p, ground_cap, facts))
-
-
 def _mask_form(
     keys: Sequence[_Key], derived: Iterable[int], instances: Sequence[_Instance]
-) -> tuple[int, list[_Key], list[tuple[int, int, int]]]:
+) -> tuple[list[_Key], list[tuple[int, int, int]]]:
     """Coded instances whose heads are the atoms ``derived`` in the form
-    the search takes: their number, the derivable atoms' keys in bit order
-    (atom ``k`` is bit ``1 << k``) and the ``(head, pos, neg)`` masks.
+    the search takes: the derivable atoms' keys in bit order (atom ``k``
+    is bit ``1 << k``) and the ``(head, pos, neg)`` masks, one per
+    instance.
 
     The head atoms of a relevant grounding are exactly the atoms derivable
     when all negative literals are ignored.  No other atom can appear in
@@ -714,35 +715,44 @@ def _mask_form(
         for i in neg:
             n |= bits[i]
         masked.append((h, b, n))
-    return len(instances), [keys[i] for i in order], masked
+    return [keys[i] for i in order], masked
 
 
 def _relevant_searches(
     p: Program, ground_cap: int, fact_sets: Sequence[Sequence[_Fact]]
-) -> Callable[[int], tuple[int, list[_Key], list[tuple[int, int, int]]]]:
-    """A function giving for each ``t`` what :func:`_relevant_search`
-    gives for ``p`` with ``fact_sets[t]`` added, from one grounding of
-    ``p`` with the union of ``fact_sets`` added.
+) -> Callable[[int], tuple[list[_Key], list[tuple[int, int, int]]]]:
+    """A function giving for each ``t`` the relevant grounding of ``p``
+    with ``fact_sets[t]`` added (see :func:`_ground_coded`) in the mask
+    form of :func:`_mask_form`, every grounding made by one
+    :func:`_grounder`.
 
-    A relevant grounding is monotone in the facts: the instances for a
-    fact set are those of the union's grounding whose positive body the
-    fact set derives.  So trial ``t`` starts from the program's bodiless
-    instances and its own facts, not the union's other facts, and closes
-    over the union's instances with negation ignored.  The instances
-    reached are kept stage by stage, a stage being the pass in which an
-    instance's body became derivable, which is the grounder's semi-naive
-    round, and within a stage in the union's order; the atoms reached
-    are numbered by :func:`_mask_form`.  So the instances, keys and
-    masks are those of grounding the trial alone, up to the order of
-    instances within a round.  When the union trips ``ground_cap`` each
-    fact set is ground on its own instead; a trial's grounding is part of
-    the union's, so no trial trips the cap when the union does not."""
+    With one fact set, the union of the fact sets is that set, so its
+    function grounds it when asked, with nothing cut.  With more, ``p`` is
+    ground once, here, with the union added.  A relevant grounding is
+    monotone in the facts: the instances for a fact set are those of the
+    union's grounding whose positive body the fact set derives.  So trial
+    ``t`` starts from the program's bodiless instances and its own facts,
+    not the union's other facts, and closes over the union's instances
+    with negation ignored.  The instances reached are kept stage by stage,
+    a stage being the pass in which an instance's body became derivable,
+    which is the grounder's semi-naive round, and within a stage in the
+    union's order; the atoms reached are numbered by :func:`_mask_form`.
+    So the instances, keys and masks are those of grounding the trial
+    alone, up to the order of instances within a round.  When the union
+    trips ``ground_cap`` each fact set is ground on its own instead; a
+    trial's grounding is part of the union's, so no trial trips the cap
+    when the union does not."""
+    ground = _grounder(p, ground_cap)
+
+    def own(t: int) -> tuple[list[_Key], list[tuple[int, int, int]]]:
+        return _mask_form(*ground(fact_sets[t]))
+
+    if len(fact_sets) == 1:
+        return own
     try:
-        keys, _, instances = _ground_coded(
-            p, ground_cap, {f for facts in fact_sets for f in facts}
-        )
+        keys, _, instances = ground({f for facts in fact_sets for f in facts})
     except GroundingTooLarge:
-        return lambda t: _relevant_search(p, ground_cap, fact_sets[t])
+        return own
 
     program_facts = {
         _key_of(r.head[0])
@@ -767,7 +777,7 @@ def _relevant_searches(
         else:
             added[keys[head[0]]] = j
 
-    def search(t: int) -> tuple[int, list[_Key], list[tuple[int, int, int]]]:
+    def search(t: int) -> tuple[list[_Key], list[tuple[int, int, int]]]:
         facts = {added[k] for k in map(_key_of, fact_sets[t]) if k in added}
         stage = sorted([*bodiless, *facts])
         left = waits.copy()
@@ -791,13 +801,19 @@ def _relevant_searches(
 
 
 def _consistent(
-    p: Program, facts: Iterable[_Fact], ground_cap: int, candidate_cap: int
-) -> bool:
-    """Whether ``p`` with ``facts`` added (see :func:`_ground_coded`) has
-    an answer set; the search stops at the first one, and ``candidate_cap``
-    bounds its states."""
-    _, _, masked = _relevant_search(p, ground_cap, facts)
-    return next(_stable_models(masked, _Budget(candidate_cap)), None) is not None
+    p: Program, ground_cap: int, candidate_cap: int
+) -> Callable[[Iterable[_Fact]], bool]:
+    """A function telling whether ``p`` with ``facts`` added (see
+    :func:`_ground_coded`) has an answer set; each search stops at the
+    first one, and ``candidate_cap`` bounds its states.  Every fact set
+    asked about is ground by the one :func:`_grounder` made here."""
+    ground = _grounder(p, ground_cap)
+
+    def consistent(facts: Iterable[_Fact]) -> bool:
+        _, masked = _mask_form(*ground(facts))
+        return next(_stable_models(masked, _Budget(candidate_cap)), None) is not None
+
+    return consistent
 
 
 def _decode(p: Program, keys: Iterable[_Key]) -> list[Atom]:
@@ -819,7 +835,7 @@ def answer_sets(
     collects every stable model.  ``candidate_cap`` bounds the number of
     search states examined.
     """
-    instances, keys, masked = _relevant_search(p, ground_cap)
+    keys, masked = _relevant_searches(p, ground_cap, [()])(0)
     atoms = _decode(p, keys)
     budget = _Budget(candidate_cap)
     out = frozenset(
@@ -828,7 +844,7 @@ def answer_sets(
     return AnswerSetReport(
         answer_sets=out,
         candidates_examined=budget.spent,
-        ground_rules=instances,
+        ground_rules=len(masked),
     )
 
 
@@ -1030,39 +1046,28 @@ def answer_query(
     """
     if mode not in ("brave", "cautious"):
         raise ValueError(f"unknown query mode {mode!r}")
-    answers, *counts = _answer(
-        p, q, (mode,), universe(p) if domain is None else domain,
-        ground_cap, candidate_cap,
-    )
+    answers, *counts = _trial_answers(
+        p, q, (mode,), ground_cap, candidate_cap, [()]
+    )(0, universe(p) if domain is None else domain)
     return QueryAnswer(answers[mode], *counts)
-
-
-def _answer(
-    p: Program, q: Query, modes: Sequence[str], domain: Iterable[Term],
-    ground_cap: int, candidate_cap: int, facts: Iterable[_Fact] = (),
-) -> tuple[dict[str, frozenset[Substitution]], int, int]:
-    """The answers to ``q`` over ``p`` with ``facts`` added (see
-    :func:`_ground_coded`), as :func:`_search_answers` gives them."""
-    return _search_answers(
-        q, modes, domain, candidate_cap, *_relevant_search(p, ground_cap, facts)
-    )
 
 
 def _trial_answers(
     p: Program, q: Query, modes: Sequence[str], ground_cap: int,
     candidate_cap: int, fact_sets: Sequence[Sequence[_Fact]],
 ) -> Callable[[int, Iterable[Term]], tuple[dict[str, frozenset[Substitution]], int, int]]:
-    """A function giving for each ``t`` and ``domain`` what :func:`_answer`
-    gives for ``p`` with ``fact_sets[t]`` added.  ``p`` is ground once,
-    here, with the union of ``fact_sets`` added, and each trial's
-    grounding is cut from it (see :func:`_relevant_searches`)."""
+    """A function giving for each ``t`` and ``domain`` the answers to
+    ``q`` over ``p`` with ``fact_sets[t]`` added, as
+    :func:`_search_answers` gives them, over the groundings of
+    :func:`_relevant_searches`: one query passes one fact set, a
+    differential check one per trial."""
     search = _relevant_searches(p, ground_cap, fact_sets)
     return lambda t, domain: _search_answers(q, modes, domain, candidate_cap, *search(t))
 
 
 def _search_answers(
     q: Query, modes: Sequence[str], domain: Iterable[Term], candidate_cap: int,
-    instances: int, keys: list[_Key], masked: list[tuple[int, int, int]],
+    keys: list[_Key], masked: list[tuple[int, int, int]],
 ) -> tuple[dict[str, frozenset[Substitution]], int, int]:
     """The answers to ``q`` over a relevant grounding in the mask form of
     :func:`_mask_form`, substitutions ranging over ``domain``, in each of
@@ -1104,4 +1109,4 @@ def _search_answers(
     }
     if uncovered:
         answers["cautious"] = _every_substitution(q, terms)
-    return answers, budget.spent, instances
+    return answers, budget.spent, len(masked)

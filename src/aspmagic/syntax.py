@@ -3,9 +3,11 @@
 Terms, atoms, rules, programs and queries are immutable values.  Rule and
 program equality is set-based (duplicate atoms and rules collapse), but the
 construction order of atoms and rules is preserved so that printing and the
-binding strategies of the rewriter stay deterministic.  What a rule's
-equality, hashing and grounding read over and over (its set signature,
-its atoms) is computed once and kept on the rule object.
+binding strategies of the rewriter stay deterministic.  A rule's set
+signature, which its equality and hashing read, and its atoms in textual
+order are computed once and kept on the rule object, beside its fields
+and nothing else: the grounder keeps its own layouts of a rule for as
+long as it grounds, not on the rule.
 
 Values compared by their fields are named tuples, so they hash, compare
 and order as the tuple of their fields, in C; a term or atom validates

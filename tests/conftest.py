@@ -1,6 +1,6 @@
 import pytest
 
-from aspmagic import ancestry_program, parse_program
+from aspmagic import ancestry_program, parse_program, semantics
 
 
 @pytest.fixture
@@ -19,3 +19,22 @@ def choice_with_odd_loop():
 @pytest.fixture
 def ancestry():
     return ancestry_program()
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """``calls(name)`` returns a list that records the arguments of every
+    later call of ``semantics.<name>``, which still does its work."""
+
+    def record(name):
+        seen = []
+        real = getattr(semantics, name)
+
+        def counting(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(semantics, name, counting)
+        return seen
+
+    return record

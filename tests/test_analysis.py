@@ -26,7 +26,7 @@ from aspmagic.semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
     _Budget,
-    _relevant_search,
+    _relevant_searches,
     _stable_models,
 )
 
@@ -266,7 +266,7 @@ def _sc_by_programs(p, budget):
         if tested >= budget:
             return ScStatus.BUDGET_EXCEEDED, None, tested
         tested += 1
-        _, _, masked = _relevant_search(p.with_facts(combo), GROUND_CAP_DEFAULT)
+        _, masked = _relevant_searches(p.with_facts(combo), GROUND_CAP_DEFAULT, [()])(0)
         if next(_stable_models(masked, _Budget(CANDIDATE_CAP_DEFAULT)), None) is None:
             return ScStatus.NOT_SUPER_CONSISTENT, frozenset(combo), tested
     return ScStatus.SUPER_CONSISTENT, None, tested

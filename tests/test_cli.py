@@ -549,6 +549,16 @@ def test_ground_cap_counts_only_derivable_instances(write, capsys):
     assert "p(a,b)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rewrite", ["off", "auto"])
+def test_query_over_the_ground_cap_grounds_once(write, capsys, calls, rewrite):
+    groundings = calls("_ground_coded")
+    argv = ["query", write(ANCESTRY), "--query", "ancestor(p1,X)?", "--brave",
+            "--rewrite", rewrite, "--ground-cap", "2"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: grounding needs more than 2 instances\n"
+    assert len(groundings) == 1
+
+
 def test_import_loads_no_graph_library():
     # networkx may be installed, so only a fresh interpreter shows whether
     # the package pulls it in.

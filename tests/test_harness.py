@@ -38,7 +38,7 @@ from aspmagic.semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
     SolverCapError,
-    _answer,
+    _trial_answers,
 )
 
 
@@ -279,12 +279,12 @@ def _check_by_programs(
         side_a, side_b = p.with_facts(facts), rewritten.with_facts(facts)
         domain = universe(side_a) | qconsts
         try:
-            answers_a, _, rules_a = _answer(
-                side_a, q, modes, domain, ground_cap, CANDIDATE_CAP_DEFAULT
-            )
-            answers_b, _, rules_b = _answer(
-                side_b, q, modes, domain, ground_cap, CANDIDATE_CAP_DEFAULT
-            )
+            answers_a, _, rules_a = _trial_answers(
+                side_a, q, modes, ground_cap, CANDIDATE_CAP_DEFAULT, [()]
+            )(0, domain)
+            answers_b, _, rules_b = _trial_answers(
+                side_b, q, modes, ground_cap, CANDIDATE_CAP_DEFAULT, [()]
+            )(0, domain)
         except SolverCapError as exc:
             skipped.append(f"trial {t}: {exc}")
             continue

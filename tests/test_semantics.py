@@ -6,7 +6,9 @@ definitions before the solver existed; they are frozen here as literals.
 """
 
 import ast
+import copy
 import hashlib
+import pickle
 import random
 import sys
 from collections import defaultdict
@@ -53,12 +55,10 @@ from aspmagic.harness import _draw_edb, _edb_pool
 from aspmagic.semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
-    _answer,
     _closure,
-    _ground_coded,
     _ground_exhaustive,
+    _grounder,
     _index_rules,
-    _relevant_search,
     _relevant_searches,
     _trial_answers,
 )
@@ -102,7 +102,7 @@ def test_instances_equal_as_sets_are_one_instance():
     p = parse_program("q(a). q(b). r :- q(X), q(Y).")
     assert len(ground(p).rules) == 5
     facts = [((0,), (), ()), ((1,), (), ())]
-    assert _ground_coded(p).instances == facts + [
+    assert _grounder(p)().instances == facts + [
         ((2,), (0, 0), ()), ((2,), (0, 1), ()), ((2,), (1, 1), ()),
     ]
     # of two rules with the same instance, the one derived first is kept
@@ -110,11 +110,11 @@ def test_instances_equal_as_sets_are_one_instance():
         ("p(X) :- q(X), q(Y). p(X) :- q(X).", (0, 0)),
         ("p(X) :- q(X). p(X) :- q(X), q(Y).", (0,)),
     ):
-        coded = _ground_coded(parse_program(f"q(a). {rules}"))
+        coded = _grounder(parse_program(f"q(a). {rules}"))()
         assert coded.instances == [((0,), (), ()), ((1,), pos, ())]
     # an added fact repeating a fact of the program is dropped
     added = [Atom("q", (const("b"),)), Atom("q", (const("a"),))]
-    assert _ground_coded(p, GROUND_CAP_DEFAULT, added) == _ground_coded(p)
+    assert _grounder(p)(added) == _grounder(p)()
 
 
 def test_ground_cap_is_checked_before_materializing():
@@ -174,7 +174,7 @@ def _assert_relevant_grounding(p):
 def _assert_derivation_order(p):
     """Each positive body atom of an instance heads an earlier one."""
     heads = set()
-    for head, pos, _ in _ground_coded(p).instances:
+    for head, pos, _ in _grounder(p)().instances:
         assert heads.issuperset(pos)
         heads.update(head)
 
@@ -226,9 +226,9 @@ def _search_form_of(rules):
 
 
 def _assert_search_reads_ground(p):
-    count, keys, masked = _relevant_search(p, GROUND_CAP_DEFAULT)
+    keys, masked = _relevant_searches(p, GROUND_CAP_DEFAULT, [()])(0)
     atoms = semantics._decode(p, keys)
-    assert (count, atoms, masked) == _search_form_of(ground(p).rules)
+    assert (len(masked), atoms, masked) == _search_form_of(ground(p).rules)
 
 
 @pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
@@ -243,20 +243,20 @@ def test_search_reads_exactly_what_ground_returns(profile):
 
 
 def _assert_keyed_facts_ground_like_with_facts(p, facts):
-    """``_ground_coded`` with ``facts`` passed beside ``p``, in no
+    """A grounding of ``p`` with ``facts`` passed beside it, in no
     particular order and one of them twice, the repeat as a plain
     ``(predicate, terms)`` pair, equals the grounding of ``p.with_facts``,
     order included, and its cap counts the added facts the same way."""
     added = list(facts)
     added += [tuple(a) for a in added[:1]]
-    expected = _ground_coded(p.with_facts(facts), GROUND_CAP_DEFAULT)
-    assert _ground_coded(p, GROUND_CAP_DEFAULT, added) == expected
+    expected = _grounder(p.with_facts(facts))()
+    assert _grounder(p)(added) == expected
     cap = len(expected.instances) - 1
     if cap >= 0:
         with pytest.raises(GroundingTooLarge):
-            _ground_coded(p, cap, added)
+            _grounder(p, cap)(added)
         with pytest.raises(GroundingTooLarge):
-            _ground_coded(p.with_facts(facts), cap)
+            _grounder(p.with_facts(facts), cap)()
 
 
 @pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
@@ -365,25 +365,21 @@ def test_plain_closure_grounding_matches_a_bfs_count():
 # ------------------------------------------------------ compiled join plans
 
 
-def _fresh_copy(p):
-    """A program equal to ``p``, rule order and atom order included, that
-    shares no rule object with it (``print_program`` would sort the rules)."""
-    return parse_program("".join(f"{r}\n" for r in p.rules))
-
-
 @pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
 def test_reused_rules_ground_like_fresh_ones(profile):
-    # The same rule objects are ground under F1, F2, then F1 again; each
-    # result must be what fresh, never-compiled rules give.
+    # One grounder grounds the same program under F1, F2, then F1 again;
+    # each result must be what a fresh grounder of the extended program
+    # gives, whatever pivot plans the earlier groundings built.
     compared = 0
     for seed in range(20):
         p = random_program(seed, profile)
         f1 = random_edb(p, seed, 0.4, fresh_constants=2, max_facts=8)
         f2 = random_edb(p, seed + 1000, 0.4, fresh_constants=2, max_facts=8)
         for side in (p, dms(random_query(p, seed), p)):
+            reused = _grounder(side)
             for facts in (f1, f2, f1):
                 pf = side.with_facts(facts)
-                assert _ground_coded(pf) == _ground_coded(_fresh_copy(pf))
+                assert reused(facts) == _grounder(pf)()
             if seed % 4:
                 continue
             try:
@@ -395,29 +391,105 @@ def test_reused_rules_ground_like_fresh_ones(profile):
     assert compared >= 3
 
 
-def test_check_equivalence_compiles_each_rule_once(monkeypatch):
-    compiled = []
+def _assert_compiled_once(made, p, q):
+    """Each rule with a positive body of ``p`` and of its rewriting was
+    laid out once by the ``_compile`` calls ``made``, and no bodiless rule
+    was."""
+    compiled = [rule for rule, in made]
+    # no rule object twice, and never a bodiless one
+    assert len({id(r) for r in compiled}) == len(compiled)
+    assert all(r.pos_body for r in compiled)
+    # every rule with a positive body, on both sides
+    mine = [r for r in p.rules if r.pos_body]
+    assert sum(any(r is c for c in compiled) for r in mine) == len(mine)
+    expected = mine + [r for r in dms(q, p).rules if r.pos_body]
+    assert sorted(map(str, compiled)) == sorted(map(str, expected))
 
-    def counting(rule):
-        compiled.append(rule)
-        return real(rule)
 
-    real = semantics._compile
-    monkeypatch.setattr(semantics, "_compile", counting)
+def test_check_equivalence_compiles_each_rule_once(calls, ancestry):
+    compiled = calls("_compile")
     for profile in ("stratified", "odd_cycle_free", "arbitrary"):
         p = random_program(3, profile)
         q = random_query(p, 3)
         compiled.clear()
         report = check_equivalence(p, q, trials=4, seed=3)
         assert report.fact_sets_tested == 4
-        # no rule object twice, and never a bodiless one
-        assert len({id(r) for r in compiled}) == len(compiled)
-        assert all(r.pos_body for r in compiled)
-        # every rule with a positive body, on both sides
-        mine = [r for r in p.rules if r.pos_body]
-        assert sum(any(r is c for c in compiled) for r in mine) == len(mine)
-        expected = mine + [r for r in dms(q, p).rules if r.pos_body]
-        assert sorted(map(str, compiled)) == sorted(map(str, expected))
+        _assert_compiled_once(compiled, p, q)
+    # A union over the cap grounds each trial on its own, through the
+    # handle that laid the side out: seed 0's four draws each fit under
+    # the cap, their union does not.
+    q = parse_query("ancestor(p1,X)?")
+    draws = [random_edb(ancestry, t, 0.3) for t in range(4)]
+    sides = (ancestry, dms(q, ancestry))
+    cap = max(len(ground(s.with_facts(d)).rules) for s in sides for d in draws)
+    union = frozenset().union(*draws)
+    assert max(len(ground(s.with_facts(union)).rules) for s in sides) > cap
+    compiled.clear()
+    report = check_equivalence(ancestry, q, 4, 0, 0.3, ground_cap=cap)
+    assert report.fact_sets_tested == 4 and report.skipped == ()
+    _assert_compiled_once(compiled, ancestry, q)
+
+
+def test_check_super_consistent_compiles_each_rule_once_per_call(
+    calls, choice_with_odd_loop
+):
+    # 11 fact sets, one grounder: each rule with a positive body is laid
+    # out once per call, and a second call lays it out again.
+    compiled = calls("_compile")
+    mine = [r for r in choice_with_odd_loop.rules if r.pos_body]
+    for _ in range(2):
+        compiled.clear()
+        verdict = check_super_consistent(choice_with_odd_loop, use_shortcut=False)
+        assert verdict.sets_tested == 11
+        assert len(compiled) == len(mine)
+        assert all(any(r is c for c, in compiled) for r in mine)
+
+
+RULE_FIELDS = {"head", "pos_body", "neg_body", "_signature", "_atoms"}
+
+
+def test_grounding_keeps_nothing_on_the_rules():
+    # After every route that grounds, a rule holds its fields and its own
+    # cached properties only, and so does a copy of it.
+    rules = []
+    for sides, q, _ in _corpus_checks(range(20), trials=2):
+        for side in sides:
+            ground(side)
+            answer_sets(side)
+            answer_query(side, q, "brave")
+            answer_query(side, q, "cautious")
+            rules += side.rules
+        check_equivalence(sides[0], q, trials=2, seed=1, max_facts=8)
+    assert any(r.pos_body for r in rules)
+    for rule in rules:
+        assert set(rule.__dict__) <= RULE_FIELDS, (str(rule), set(rule.__dict__))
+        for twin in (copy.deepcopy(rule), pickle.loads(pickle.dumps(rule))):
+            assert twin == rule
+            assert set(twin.__dict__) <= RULE_FIELDS
+
+
+def test_a_single_fact_set_over_the_cap_is_ground_once(calls, ancestry):
+    p = ancestry.with_facts(_atoms("related(p1,p2)", "related(p2,p3)"))
+    q = parse_query("ancestor(p1,X)?")
+    cap = len(ground(p).rules) - 1
+    message = f"grounding needs more than {cap} instances"
+    groundings = calls("_ground_coded")
+    for solve in (
+        lambda: answer_query(p, q, "brave", ground_cap=cap),
+        lambda: answer_query(p, q, "cautious", ground_cap=cap),
+        lambda: answer_sets(p, ground_cap=cap),
+    ):
+        groundings.clear()
+        with pytest.raises(GroundingTooLarge, match=f"^{message}$"):
+            solve()
+        assert len(groundings) == 1
+    # one trial: the plain side trips the cap on its only grounding, and
+    # the trial is skipped before the rewriting is ground
+    groundings.clear()
+    report = check_equivalence(p, q, trials=1, ground_cap=cap)
+    assert report.fact_sets_tested == 0
+    assert report.skipped == (f"trial 0: {message}",)
+    assert len(groundings) == 1
 
 
 def _corpus_checks(seeds=range(100), trials=3):
@@ -460,13 +532,12 @@ def test_grounding_and_search_are_unchanged_on_the_corpus():
     digest = hashlib.sha256()
     states = 0
     for side, q, domain, drawn in _corpus():
-        coded = _ground_coded(side, GROUND_CAP_DEFAULT, drawn)
+        coded = _grounder(side)(drawn)
         digest.update(repr(coded).encode())
         for modes in (("brave",), ("cautious",), ("brave", "cautious")):
-            answers, spent, instances = _answer(
-                side, q, modes, domain, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT,
-                drawn,
-            )
+            answers, spent, instances = _trial_answers(
+                side, q, modes, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT, [drawn]
+            )(0, domain)
             states += spent
             got = sorted((mode, sorted(subs)) for mode, subs in answers.items())
             digest.update(repr((got, spent, instances)).encode())
@@ -477,7 +548,7 @@ def test_every_relevant_atom_is_derivable_at_the_root():
     # The search starts its upper bound at every atom, which is the
     # closure of the masks with nothing assumed true.
     for side, _, _, drawn in _corpus():
-        _, keys, masked = _relevant_search(side, GROUND_CAP_DEFAULT, drawn)
+        keys, masked = _relevant_searches(side, GROUND_CAP_DEFAULT, [drawn])(0)
         heads = 0
         for h, _, _ in masked:
             heads |= h
@@ -496,19 +567,18 @@ def _assert_cut_grounds_like_each_trial(side, q, draws):
     cut = _relevant_searches(side, GROUND_CAP_DEFAULT, fact_sets)
     disjunctive = any(len(r.head) > 1 for r in side.rules)
     for t, (domain, drawn) in enumerate(draws):
-        instances, keys, masked = cut(t)
-        own = _relevant_search(side, GROUND_CAP_DEFAULT, drawn)
-        assert (instances, keys) == own[:2]
-        assert sorted(masked) == sorted(own[2])
+        keys, masked = cut(t)
+        own = _relevant_searches(side, GROUND_CAP_DEFAULT, [drawn])(0)
+        assert (len(masked), keys) == (len(own[1]), own[0])
+        assert sorted(masked) == sorted(own[1])
         for modes in MODES:
             answer = _trial_answers(
                 side, q, modes, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT, fact_sets
             )
             got = answer(t, domain)
-            expected = _answer(
-                side, q, modes, domain, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT,
-                drawn,
-            )
+            expected = _trial_answers(
+                side, q, modes, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT, [drawn]
+            )(0, domain)
             assert (got[0], got[2]) == (expected[0], expected[2])
             if not disjunctive:
                 assert got[1] == expected[1]
@@ -533,8 +603,9 @@ def test_a_cross_product_cut_from_the_union_is_the_trials_own():
             terms = p.constants.union(*[args for _, args in drawn]) or universe(p)
             draws.append((terms, drawn))
         union = {f for _, drawn in draws for f in drawn}
-        own = sum(len(_ground_coded(p, GROUND_CAP_DEFAULT, d).instances) for _, d in draws)
-        larger += len(_ground_coded(p, GROUND_CAP_DEFAULT, union).instances) > own
+        grounder = _grounder(p)
+        own = sum(len(grounder(d).instances) for _, d in draws)
+        larger += len(grounder(union).instances) > own
         for text in ("p(X,Y)?", "p(X,X)?", "p(f1,Y)?"):
             q = parse_query(text)
             for side in (p, dms(q, p)):
@@ -932,10 +1003,9 @@ def test_one_search_answers_both_modes(profile):
                     oracle_checked += 1
             domain = universe(side) | {t for t in q.atom.args if t.is_constant}
             for query in {q, open_q}:
-                answers, states, rules = _answer(
-                    side, query, modes, domain,
-                    GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT,
-                )
+                answers, states, rules = _trial_answers(
+                    side, query, modes, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT, [()]
+                )(0, domain)
                 assert answers == {
                     "brave": substitutions_brave(report, query, domain),
                     "cautious": substitutions_cautious(report, query, domain),

@@ -97,8 +97,8 @@ def test_memoized_atoms_keep_each_rules_own_order():
     for rule, body in ((r1, "e(X), f(X)"), (r2, "f(X), e(X)")):
         assert rule.atoms() is rule.atoms()  # computed once
         assert ", ".join(map(str, rule.atoms()[1:3])) == body
-        # the grounder compiles each rule object on its own, so the equal
-        # rule does not lend it its body order
+        # the grounder lays out each rule from its own atoms, so the
+        # equal rule does not lend it its body order
         g = ground(Program((*facts, rule)))
         assert str(g.rules[-1]) == f"p(a) :- {body.replace('X', 'a')}, not q(a)."
         for twin in (copy.deepcopy(rule), pickle.loads(pickle.dumps(rule))):
