@@ -342,10 +342,12 @@ def check_equivalence(
     :func:`random_edb`, before the first trial.  Each trial draws its
     facts as ``random_edb`` would, and every draw is made before the first
     trial.  Each side is ground once, with the union of the draws added as
-    facts, and each trial's grounding is cut from it: the instances whose
-    positive body the trial's own facts derive, which are exactly those
-    of grounding the trial alone (see :func:`_trial_answers`).  No
-    extended program is built.  When the union trips ``ground_cap``, that
+    facts, and put in the search's mask form once.  Each trial's grounding
+    is cut from it by the search's own positive closure from the trial's
+    facts: the instances whose positive body those facts derive, which are
+    exactly those of grounding the trial alone, kept in the union's order
+    and bit numbering (see :func:`_trial_answers`).  No extended program
+    is built.  When the union trips ``ground_cap``, that
     side grounds each trial on its own instead.  The query is evaluated
     over a shared substitution domain, the universe of ``p`` with the
     trial's facts added plus the query's constants, so any reported

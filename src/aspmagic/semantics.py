@@ -20,8 +20,9 @@ atoms to the grounder and keyed like the program's own bodiless rules, so
 no extended program is built for them; how a fact is keyed and how the
 search is driven stay inside this module.  Since a relevant
 grounding is monotone in the facts, several fact sets share one grounding
-over their union, and each one's own grounding is cut from it by a
-positive closure from its facts.  The search then
+over their union, in one mask form, and each one's own grounding is cut
+from it by the search's own positive closure from its facts, the union's
+bits kept.  The search then
 branches over the atoms that occur in negative bodies, keeps monotone
 lower and upper bounds to cut hopeless branches early, the lower one
 carried from each node to its children, and enumerates the minimal models
@@ -33,8 +34,9 @@ grounding, and both decide unfoundedness by one mask test.  Both routes
 are deterministic; neither is meant to compete with a real solver.
 
 Query answering uses the primary search, directed by the query.  The
-query atom is matched once against the coded derivable atoms, none of
-them decoded; the matches are the candidates.  A brave query prunes every
+query atom is matched once against the coded atoms, none of them
+decoded; the matches among the derivable atoms, the heads, are the
+candidates.  A brave query prunes every
 branch whose upper bound holds no candidate still unwitnessed, and each
 answer set found witnesses the candidates it holds; a cautious query
 prunes every branch whose lower bound holds every candidate still
@@ -217,38 +219,52 @@ def _plan(slots: Sequence[tuple[int, ...]], n: int) -> list[_Step]:
     return steps
 
 
+def _rows(step: tuple[_Relation, _Step, int, int, int], binding: list) -> Iterator[int]:
+    """The row numbers, ascending, of the rows of the step's relation
+    numbered in ``[lo, hi)`` whose bound positions match ``binding``."""
+    rel, (positions, keys, _, _), _, lo, hi = step
+    if positions:
+        bucket = rel.lookup(positions, tuple([binding[s] for s in keys]))
+        return iter(bucket[bisect_left(bucket, lo) : bisect_left(bucket, hi)])
+    return iter(range(lo, hi))
+
+
 def _join(
     steps: Sequence[tuple[_Relation, _Step, int, int, int]],
     binding: list,
     matched: list[int],
     found: Callable[[list, list[int]], None],
-    k: int = 0,
 ) -> None:
     """Call ``found`` with every extension of ``binding`` under which each
     step's atom matches a row of its relation numbered in ``[lo, hi)``,
     and with the atom id of each such row in ``matched`` at the step's
-    body position."""
-    rel, (positions, keys, binds, checks), at, lo, hi = steps[k]
-    rows, ids = rel.rows, rel.ids
-    if positions:
-        bucket = rel.lookup(positions, tuple([binding[s] for s in keys]))
-        within = bucket[bisect_left(bucket, lo) : bisect_left(bucket, hi)]
-    else:
-        within = range(lo, hi)
-    last = k == len(steps) - 1
-    for r in within:
-        args = rows[r]
-        for pos, s in binds:
-            binding[s] = args[pos]
-        for pos, s in checks:
-            if args[pos] != binding[s]:
-                break
-        else:
-            matched[at] = ids[r]
-            if last:
-                found(binding, matched)
+    body position.
+
+    The steps are walked depth first with an explicit stack holding the
+    row iterator of each step entered, so a long body does not recurse;
+    the extensions come in the order of a recursive walk."""
+    last = len(steps) - 1
+    entered = [_rows(steps[0], binding)]
+    while entered:
+        k = len(entered) - 1
+        rel, (_, _, binds, checks), at, _, _ = steps[k]
+        rows, ids = rel.rows, rel.ids
+        for r in entered[k]:
+            args = rows[r]
+            for pos, s in binds:
+                binding[s] = args[pos]
+            for pos, s in checks:
+                if args[pos] != binding[s]:
+                    break
             else:
-                _join(steps, binding, matched, found, k + 1)
+                matched[at] = ids[r]
+                if k == last:
+                    found(binding, matched)
+                else:
+                    entered.append(_rows(steps[k + 1], binding))
+                    break
+        else:
+            entered.pop()
 
 
 def _key_of(a: _Fact) -> _Key:
@@ -626,7 +642,7 @@ def _stable_models(
     The goal is called afresh each time, so a caller may narrow it between
     yields.  The lower bound only grows as atoms are assumed false, so each
     node closes it from its parent's rather than from nothing; with nothing
-    assumed true the upper bound is every atom, since the heads of a
+    assumed true the upper bound is every head, since the heads of a
     relevant grounding are exactly the atoms derivable with negation
     ignored.  Each surviving leaf fixes the reduct; its minimal models that
     reproduce the assumed assignment are exactly the stable models there.
@@ -728,17 +744,18 @@ def _relevant_searches(
 
     With one fact set, the union of the fact sets is that set, so its
     function grounds it when asked, with nothing cut.  With more, ``p`` is
-    ground once, here, with the union added.  A relevant grounding is
-    monotone in the facts: the instances for a fact set are those of the
-    union's grounding whose positive body the fact set derives.  So trial
-    ``t`` starts from the program's bodiless instances and its own facts,
-    not the union's other facts, and closes over the union's instances
-    with negation ignored.  The instances reached are kept stage by stage,
-    a stage being the pass in which an instance's body became derivable,
-    which is the grounder's semi-naive round, and within a stage in the
-    union's order; the atoms reached are numbered by :func:`_mask_form`.
-    So the instances, keys and masks are those of grounding the trial
-    alone, up to the order of instances within a round.  When the union
+    ground once, here, with the union added, and put in mask form once.  A
+    relevant grounding is monotone in the facts: the instances for a fact
+    set are those of the union's grounding whose positive body the fact
+    set derives.  So trial ``t`` drops the instances of the facts that
+    only other trials add, closes the rest with :func:`_closure`, negation
+    ignored, and keeps the instances whose positive body lies in that
+    closure, their negative bodies cut down to it.  The bits keep the
+    union's key order, with holes where an atom is not derivable for the
+    trial; the search reads only the relative order of bits, so it takes
+    the same choices as on the trial's own grounding, whose instances
+    these are, in the union's order.  The keys are the union's, so a
+    caller reads which atoms are derivable off the heads.  When the union
     trips ``ground_cap`` each fact set is ground on its own instead; a
     trial's grounding is part of the union's, so no trial trips the cap
     when the union does not."""
@@ -750,7 +767,7 @@ def _relevant_searches(
     if len(fact_sets) == 1:
         return own
     try:
-        keys, _, instances = ground({f for facts in fact_sets for f in facts})
+        keys, derived, instances = ground({f for facts in fact_sets for f in facts})
     except GroundingTooLarge:
         return own
 
@@ -759,43 +776,22 @@ def _relevant_searches(
         for r in p.rules
         if not r.pos_body and not r.neg_body and len(r.head) == 1
     }
-    # every trial's bodiless instances, the instance of each fact only
-    # added, and for each instance the number of distinct positive body
-    # atoms it waits for, with the instances waiting for each atom
-    bodiless: list[int] = []
-    added: dict[_Key, int] = {}
-    waits = [0] * len(instances)
-    waiting: list[list[int]] = [[] for _ in keys]
-    for j, (head, pos, neg) in enumerate(instances):
-        if pos:
-            body = set(pos)
-            waits[j] = len(body)
-            for a in body:
-                waiting[a].append(j)
-        elif neg or len(head) != 1 or keys[head[0]] in program_facts:
-            bodiless.append(j)
-        else:
-            added[keys[head[0]]] = j
+    # the instance of each fact only added, by its key
+    added = {
+        keys[head[0]]: j
+        for j, (head, pos, neg) in enumerate(instances)
+        if not pos and not neg and len(head) == 1 and keys[head[0]] not in program_facts
+    }
+    fact_instances = set(added.values())
+    keys, masked = _mask_form(keys, derived, instances)
 
     def search(t: int) -> tuple[list[_Key], list[tuple[int, int, int]]]:
         facts = {added[k] for k in map(_key_of, fact_sets[t]) if k in added}
-        stage = sorted([*bodiless, *facts])
-        left = waits.copy()
-        derived: dict[int, None] = {}
-        kept: list[int] = []
-        while stage:
-            kept += stage
-            ready = []
-            for j in stage:
-                for a in instances[j][0]:
-                    if a not in derived:
-                        derived[a] = None
-                        for w in waiting[a]:
-                            left[w] -= 1
-                            if not left[w]:
-                                ready.append(w)
-            stage = sorted(ready)
-        return _mask_form(keys, derived, [instances[j] for j in kept])
+        rules = [
+            r for j, r in enumerate(masked) if j not in fact_instances or j in facts
+        ]
+        reach = _closure(rules)
+        return keys, [(h, b, n & reach) for h, b, n in rules if not b & ~reach]
 
     return search
 
@@ -1070,9 +1066,14 @@ def _search_answers(
     keys: list[_Key], masked: list[tuple[int, int, int]],
 ) -> tuple[dict[str, frozenset[Substitution]], int, int]:
     """The answers to ``q`` over a relevant grounding in the mask form of
-    :func:`_mask_form`, substitutions ranging over ``domain``, in each of
-    ``modes`` (``"brave"``, ``"cautious"`` or both) from one search, with
-    its number of states and the grounding's number of instances.
+    :func:`_relevant_searches`, substitutions ranging over ``domain``, in
+    each of ``modes`` (``"brave"``, ``"cautious"`` or both) from one
+    search, with its number of states and the grounding's number of
+    instances.
+
+    The candidates are the matches of ``q`` among the keys that head an
+    instance: a grounding cut from a union keeps every key of the union,
+    derivable for the trial or not.
 
     Two masks keep the candidates still open: ``unwitnessed`` for brave,
     ``unrefuted`` for cautious, each empty when its mode is not asked.  A
@@ -1085,7 +1086,10 @@ def _search_answers(
     of the nodes of full enumeration.
     """
     terms = frozenset(domain)
-    found = _matches(q, terms, keys)
+    heads = 0
+    for h, _, _ in masked:
+        heads |= h
+    found = [(k, s) for k, s in _matches(q, terms, keys) if heads >> k & 1]
     candidates = sum(1 << k for k, _ in found)
     unwitnessed = candidates if "brave" in modes else 0
     unrefuted = candidates if "cautious" in modes else 0

@@ -544,30 +544,60 @@ def test_grounding_and_search_are_unchanged_on_the_corpus():
     assert (digest.hexdigest(), states) == (CORPUS_DIGEST, CORPUS_STATES)
 
 
+def _heads(masked):
+    heads = 0
+    for h, _, _ in masked:
+        heads |= h
+    return heads
+
+
 def test_every_relevant_atom_is_derivable_at_the_root():
-    # The search starts its upper bound at every atom, which is the
-    # closure of the masks with nothing assumed true.
+    # The search starts its upper bound at every head, which is the
+    # closure of the masks with nothing assumed true; a grounding cut from
+    # the union has holes among its bits, so there the heads are fewer
+    # than the keys.
     for side, _, _, drawn in _corpus():
         keys, masked = _relevant_searches(side, GROUND_CAP_DEFAULT, [drawn])(0)
-        heads = 0
-        for h, _, _ in masked:
-            heads |= h
-        assert _closure(masked, 0) == heads == (1 << len(keys)) - 1
+        assert _closure(masked, 0) == _heads(masked) == (1 << len(keys)) - 1
+    for sides, _, draws in _corpus_checks():
+        fact_sets = [drawn for _, drawn in draws]
+        for side in sides:
+            cut = _relevant_searches(side, GROUND_CAP_DEFAULT, fact_sets)
+            for t in range(len(fact_sets)):
+                _, masked = cut(t)
+                assert _closure(masked, 0) == _heads(masked)
 
 
 MODES = (("brave",), ("cautious",), ("brave", "cautious"))
 
 
+def _renumbered(keys, masked):
+    """The keys of the heads of ``masked``, and the masks with those
+    heads' bits, in order, mapped onto ``0..k-1``.  A grounding cut from
+    the union keeps the union's bits, with holes where an atom is not
+    derivable in the trial; renumbered, it compares with the trial's own.
+    Every bit of a mask must be a head's."""
+    heads = _heads(masked)
+    bits = [i for i in range(heads.bit_length()) if heads >> i & 1]
+
+    def renumber(m):
+        assert m & ~heads == 0
+        return sum(1 << new for new, old in enumerate(bits) if m >> old & 1)
+
+    return [keys[i] for i in bits], [tuple(map(renumber, r)) for r in masked]
+
+
 def _assert_cut_grounds_like_each_trial(side, q, draws):
-    """Each trial's grounding cut from the union of ``draws`` has the
-    instances and keys of the trial's own grounding, and answers alike;
-    without a disjunctive rule, whose branching follows the instance
-    order, the search takes the same states too."""
+    """Each trial's grounding cut from the union of ``draws`` has, once its
+    bits are renumbered, the instances and keys of the trial's own
+    grounding, and answers alike; without a disjunctive rule, whose
+    branching follows the instance order, the search takes the same
+    states too."""
     fact_sets = [drawn for _, drawn in draws]
     cut = _relevant_searches(side, GROUND_CAP_DEFAULT, fact_sets)
     disjunctive = any(len(r.head) > 1 for r in side.rules)
     for t, (domain, drawn) in enumerate(draws):
-        keys, masked = cut(t)
+        keys, masked = _renumbered(*cut(t))
         own = _relevant_searches(side, GROUND_CAP_DEFAULT, [drawn])(0)
         assert (len(masked), keys) == (len(own[1]), own[0])
         assert sorted(masked) == sorted(own[1])
@@ -749,6 +779,24 @@ def test_deep_search_hits_the_cap_not_the_stack(text):
             answer_sets(p, candidate_cap=600)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_a_long_body_grounds_without_recursing_per_atom():
+    # The join walks a 300-atom body; under a stack limit far below that,
+    # only a join that does not recurse per body atom grounds the rule.
+    body = ", ".join(f"e{i}(X)" for i in range(300))
+    p = parse_program(f"p(X) :- {body}. " + " ".join(f"e{i}(a)." for i in range(300)))
+    q = parse_query("p(a)?")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 120)
+    try:
+        assert len(ground(p).rules) == 301
+        for side in (p, dms(q, p)):
+            assert answer_query(side, q, "brave").substitutions == {Substitution()}
+        report = check_equivalence(p, q, trials=2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.ok and report.fact_sets_tested == 2
 
 
 # ---------------------------------------------------------- unfounded sets
