@@ -15,7 +15,9 @@ positive atom by earlier ones, a negative body atom or another head atom by
 all of them.  Scanning those candidates in body order, a candidate feeds
 the target when it holds a variable of the target that neither the head
 nor an earlier feeding candidate already covers; the target then also takes
-that candidate's own feeds.  An argument is bound when it is a constant,
+that candidate's own feeds.  Such a candidate is the first to hold one of
+the target's variables that the head leaves free, so the feeders are found
+in time linear in the body.  An argument is bound when it is a constant,
 bound by the head or a variable of a feeding atom.  Each adorned atom's
 magic rule derives its bindings from the selected head's magic atom and
 its feeds; negative and head atoms receive bindings but pass none on.
@@ -24,7 +26,7 @@ its feeds; negative and head atoms receive bindings but pass none on.
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .syntax import (
     Atom,
@@ -106,6 +108,53 @@ def split_magic_name(name: str) -> tuple[str, str] | None:
     return pred, adornment
 
 
+def _feeds(
+    rule: Rule,
+    head_atom: Atom,
+    head_bound: frozenset[str],
+    variables: Mapping[Atom, frozenset[str]],
+) -> Callable[[Atom], set[Atom]]:
+    """The function giving the positive body atoms that feed an atom of
+    ``rule`` other than the selected ``head_atom``, whose bound positions
+    bind the variables ``head_bound``; ``variables`` maps each atom of the
+    rule to its variables.
+
+    Scanning the candidates in body order, a candidate feeds the target
+    when it holds a variable of the target that neither the head nor an
+    earlier feeding candidate covers.  That holds exactly when it is the
+    first candidate holding some variable of the target outside
+    ``head_bound``: an earlier holder of that variable would itself feed
+    and cover it.  So each atom's direct feeders are read off a map from
+    each variable to its first holder, and a target's feeds are those
+    feeders and, in turn, theirs; each atom's variables are read once."""
+    first: dict[str, Atom] = {}
+    direct: dict[Atom, set[Atom]] = {}
+
+    def holders(target: Atom) -> set[Atom]:
+        return {first[v] for v in variables[target] - head_bound if v in first}
+
+    for target in rule.pos_body:
+        if target != head_atom:
+            direct[target] = holders(target)
+            for v in variables[target]:
+                first.setdefault(v, target)
+    for target in (*rule.neg_body, *rule.head):
+        if target != head_atom and target not in direct:
+            direct[target] = holders(target)
+
+    def feeds(target: Atom) -> set[Atom]:
+        out: set[Atom] = set()
+        stack = [target]
+        while stack:
+            for s in direct[stack.pop()]:
+                if s not in out:
+                    out.add(s)
+                    stack.append(s)
+        return out
+
+    return feeds
+
+
 def _rewrite_rule(
     rule: Rule, head_atom: Atom, adornment: str, idb: frozenset[str]
 ) -> tuple[tuple[AdornedPredicate, ...], tuple[Rule, ...], Rule]:
@@ -120,30 +169,15 @@ def _rewrite_rule(
         for t, label in zip(head_atom.args, adornment)
         if label == "b" and t.is_variable
     )
-    pos = [a for a in rule.pos_body if a != head_atom]
-    feeds: dict[Atom, set[Atom]] = {}
-
-    def feeders(target: Atom, sources: list[Atom]) -> set[Atom]:
-        covered = set(head_bound)
-        target_vars = target.variables()
-        out: set[Atom] = set()
-        for s in sources:
-            if (s.variables() & target_vars) - covered:
-                out.add(s)
-                out |= feeds[s]
-                covered |= s.variables()
-        return out
-
-    for i, target in enumerate(pos):
-        feeds[target] = feeders(target, pos[:i])
-    for target in (*rule.neg_body, *rule.head):
-        if target != head_atom and target not in feeds:
-            feeds[target] = feeders(target, pos)
+    variables = {a: a.variables() for a in rule.atoms()}
+    feeds = _feeds(rule, head_atom, head_bound, variables)
 
     adorned = {head_atom: AdornedPredicate(head_atom.predicate, adornment)}
+    fed: dict[Atom, set[Atom]] = {}
     for atom in rule.atoms():
         if atom != head_atom and atom.predicate in idb:
-            bound = head_bound.union(*(s.variables() for s in feeds[atom]))
+            fed[atom] = feeds(atom)
+            bound = head_bound.union(*(variables[s] for s in fed[atom]))
             adorned[atom] = AdornedPredicate(atom.predicate, "".join(
                 "b" if t.is_constant or t.name in bound else "f" for t in atom.args
             ))
@@ -152,7 +186,7 @@ def _rewrite_rule(
     magic_rules = tuple(
         Rule(
             (magic_atom(ap, atom.args),),
-            (guard, *(b for b in rule.atoms() if b in feeds[atom])),
+            (guard, *(b for b in rule.atoms() if b in fed[atom])),
         )
         for atom, ap in adorned.items()
         if atom != head_atom

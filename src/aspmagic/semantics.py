@@ -10,12 +10,16 @@ the ids of the rows it matched, so only heads and negative bodies are
 keyed.  The search turns the instances straight into bitmasks, and
 :func:`ground` decodes them into rules.  One grounder serves each
 question, be it one query, one side of a differential check or one
-super-consistency check: it lays the program's rules out once, a bodiless
-one as the keys of its atoms and any other as a variable layout with one
-join plan per positive body atom, the pivot, built the first time a round
-can match that pivot, and every grounding it makes shares them.  Nothing
-of this is kept on the :class:`Rule` objects.  Facts added to a fixed
-program, as those two checks add one fact set after another, are passed as
+super-consistency check: it looks each of the program's rules up once, a
+bodiless one as the keys of its atoms and any other as a variable layout
+with one join plan per positive body atom, the pivot, built the first time
+a round can match that pivot, and every grounding it makes shares them.
+A layout is a function of the rule's ordered atoms alone, so the most
+recently used few hundred shapes keep theirs, plans included, for every
+grounder of the process: the checks of a differential sweep rewrite and
+ground the same few shapes over and over.  Nothing of this is kept on
+the :class:`Rule` objects.  Facts added to a fixed program, as those two
+checks add one fact set after another, are passed as
 atoms to the grounder and keyed like the program's own bodiless rules, so
 no extended program is built for them; how a fact is keyed and how the
 search is driven stay inside this module.  Since a relevant
@@ -48,7 +52,7 @@ candidate is left open.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -108,11 +112,11 @@ def ground(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> Program:
     set of bound positions.  The grounder codes atoms as integer ids and
     instances as tuples of ids; the search reads those directly, and this
     function decodes the same instances into the rules of a ground
-    :class:`Program`.  Each rule's join plans are built by the grounder of
-    this one call as its rounds need them; bodiless rules are ground
-    without a plan.  Instances come in derivation order: each positive
-    body atom heads an earlier instance, and of two instances that collide
-    the first one derived is kept.
+    :class:`Program`.  Each rule's join plans are built as the rounds
+    need them and kept with its shape's layout (see :func:`_compile`);
+    bodiless rules are ground without a plan.  Instances come in
+    derivation order: each positive body atom heads an earlier instance,
+    and of two instances that collide the first one derived is kept.
 
     ``ground_cap`` bounds the number of distinct instances as they are
     emitted; crossing it raises :class:`GroundingTooLarge`.
@@ -280,14 +284,14 @@ _Plan = tuple[_Step, tuple[tuple[_Step, int], ...]]
 
 
 class _Compiled(NamedTuple):
-    """A rule with a positive body, laid out for the join: the number of
-    variables and the template binding of :func:`_layout`, and the
-    predicate and argument slots of each atom of its head, positive body
-    and negative body.  ``plans[i]`` is the join plan with positive body
-    atom ``i`` as the pivot, ``None`` until a grounding first needs it: the
-    pivot's join step, then ``(step, position)`` for each other atom,
-    matched after the pivot in body order.  ``preds`` holds the predicates
-    of the positive body."""
+    """A rule shape with a positive body, laid out for the join: the
+    number of variables and the template binding of :func:`_layout`, and
+    the predicate and argument slots of each atom of its head, positive
+    body and negative body.  ``plans[i]`` is the join plan with positive
+    body atom ``i`` as the pivot, ``None`` until a grounding first needs
+    it: the pivot's join step, then ``(step, position)`` for each other
+    atom, matched after the pivot in body order.  ``preds`` holds the
+    predicates of the positive body."""
 
     n: int
     template: tuple[str | None, ...]
@@ -298,14 +302,31 @@ class _Compiled(NamedTuple):
     plans: list[_Plan | None]
 
 
-def _compile(rule: Rule) -> _Compiled:
-    n, template, slot = _layout(rule.atoms())
-    head, pos, neg = (
+# At most this many rule shapes keep their layout: 512 hold about 1.2 MB
+# with their plans, and the shapes of a differential sweep repeat enough
+# for two lookups in three to hit.
+_LAYOUTS = 512
+
+
+@lru_cache(maxsize=_LAYOUTS)
+def _compile(
+    head: tuple[Atom, ...], pos_body: tuple[Atom, ...], neg_body: tuple[Atom, ...]
+) -> _Compiled:
+    """The layout of the rule shape with these atoms, in this order.
+
+    A layout depends on nothing but the ordered atoms, so it is made once
+    per shape and shared, with the pivot plans :func:`_pivot_plan` adds to
+    it, by every grounder that meets the shape.  The key is the ordered
+    atoms, not the :class:`Rule`: rules equal as sets of atoms may list
+    their bodies in different orders, and a plan records each atom's body
+    position."""
+    n, template, slot = _layout((*head, *pos_body, *neg_body))
+    parts = [
         tuple((a.predicate, tuple(slot[t.name] for t in a.args)) for a in part)
-        for part in (rule.head, rule.pos_body, rule.neg_body)
-    )
-    preds = frozenset(pred for pred, _ in pos)
-    return _Compiled(n, tuple(template), head, pos, neg, preds, [None] * len(pos))
+        for part in (head, pos_body, neg_body)
+    ]
+    preds = frozenset(a.predicate for a in pos_body)
+    return _Compiled(n, tuple(template), *parts, preds, [None] * len(pos_body))
 
 
 def _pivot_plan(c: _Compiled, i: int) -> _Plan:
@@ -329,19 +350,22 @@ def _grounder(
     """A function ``ground(facts=())`` giving the relevant grounding of
     ``p`` with the ground atoms ``facts`` added (see :func:`_ground_coded`).
 
-    The rules of ``p`` are laid out once, here: each bodiless rule as the
-    keys of its atoms, every other one by :func:`_compile`, whose pivot
-    plans the groundings build as they need them and then share.  The
-    layouts live as long as the caller keeps the function, which is the
-    caller's question: one query, one side of a differential check, one
-    super-consistency check; nothing is kept on the rules themselves."""
+    The rules of ``p`` are laid out here, with one lookup each: each
+    bodiless rule as the keys of its atoms, every other one by
+    :func:`_compile`, whose pivot plans the groundings build as they need
+    them.  The function keeps these for the caller's question: one query,
+    one side of a differential check, one super-consistency check.  A
+    layout and its plans belong to the rule's shape, not to the question,
+    so later questions that meet the same shape, such as the next check of
+    a differential sweep, find them made; nothing is kept on the rules
+    themselves."""
     # a bodiless rule is ground by safety: its atoms go straight to keys
     bodiless = [
         (tuple(map(_key_of, r.head)), tuple(map(_key_of, r.neg_body)))
         for r in p.rules
         if not r.pos_body
     ]
-    joined = [_compile(r) for r in p.rules if r.pos_body]
+    joined = [_compile(r.head, r.pos_body, r.neg_body) for r in p.rules if r.pos_body]
     return partial(_ground_coded, bodiless, joined, ground_cap)
 
 
@@ -374,9 +398,9 @@ def _ground_coded(
     its predicate grew and every body atom before it has old rows, the only
     pivots that can match, and a rule none of whose body predicates grew is
     passed over whole; a pivot's plan is built by :func:`_pivot_plan` the
-    first time a grounding of the same grounder visits it.  A body atom
-    reads only the rows of its
-    predicate whose already-bound positions match, through the argument
+    first time any grounding visits that pivot of the rule's shape.  A body
+    atom reads only the rows of its predicate whose already-bound positions
+    match, through the argument
     index of :class:`_Relation`, and the old/new split is a bisection on
     the row numbers.  Each row carries its atom id, so an instance's
     positive body is the ids of the rows matched and only its head and

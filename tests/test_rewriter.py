@@ -5,13 +5,18 @@ known shape down to each magic rule, which pins the binding strategy's
 choice of which body atoms pass bindings on.
 """
 
+import random
+from itertools import product
+
 import pytest
 
 from aspmagic import (
     AdornedPredicate,
+    Atom,
     ProgramError,
     Program,
     ReservedPredicateError,
+    Rule,
     answer_sets,
     build_query_seed,
     check_equivalence,
@@ -27,6 +32,7 @@ from aspmagic import (
     universe,
     var,
 )
+from aspmagic import rewriter
 
 
 def _ancestry_rewriting(ancestry):
@@ -273,3 +279,126 @@ def test_generated_rewrites_are_well_formed(seed):
             decoded = split_magic_name(g.predicate)
             assert decoded is not None and decoded[0] == h.predicate
         assert all(h.predicate not in edb for h in r.head)
+
+
+# ------------------------------------------------------- the binding strategy
+
+
+def _scanned_feeds(rule, head_atom, head_bound):
+    """The feeds of every atom of ``rule`` but ``head_atom`` by the
+    body-order scan that defines the binding strategy: a candidate feeds
+    the target when it holds a variable of the target that neither the
+    head nor an earlier feeding candidate covers, and brings its own feeds
+    along.  Quadratic in the body length; the reference for the
+    rewriter's first-holder map."""
+    pos = [a for a in rule.pos_body if a != head_atom]
+    feeds = {}
+
+    def feeders(target, sources):
+        covered = set(head_bound)
+        out = set()
+        for s in sources:
+            if (s.variables() & target.variables()) - covered:
+                out.add(s)
+                out |= feeds[s]
+                covered |= s.variables()
+        return out
+
+    for i, target in enumerate(pos):
+        feeds[target] = feeders(target, pos[:i])
+    for target in (*rule.neg_body, *rule.head):
+        if target != head_atom and target not in feeds:
+            feeds[target] = feeders(target, pos)
+    return feeds
+
+
+def _long_rule(rng):
+    """A random safe rule with a long positive body over a few variables
+    and constants, a head of up to three atoms and a short negative body;
+    a head atom may recur in the body."""
+    names = [var(v) for v in "UVWXYZ"] + [const("a"), const("b")]
+
+    arities = {"e": 1, "f": 2, "g": 3, "h": 2, "p": 2, "q": 1}
+
+    def atom(pool):
+        pred = rng.choice(list(arities))
+        return Atom(pred, [rng.choice(pool) for _ in range(arities[pred])])
+
+    pos = [atom(names) for _ in range(rng.randint(20, 60))]
+    held = sorted({t for a in pos for t in a.args}) or [const("a")]
+    head = [atom(held) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.2:
+        pos.insert(rng.randrange(len(pos)), head[0])
+    neg = [atom(held) for _ in range(rng.randint(0, 3))]
+    return Rule(head, pos, neg)
+
+
+def test_first_holders_feed_like_the_body_order_scan():
+    rng = random.Random(7)
+    compared = 0
+    for _ in range(100):
+        rule = _long_rule(rng)
+        variables = {a: a.variables() for a in rule.atoms()}
+        for head_atom in rule.head:
+            for labels in product("bf", repeat=head_atom.arity):
+                head_bound = frozenset(
+                    t.name
+                    for t, label in zip(head_atom.args, labels)
+                    if label == "b" and t.is_variable
+                )
+                feeds = rewriter._feeds(rule, head_atom, head_bound, variables)
+                expected = _scanned_feeds(rule, head_atom, head_bound)
+                for target in rule.atoms():
+                    if target != head_atom:
+                        assert feeds(target) == expected[target], (str(rule), target)
+                        compared += 1
+    assert compared > 3_000
+
+
+def test_long_rules_rewrite_like_the_body_order_scan(monkeypatch):
+    # Long bodies over intensional predicates: the whole rewriting, magic
+    # rules and adornments included, is the one the reference scan gives.
+    rng = random.Random(11)
+    programs = [Program([_long_rule(rng) for _ in range(3)]) for _ in range(8)]
+    queries = [parse_query(t) for t in ("p(a,X)?", "p(X,Y)?", "q(X)?", "h(X,b)?")]
+
+    def rewrite_all():
+        return [
+            ([str(r) for r in d.program.rules], d.adorned)
+            for p in programs
+            for q in queries
+            for d in [dms_with_details(q, p)]
+        ]
+
+    fast = rewrite_all()
+    monkeypatch.setattr(
+        rewriter,
+        "_feeds",
+        lambda rule, head_atom, head_bound, _: _scanned_feeds(
+            rule, head_atom, head_bound
+        ).__getitem__,
+    )
+    assert fast == rewrite_all()
+    assert sum(len(rules) for rules, _ in fast) > 1_000
+
+
+def test_rewriting_a_long_body_reads_each_atoms_variables_once(monkeypatch):
+    # The body-order scan would read them about n**2 / 2 times.
+    n = 2000
+    p = parse_program("p(X) :- " + ", ".join(f"e{i}(X)" for i in range(n)) + ".")
+    real = Atom.variables
+    reads = 0
+
+    def counting(self):
+        nonlocal reads
+        reads += 1
+        return real(self)
+
+    monkeypatch.setattr(Atom, "variables", counting)
+    for text in ("p(X)?", "p(a)?"):
+        reads = 0
+        rewritten = dms(parse_query(text), p)
+        assert len(rewritten.rules) == 2
+        # once for the rewriting, once for the safety check of the
+        # guarded rule
+        assert reads <= 3 * n

@@ -21,6 +21,7 @@ from aspmagic import (
     Atom,
     CandidateSpaceTooLarge,
     GroundingTooLarge,
+    Program,
     Query,
     Rule,
     Substitution,
@@ -55,7 +56,9 @@ from aspmagic.harness import _draw_edb, _edb_pool
 from aspmagic.semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
+    _LAYOUTS,
     _closure,
+    _compile,
     _ground_exhaustive,
     _grounder,
     _index_rules,
@@ -391,19 +394,22 @@ def test_reused_rules_ground_like_fresh_ones(profile):
     assert compared >= 3
 
 
+def _shape(rule):
+    """The key of a rule's layout: its atoms, in order."""
+    return rule.head, rule.pos_body, rule.neg_body
+
+
 def _assert_compiled_once(made, p, q):
-    """Each rule with a positive body of ``p`` and of its rewriting was
-    laid out once by the ``_compile`` calls ``made``, and no bodiless rule
-    was."""
-    compiled = [rule for rule, in made]
-    # no rule object twice, and never a bodiless one
-    assert len({id(r) for r in compiled}) == len(compiled)
-    assert all(r.pos_body for r in compiled)
-    # every rule with a positive body, on both sides
-    mine = [r for r in p.rules if r.pos_body]
-    assert sum(any(r is c for c in compiled) for r in mine) == len(mine)
-    expected = mine + [r for r in dms(q, p).rules if r.pos_body]
-    assert sorted(map(str, compiled)) == sorted(map(str, expected))
+    """The ``_compile`` lookups ``made`` by a differential check of ``q``
+    over ``p`` are one per rule with a positive body of each side, and
+    since the cache was cleared each distinct shape was laid out once."""
+    expected = [
+        _shape(r) for side in (p, dms(q, p)) for r in side.rules if r.pos_body
+    ]
+    assert sorted(made) == sorted(expected)
+    hits, misses, _, size = _compile.cache_info()
+    assert misses == size == len(set(expected))
+    assert hits == len(expected) - misses
 
 
 def test_check_equivalence_compiles_each_rule_once(calls, ancestry):
@@ -411,12 +417,13 @@ def test_check_equivalence_compiles_each_rule_once(calls, ancestry):
     for profile in ("stratified", "odd_cycle_free", "arbitrary"):
         p = random_program(3, profile)
         q = random_query(p, 3)
+        _compile.cache_clear()
         compiled.clear()
         report = check_equivalence(p, q, trials=4, seed=3)
         assert report.fact_sets_tested == 4
         _assert_compiled_once(compiled, p, q)
     # A union over the cap grounds each trial on its own, through the
-    # handle that laid the side out: seed 0's four draws each fit under
+    # handle that looked the side up: seed 0's four draws each fit under
     # the cap, their union does not.
     q = parse_query("ancestor(p1,X)?")
     draws = [random_edb(ancestry, t, 0.3) for t in range(4)]
@@ -424,6 +431,7 @@ def test_check_equivalence_compiles_each_rule_once(calls, ancestry):
     cap = max(len(ground(s.with_facts(d)).rules) for s in sides for d in draws)
     union = frozenset().union(*draws)
     assert max(len(ground(s.with_facts(union)).rules) for s in sides) > cap
+    _compile.cache_clear()
     compiled.clear()
     report = check_equivalence(ancestry, q, 4, 0, 0.3, ground_cap=cap)
     assert report.fact_sets_tested == 4 and report.skipped == ()
@@ -433,16 +441,77 @@ def test_check_equivalence_compiles_each_rule_once(calls, ancestry):
 def test_check_super_consistent_compiles_each_rule_once_per_call(
     calls, choice_with_odd_loop
 ):
-    # 11 fact sets, one grounder: each rule with a positive body is laid
-    # out once per call, and a second call lays it out again.
+    # 11 fact sets, one grounder per call: each rule with a positive body
+    # is looked up once per call, and only the first call lays it out.
+    _compile.cache_clear()
     compiled = calls("_compile")
-    mine = [r for r in choice_with_odd_loop.rules if r.pos_body]
-    for _ in range(2):
+    mine = [_shape(r) for r in choice_with_odd_loop.rules if r.pos_body]
+    for call in range(2):
         compiled.clear()
         verdict = check_super_consistent(choice_with_odd_loop, use_shortcut=False)
         assert verdict.sets_tested == 11
-        assert len(compiled) == len(mine)
-        assert all(any(r is c for c, in compiled) for r in mine)
+        assert sorted(compiled) == sorted(mine)
+        hits, misses, _, _ = _compile.cache_info()
+        assert (hits, misses) == (call * len(mine), len(mine))
+
+
+# ------------------------------------------------------------ layout cache
+
+
+def test_a_warm_layout_cache_grounds_like_a_cold_one():
+    # The gate corpus: 3 profiles x 300 seeds x 3 fact sets.  Cold, every
+    # grounding and check starts from an empty cache; warm, it finds every
+    # layout made, with the plans that other grounders built for other
+    # facts.
+    seeds = range(300)
+    for k, (sides, q, draws) in enumerate(_corpus_checks(seeds, trials=3)):
+        seed = seeds[k % len(seeds)]
+        for side in sides:
+            cold = []
+            for _, drawn in draws:
+                _compile.cache_clear()
+                cold.append(_grounder(side)(drawn))
+            made = _compile.cache_info().misses
+            warm = [_grounder(side)(drawn) for _, drawn in draws[::-1]]
+            assert _compile.cache_info().misses == made
+            assert warm[::-1] == cold
+        _compile.cache_clear()
+        cold = check_equivalence(sides[0], q, 3, seed, 0.3, max_facts=8)
+        made = _compile.cache_info().misses
+        warm = check_equivalence(sides[0], q, 3, seed, 0.3, max_facts=8)
+        assert _compile.cache_info().misses == made
+        assert warm._replace(timings_ms=()) == cold._replace(timings_ms=())
+
+
+def test_rules_equal_as_sets_get_a_layout_per_body_order():
+    text = "p(X,Y) :- a(X), b(X,Y), not c(Y).", "p(X,Y) :- b(X,Y), a(X), not c(Y)."
+    first, second = (parse_program(t).rules[0] for t in text)
+    assert first == second and hash(first) == hash(second)
+    layouts = [_compile(*_shape(r)) for r in (first, second)]
+    assert layouts[0] is not layouts[1]
+    assert [[pred for pred, _ in c.pos] for c in layouts] == [["a", "b"], ["b", "a"]]
+    # the same shape in another rule object shares its layout
+    again = parse_program(text[0]).rules[0]
+    assert _compile(*_shape(again)) is layouts[0]
+    # each grounding writes the positive body in its own rule's order
+    facts = parse_program("a(k). b(k,m).").rules
+    for rule, order in ((first, ["a", "b"]), (second, ["b", "a"])):
+        instances = [r for r in ground(Program([rule, *facts])).rules if r.pos_body]
+        assert [[a.predicate for a in r.pos_body] for r in instances] == [order]
+
+
+def test_the_layout_cache_holds_at_most_its_bound():
+    _compile.cache_clear()
+    n = _LAYOUTS + 100
+    p = parse_program(" ".join(f"p{i}(X) :- e(X)." for i in range(n)) + " e(a).")
+    grounding = ground(p)
+    assert len(grounding.rules) == n + 1
+    info = _compile.cache_info()
+    assert info.maxsize == _LAYOUTS
+    assert (info.misses, info.currsize) == (n, _LAYOUTS)
+    # the evicted shapes are laid out again, and ground alike
+    assert ground(p).rules == grounding.rules
+    assert _compile.cache_info().currsize == _LAYOUTS
 
 
 RULE_FIELDS = {"head", "pos_body", "neg_body", "_signature", "_atoms"}
