@@ -13,22 +13,19 @@ _EXPORTS = {
     "analysis": (
         "DependencyEdge", "DependencyGraph", "ScStatus", "ScVerdict",
         "check_super_consistent", "dependency_graph", "is_odd_cycle_free",
-        "is_stratified", "sc_candidate_atoms",
+        "is_stratified",
     ),
     "harness": (
         "BenchmarkCell", "EquivReport", "Mismatch", "RelatedInstance",
-        "ancestry_program", "benchmark_json", "benchmark_table",
+        "ancestry_program", "benchmark_table",
         "check_equivalence", "gen_related_instance", "random_edb",
         "random_program", "random_query", "run_benchmark",
     ),
     "lifting": ("killed_atoms", "magic_variant"),
-    "parser": (
-        "SourceError", "parse_program", "parse_query", "print_program",
-        "print_query",
-    ),
+    "parser": ("SourceError", "parse_program", "parse_query", "print_program"),
     "rewriter": (
         "MAGIC_PREFIX", "AdornedPredicate", "DmsResult",
-        "ReservedPredicateError", "build_query_seed", "dms",
+        "ReservedPredicateError", "dms",
         "dms_with_details", "magic_atom", "split_magic_name",
     ),
     "semantics": (

@@ -25,7 +25,6 @@ __all__ = [
     "is_odd_cycle_free",
     "ScStatus",
     "ScVerdict",
-    "sc_candidate_atoms",
     "check_super_consistent",
 ]
 
@@ -172,11 +171,6 @@ def _candidate_atoms(p: Program) -> Iterator[Atom]:
         for pred, arity in sorted(p.predicates.items())
         for args in product(consts, repeat=arity)
     )
-
-
-def sc_candidate_atoms(p: Program) -> tuple[Atom, ...]:
-    """Every atom a hostile fact set could contain, in sorted order."""
-    return tuple(_candidate_atoms(p))
 
 
 def check_super_consistent(

@@ -12,7 +12,6 @@ asks its ground corner query bravely, as ``aspmagic query --brave``.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from functools import cached_property
@@ -57,7 +56,6 @@ __all__ = [
     "BenchmarkCell",
     "run_benchmark",
     "benchmark_table",
-    "benchmark_json",
 ]
 
 _ANCESTRY_TEXT = """
@@ -425,9 +423,11 @@ class BenchmarkCell(NamedTuple):
     answer: str | None = None
 
 
-def _bench_worker(conn, n: int, mode: str, rep: int, p: Program, q: Query,
+def _bench_worker(conn, n: int, mode: str, rep: int,
                   ground_cap: int, candidate_cap: int) -> None:
     try:
+        inst = gen_related_instance(n)
+        p, q = inst.program, inst.query
         t0 = time.perf_counter()
         target = dms(q, p) if mode == "dms" else p
         answer = answer_query(
@@ -463,26 +463,28 @@ def run_benchmark(
     Each cell answers the query through :func:`answer_query`, the directed
     search that ``aspmagic query --brave`` runs, and reports the size of
     the relevant grounding and the search states it took; a dms cell's
-    time includes the rewriting.  Every cell runs in a forked worker, which
-    inherits the instance, killed at ``timeout`` seconds, so a blown-up size
-    yields a timeout row instead of hanging the run.
+    time includes the rewriting, not the building of the instance.  Every
+    cell runs in a forked worker, which builds its own instance and is
+    killed at ``timeout`` seconds, so a blown-up size yields a timeout row
+    instead of hanging the run.
     """
     if mode not in ("plain", "dms", "both"):
         raise ValueError(f"unknown mode {mode!r}")
+    sizes = tuple(sizes)
+    if any(n < 1 for n in sizes):
+        raise ValueError("n must be at least 1")
     import multiprocessing  # loaded only here, not by every CLI call
 
     mode_list = ("plain", "dms") if mode == "both" else (mode,)
     ctx = multiprocessing.get_context("fork")
     cells = []
     for n in sizes:
-        inst = gen_related_instance(n)
         for m in mode_list:
             for rep in range(repetitions):
                 recv_end, send_end = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_bench_worker,
-                    args=(send_end, n, m, rep, inst.program, inst.query,
-                          ground_cap, candidate_cap),
+                    args=(send_end, n, m, rep, ground_cap, candidate_cap),
                 )
                 proc.start()
                 send_end.close()
@@ -516,13 +518,3 @@ def benchmark_table(cells: Iterable[BenchmarkCell]) -> str:
             c if c.time_ms is None else c._replace(time_ms=f"{c.time_ms:.1f}")
         )
     return out.getvalue()
-
-
-def benchmark_json(cells: Iterable[BenchmarkCell]) -> str:
-    """A structured report; records the grid layout, which is our own
-    choice of instance shape rather than a given."""
-    payload = {
-        "instance_pattern": "grid (right and down edges; layout is an assumption)",
-        "cells": [c._asdict() for c in cells],
-    }
-    return json.dumps(payload, indent=2)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .rewriter import AdornedPredicate, dms_with_details, magic_atom, split_magic_name
-from .semantics import GROUND_CAP_DEFAULT, ground
+from .semantics import ground
 from .syntax import Atom, Interpretation, Program, Query, Term, base
 
 __all__ = ["killed_atoms", "magic_variant"]
@@ -56,13 +56,7 @@ def killed_atoms(m: Interpretation, n: Interpretation, p: Program) -> frozenset[
     return frozenset(out)
 
 
-def magic_variant(
-    i: Interpretation,
-    q: Query,
-    p: Program,
-    *,
-    ground_cap: int = GROUND_CAP_DEFAULT,
-) -> Interpretation:
+def magic_variant(i: Interpretation, q: Query, p: Program) -> Interpretation:
     """Rebuild, from an interpretation of ``p``, the matching interpretation
     of the rewritten program.
 
@@ -75,7 +69,7 @@ def magic_variant(
     # ``i`` need not be derivable in the rewritten program, so its atoms
     # join the grounding as facts: then every magic instance the fixpoint
     # can fire has a derivable positive body and is a relevant instance.
-    g = ground(details.program.with_facts(i), ground_cap)
+    g = ground(details.program.with_facts(i))
     magic_ground = [
         r
         for r in g.rules

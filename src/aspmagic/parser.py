@@ -30,7 +30,6 @@ __all__ = [
     "parse_program",
     "parse_query",
     "print_program",
-    "print_query",
 ]
 
 
@@ -211,7 +210,3 @@ def print_program(p: Program) -> str:
     """
     lines = sorted((r.head[0].predicate, str(r)) for r in p.rules)
     return "".join(text + "\n" for _, text in lines)
-
-
-def print_query(q: Query) -> str:
-    return f"{q.atom}?"

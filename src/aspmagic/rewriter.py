@@ -47,7 +47,6 @@ __all__ = [
     "DmsResult",
     "magic_atom",
     "split_magic_name",
-    "build_query_seed",
     "dms",
     "dms_with_details",
 ]
@@ -207,16 +206,6 @@ def _check_magic_free(p: Program, q: Query) -> None:
         )
 
 
-def build_query_seed(q: Query, seen: set[AdornedPredicate] | None = None) -> Rule:
-    """The seed fact for ``q``: the magic version of the query atom, bound
-    at constant positions and free at variable positions."""
-    adornment = "".join("b" if t.is_constant else "f" for t in q.atom.args)
-    ap = AdornedPredicate(q.atom.predicate, adornment)
-    if seen is not None:
-        seen.add(ap)
-    return fact(magic_atom(ap, q.atom.args))
-
-
 class DmsResult(_Frozen):
     """The rewriting broken into its parts, plus the assembled program."""
 
@@ -254,9 +243,12 @@ def dms_with_details(q: Query, p: Program) -> DmsResult:
     edb_rules, idb_rules = edb_idb_split(p)
     idb = p.idb_predicates
 
-    seen: set[AdornedPredicate] = set()
-    seed = build_query_seed(q, seen)
-    queue: deque[AdornedPredicate] = deque(sorted(seen))
+    # the seed: the query atom's magic version, bound at its constants
+    adornment = "".join("b" if t.is_constant else "f" for t in q.atom.args)
+    query_ap = AdornedPredicate(q.atom.predicate, adornment)
+    seed = fact(magic_atom(query_ap, q.atom.args))
+    seen = {query_ap}
+    queue = deque([query_ap])
     magic_rules: list[Rule] = [seed]
     modified_rules: list[Rule] = []
 

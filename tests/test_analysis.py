@@ -20,8 +20,8 @@ from aspmagic import (
     is_stratified,
     parse_program,
     random_program,
-    sc_candidate_atoms,
 )
+from aspmagic.analysis import _candidate_atoms
 from aspmagic.semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
@@ -168,7 +168,7 @@ def test_sc_budget_is_a_verdict(choice_with_odd_loop):
 
 
 def test_sc_candidate_atoms_cover_rule_variables(choice_with_odd_loop):
-    atoms = sc_candidate_atoms(choice_with_odd_loop)
+    atoms = tuple(_candidate_atoms(choice_with_odd_loop))
     # four unary predicates over a plus one witness constant per rule variable
     assert len(atoms) == 4 * 3
     names = {a.args[0].name for a in atoms}
@@ -178,7 +178,7 @@ def test_sc_candidate_atoms_cover_rule_variables(choice_with_odd_loop):
 
 def test_sc_witness_constants_skip_collisions():
     p = parse_program("e(xi_1). p(X) :- e(X).")
-    names = {a.args[0].name for a in sc_candidate_atoms(p)}
+    names = {a.args[0].name for a in _candidate_atoms(p)}
     assert "xi_1" in names  # the program's own constant
     assert "xi_2" in names  # the fresh witness avoided the clash
     assert len(names) == 2
@@ -236,7 +236,7 @@ def test_sc_verdicts_match_full_enumeration(seed):
     each extended program in the check's own order of fact sets."""
     p = random_program(seed, "arbitrary")
     budget = 40
-    candidates = sc_candidate_atoms(p)
+    candidates = tuple(_candidate_atoms(p))
     sets = chain.from_iterable(
         combinations(candidates, k) for k in range(len(candidates) + 1)
     )
@@ -257,7 +257,7 @@ def _sc_by_programs(p, budget):
     """The reference for ``check_super_consistent`` without the shortcut:
     each fact set is added with ``with_facts`` and the extended program is
     searched up to its first answer set."""
-    candidates = tuple(islice(sc_candidate_atoms(p), budget + 1))
+    candidates = tuple(islice(_candidate_atoms(p), budget + 1))
     sets = chain.from_iterable(
         combinations(candidates, k) for k in range(len(candidates) + 1)
     )

@@ -381,6 +381,21 @@ def test_bench_writes_csv_and_report(write, capsys, tmp_path):
     assert payload["cells"][0]["status"] == "ok"
 
 
+def test_bench_prints_and_writes_one_record(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    code = main([
+        "bench", "related", "--sizes", "1,2", "--mode", "both",
+        "--format", "structured", "--out", str(out_path),
+    ])
+    assert code == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert json.loads(out_path.read_text(encoding="utf-8")) == printed
+    assert "assumption" in printed["instance_pattern"]
+    assert [(c["n"], c["mode"], c["answer"]) for c in printed["cells"]] == [
+        (1, "plain", "no"), (1, "dms", "no"), (2, "plain", "yes"), (2, "dms", "yes"),
+    ]
+
+
 # ------------------------------------------------------------ pinned output
 
 # One representative call of each report, with its literal stdout in both

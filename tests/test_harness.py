@@ -1,7 +1,6 @@
 """Instance generation, the program corpus drivers and the differential
 check and benchmark machinery."""
 
-import json
 import random
 from itertools import product
 
@@ -15,7 +14,6 @@ from aspmagic import (
     Substitution,
     Term,
     answer_query,
-    benchmark_json,
     benchmark_table,
     check_equivalence,
     const,
@@ -463,6 +461,30 @@ def test_run_benchmark_times_the_rewriting(monkeypatch):
     assert cell.time_ms >= 200
 
 
+def test_run_benchmark_times_out_while_building_the_instance(monkeypatch):
+    import time
+
+    import aspmagic.harness
+
+    def slow_instance(n):
+        time.sleep(1.0)
+        return gen_related_instance(n)
+
+    # patched before the fork: the worker builds the instance, inside the
+    # cell's timeout
+    monkeypatch.setattr(aspmagic.harness, "gen_related_instance", slow_instance)
+    (cell,) = run_benchmark([2], mode="plain", timeout=0.3)
+    assert cell.status == "timeout"
+
+
+def test_run_benchmark_rejects_sizes_below_1_before_forking(monkeypatch):
+    import aspmagic.harness
+
+    monkeypatch.setattr(aspmagic.harness, "_bench_worker", None)  # never reached
+    with pytest.raises(ValueError, match="at least 1"):
+        run_benchmark([2, 0])
+
+
 def test_run_benchmark_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode"):
         run_benchmark([1], mode="fast")
@@ -477,14 +499,6 @@ def test_benchmark_table_format():
     assert lines[0] == "n,mode,rep,status,time_ms,ground_rules,candidates,answer"
     assert lines[1] == "1,plain,0,ok,1.2,10,3,no"
     assert lines[2] == "3,dms,0,timeout,,,,"
-
-
-def test_benchmark_json_round_trips():
-    cells = (BenchmarkCell(2, "dms", 1, "ok", 4.0, 44, 9, "yes"),)
-    payload = json.loads(benchmark_json(cells))
-    assert "assumption" in payload["instance_pattern"]
-    assert payload["cells"][0]["n"] == 2
-    assert payload["cells"][0]["answer"] == "yes"
 
 
 def test_grid_program_mentions_only_related_facts():

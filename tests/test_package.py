@@ -12,7 +12,7 @@ import aspmagic
 
 
 def test_every_export_is_the_defining_modules_object():
-    assert len(aspmagic.__all__) == len(set(aspmagic.__all__)) == 67
+    assert len(aspmagic.__all__) == len(set(aspmagic.__all__)) == 63
     for name in aspmagic.__all__:
         value = getattr(aspmagic, name)
         home = importlib.import_module(f"aspmagic.{aspmagic._HOME[name]}")
@@ -55,11 +55,16 @@ def test_unknown_attribute_raises_attribute_error():
 @pytest.mark.parametrize(
     "name",
     ["GroundProgram", "reduct", "is_model", "brave", "cautious", "Sips",
-     "AdornedRule", "default_sips", "adorn", "generate", "modify"],
+     "AdornedRule", "default_sips", "adorn", "generate", "modify",
+     "print_query", "sc_candidate_atoms", "build_query_seed", "benchmark_json"],
 )
 def test_removed_names_raise_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(aspmagic, name)
+
+
+def test_magic_variant_takes_no_ground_cap():
+    assert "ground_cap" not in inspect.signature(aspmagic.magic_variant).parameters
 
 
 def _private_semantics_names(tree: ast.Module) -> set[str]:

@@ -18,7 +18,6 @@ from aspmagic import (
     ReservedPredicateError,
     Rule,
     answer_sets,
-    build_query_seed,
     check_equivalence,
     const,
     dms,
@@ -205,16 +204,16 @@ def test_extensional_query_keeps_facts_and_seed():
 
 def test_query_seed_of_an_extensional_predicate():
     p = parse_program("e(a). p(X) :- e(X).")
-    seed = build_query_seed(parse_query("e(a)?"))
-    assert str(seed) == "magic_e_b(a)."
-    assert dms_with_details(parse_query("e(a)?"), p).seed == seed
+    d = dms_with_details(parse_query("e(a)?"), p)
+    assert str(d.seed) == "magic_e_b(a)."
+    assert AdornedPredicate("e", "b") in d.adorned
 
 
 def test_seed_adornment_mixes_bound_and_free():
-    seen: set[AdornedPredicate] = set()
-    seed = build_query_seed(parse_query("p(a,Y)?"), seen)
-    assert str(seed) == "magic_p_bf(a)."
-    assert seen == {AdornedPredicate("p", "bf")}
+    p = parse_program("e(a,b). p(X,Y) :- e(X,Y).")
+    d = dms_with_details(parse_query("p(a,Y)?"), p)
+    assert str(d.seed) == "magic_p_bf(a)."
+    assert d.adorned == {AdornedPredicate("p", "bf")}
 
 
 def test_reserved_namespace_is_refused():
