@@ -39,8 +39,9 @@ are deterministic; neither is meant to compete with a real solver.
 
 Query answering uses the primary search, directed by the query.  The
 query atom is matched once against the coded atoms, none of them
-decoded; the matches among the derivable atoms, the heads, are the
-candidates.  A brave query prunes every
+decoded, and once for all the trials cut from one union; the matches
+among the derivable atoms, the heads, are the candidates.  A brave
+query prunes every
 branch whose upper bound holds no candidate still unwitnessed, and each
 answer set found witnesses the candidates it holds; a cautious query
 prunes every branch whose lower bound holds every candidate still
@@ -587,17 +588,28 @@ def _closure(
 ) -> int:
     """The least superset of ``start`` closed under ``rules``: a
     ``(head, pos, neg)`` rule whose negative body misses ``blocked`` and
-    whose positive body lies inside the set adds its head."""
+    whose positive body lies inside the set adds its head.
+
+    Each pass over the rules keeps ``missed``, the union of the positive
+    bodies it passed over for lacking an atom, and starts another pass
+    only when a head it adds meets that union.  Otherwise every rule
+    passed over still lacks an atom that nothing added after it, so the
+    set is closed; rules listed in derivation order close in one pass,
+    without a pass that only confirms it."""
     i = start
     outside = ~i
-    changed = True
-    while changed:
-        changed = False
+    again = True
+    while again:
+        again = False
+        missed = 0
         for h, p, n in rules:
-            if p & outside == 0 and h & outside and not n & blocked:
+            if p & outside:
+                missed |= p
+            elif h & outside and not n & blocked:
+                if h & outside & missed:
+                    again = True
                 i |= h
                 outside = ~i
-                changed = True
     return i
 
 
@@ -967,17 +979,16 @@ class Substitution(NamedTuple):
         return ", ".join(f"{v} = {c}" for v, c in self.bindings)
 
 
-def _matches(
-    q: Query, domain: Iterable[Term], keys: Iterable[_Key]
-) -> list[tuple[int, Substitution]]:
-    """Each coded atom of ``keys`` that is an instance of ``q`` under a
-    substitution into ``domain``, as its index with that substitution.
+def _matches(q: Query, keys: Iterable[_Key]) -> list[tuple[int, Substitution]]:
+    """Each coded atom of ``keys`` that is an instance of ``q``, as its
+    index with the substitution that makes it so.
 
     The query atom is unified with each ``(predicate, names)`` key: a
-    constant must be equal, a repeated variable must take the same value
-    each time, and a value outside ``domain`` drops the substitution.  A
-    ground query matches its own atom under the identity substitution."""
-    allowed = {t.name for t in domain}
+    constant must be equal and a repeated variable must take the same
+    value each time.  A ground query matches its own atom under the
+    identity substitution.  Which substitutions range over the domain
+    asked about is :func:`_within`'s test, so one unification serves
+    every domain."""
     pred, args = q.atom.predicate, q.atom.args
     out = []
     for k, (p, names) in enumerate(keys):
@@ -991,9 +1002,19 @@ def _matches(
             elif qt.name != name:
                 break
         else:
-            if allowed.issuperset(binding.values()):
-                out.append((k, Substitution(tuple(sorted(binding.items())))))
+            out.append((k, Substitution(tuple(sorted(binding.items())))))
     return out
+
+
+def _within(
+    matched: Iterable[tuple[int, Substitution]], domain: Iterable[Term]
+) -> list[tuple[int, Substitution]]:
+    """The matches of :func:`_matches` whose substitution takes every
+    variable into ``domain``."""
+    allowed = {t.name for t in domain}
+    return [
+        (k, s) for k, s in matched if allowed.issuperset([c for _, c in s.bindings])
+    ]
 
 
 def _every_substitution(q: Query, terms: Iterable[Term]) -> frozenset[Substitution]:
@@ -1012,7 +1033,7 @@ def substitutions_brave(
     """Substitutions into ``domain`` whose query instance holds in at least
     one answer set.  An inconsistent program bravely entails nothing."""
     held = frozenset().union(*report.answer_sets)
-    return frozenset(s for _, s in _matches(q, domain, map(_key_of, held)))
+    return frozenset(s for _, s in _within(_matches(q, map(_key_of, held)), domain))
 
 
 def substitutions_cautious(
@@ -1024,7 +1045,7 @@ def substitutions_cautious(
     if not report.answer_sets:
         return _every_substitution(q, domain)
     held = frozenset.intersection(*report.answer_sets)
-    return frozenset(s for _, s in _matches(q, domain, map(_key_of, held)))
+    return frozenset(s for _, s in _within(_matches(q, map(_key_of, held)), domain))
 
 
 class QueryAnswer(NamedTuple):
@@ -1080,14 +1101,32 @@ def _trial_answers(
     ``q`` over ``p`` with ``fact_sets[t]`` added, as
     :func:`_search_answers` gives them, over the groundings of
     :func:`_relevant_searches`: one query passes one fact set, a
-    differential check one per trial."""
+    differential check one per trial.
+
+    The query is unified with each key list once (see :func:`_matches`):
+    the trials cut from one union share its keys, so a side of a check
+    unifies once, and a fact set ground on its own, alone or because the
+    union tripped ``ground_cap``, unifies with its own keys."""
     search = _relevant_searches(p, ground_cap, fact_sets)
-    return lambda t, domain: _search_answers(q, modes, domain, candidate_cap, *search(t))
+    # the last key list searched, and the query's matches among its keys
+    last: list[_Key] | None = None
+    matched: list[tuple[int, Substitution]] = []
+
+    def answers(
+        t: int, domain: Iterable[Term]
+    ) -> tuple[dict[str, frozenset[Substitution]], int, int]:
+        nonlocal last, matched
+        keys, masked = search(t)
+        if keys is not last:
+            last, matched = keys, _matches(q, keys)
+        return _search_answers(q, modes, domain, candidate_cap, matched, masked)
+
+    return answers
 
 
 def _search_answers(
     q: Query, modes: Sequence[str], domain: Iterable[Term], candidate_cap: int,
-    keys: list[_Key], masked: list[tuple[int, int, int]],
+    matched: list[tuple[int, Substitution]], masked: list[tuple[int, int, int]],
 ) -> tuple[dict[str, frozenset[Substitution]], int, int]:
     """The answers to ``q`` over a relevant grounding in the mask form of
     :func:`_relevant_searches`, substitutions ranging over ``domain``, in
@@ -1095,9 +1134,10 @@ def _search_answers(
     search, with its number of states and the grounding's number of
     instances.
 
-    The candidates are the matches of ``q`` among the keys that head an
-    instance: a grounding cut from a union keeps every key of the union,
-    derivable for the trial or not.
+    ``matched`` holds the matches of ``q`` among the grounding's keys, by
+    :func:`_matches`.  The candidates are those that head an instance and
+    lie in ``domain``: a grounding cut from a union keeps every key of the
+    union, derivable for the trial or not.
 
     Two masks keep the candidates still open: ``unwitnessed`` for brave,
     ``unrefuted`` for cautious, each empty when its mode is not asked.  A
@@ -1113,7 +1153,7 @@ def _search_answers(
     heads = 0
     for h, _, _ in masked:
         heads |= h
-    found = [(k, s) for k, s in _matches(q, terms, keys) if heads >> k & 1]
+    found = _within([(k, s) for k, s in matched if heads >> k & 1], terms)
     candidates = sum(1 << k for k, _ in found)
     unwitnessed = candidates if "brave" in modes else 0
     unrefuted = candidates if "cautious" in modes else 0

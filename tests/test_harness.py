@@ -368,6 +368,37 @@ def test_a_union_over_the_cap_falls_back_to_grounding_each_trial(ancestry):
     )
 
 
+def test_the_query_is_unified_once_per_side_on_the_union(calls):
+    # The checks of the semantics tests' corpus: the trials cut from one
+    # union share its keys, so each side unifies the query with them once.
+    unified = calls("_matches")
+    for profile in ("stratified", "odd_cycle_free", "arbitrary"):
+        for seed in range(100):
+            p = random_program(seed, profile)
+            q = random_query(p, seed)
+            unified.clear()
+            report = check_equivalence(p, q, 3, seed, 0.3, max_facts=8)
+            assert len(unified) == 2, (profile, seed)
+            assert report._replace(timings_ms=()) == _check_by_programs(
+                p, q, 3, seed, 0.3, 8
+            )
+
+
+def test_a_side_over_the_cap_unifies_the_query_once_per_trial(calls, ancestry):
+    # The set-up of the union-over-the-cap test: every draw fits under the
+    # cap, and a side whose union does not grounds, and unifies, each
+    # trial on its own.
+    q = parse_query("ancestor(p1,X)?")
+    draws = [random_edb(ancestry, t, 0.3) for t in range(4)]
+    cap = max(max(_instance_counts(ancestry, q, facts)) for facts in draws)
+    over = [n > cap for n in _instance_counts(ancestry, q, frozenset().union(*draws))]
+    assert any(over)
+    unified = calls("_matches")
+    report = check_equivalence(ancestry, q, 4, 0, 0.3, ground_cap=cap)
+    assert report.fact_sets_tested == 4 and report.skipped == ()
+    assert len(unified) == sum(4 if trips else 1 for trips in over)
+
+
 def test_equivalence_report_is_reproducible(ancestry):
     q = parse_query("ancestor(p1,X)?")
     a = check_equivalence(ancestry, q, trials=2, seed=9)

@@ -369,6 +369,8 @@ def test_long_rules_rewrite_like_the_body_order_scan(monkeypatch):
             for d in [dms_with_details(q, p)]
         ]
 
+    # each run starts from an empty rewrite memo, so each rewrites afresh
+    rewriter._rewrite_rule.cache_clear()
     fast = rewrite_all()
     monkeypatch.setattr(
         rewriter,
@@ -377,6 +379,7 @@ def test_long_rules_rewrite_like_the_body_order_scan(monkeypatch):
             rule, head_atom, head_bound
         ).__getitem__,
     )
+    rewriter._rewrite_rule.cache_clear()
     assert fast == rewrite_all()
     assert sum(len(rules) for rules, _ in fast) > 1_000
 
@@ -394,6 +397,7 @@ def test_rewriting_a_long_body_reads_each_atoms_variables_once(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(Atom, "variables", counting)
+    rewriter._rewrite_rule.cache_clear()
     for text in ("p(X)?", "p(a)?"):
         reads = 0
         rewritten = dms(parse_query(text), p)
@@ -401,3 +405,96 @@ def test_rewriting_a_long_body_reads_each_atoms_variables_once(monkeypatch):
         # once for the rewriting, once for the safety check of the
         # guarded rule
         assert reads <= 3 * n
+
+
+# ------------------------------------------------------------ rewrite memo
+
+
+def _fields(d):
+    """A rewriting field by field, each rule list in order and as text."""
+    return (
+        [str(r) for r in d.program.rules],
+        str(d.seed),
+        [str(r) for r in d.magic_rules],
+        [str(r) for r in d.modified_rules],
+        [str(r) for r in d.edb_rules],
+        d.adorned,
+    )
+
+
+def _uncached(q, p):
+    """The rewriting of ``p`` for ``q`` with every rule rewritten afresh,
+    the memo neither read nor filled."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rewriter, "_rewrite_rule", rewriter._rewrite_rule.__wrapped__)
+        return dms_with_details(q, p)
+
+
+def test_a_warm_rewrite_memo_rewrites_like_a_cold_one():
+    # Cold, no rule is found rewritten; warm, each program finds the
+    # rewritings that every earlier program's shapes left in the memo.
+    cases = [
+        (p, random_query(p, seed))
+        for profile in ("stratified", "odd_cycle_free", "arbitrary")
+        for seed in range(300)
+        for p in [random_program(seed, profile)]
+    ]
+    rewriter._rewrite_rule.cache_clear()
+    warm = [_fields(dms_with_details(q, p)) for p, q in cases]
+    assert warm == [_fields(_uncached(q, p)) for p, q in cases]
+    assert rewriter._rewrite_rule.cache_info().hits > 0
+
+
+def test_the_rewrite_memo_holds_at_most_its_bound():
+    rewriter._rewrite_rule.cache_clear()
+    n = rewriter._REWRITINGS + 100
+    p = parse_program(
+        " ".join(f"q(X) :- e(X), p{i}(X). p{i}(X) :- e(X)." for i in range(n))
+    )
+    d = dms_with_details(parse_query("q(a)?"), p)
+    assert len(d.modified_rules) == 2 * n
+    info = rewriter._rewrite_rule.cache_info()
+    assert info.maxsize == rewriter._REWRITINGS
+    assert (info.misses, info.currsize) == (2 * n, rewriter._REWRITINGS)
+    # the evicted shapes are rewritten again, and alike
+    assert _fields(dms_with_details(parse_query("q(a)?"), p)) == _fields(d)
+    assert rewriter._rewrite_rule.cache_info().currsize == rewriter._REWRITINGS
+
+
+@pytest.mark.parametrize(
+    "texts, queries",
+    [
+        # rules equal as sets, with the body in another order
+        (
+            ("p(X,Y) :- a(X,Z), b(Z,Y). a(X,Y) :- e(X,Y). b(X,Y) :- e(X,Y).",
+             "p(X,Y) :- b(Z,Y), a(X,Z). a(X,Y) :- e(X,Y). b(X,Y) :- e(X,Y)."),
+            ("p(k,Y)?", "p(k,Y)?"),
+        ),
+        # another selected head of the same rule: p(k)? selects both
+        (("p(X) v q(X) :- r(X,Y), s(Y). s(Y) :- e(Y).",) * 2, ("p(k)?", "q(X)?")),
+        # another adornment of the same head: p(X)? adorns p both ways
+        (("p(X) :- r(X,Y), p(Y). p(X) :- e(X).",) * 2, ("p(k)?", "p(X)?")),
+        # the same rule, with a body predicate intensional in one program
+        # and extensional in the other
+        (
+            ("p(X) :- r(X,Y), s(Y). s(Y) :- e(Y).", "p(X) :- r(X,Y), s(Y). s(k)."),
+            ("p(k)?", "p(k)?"),
+        ),
+    ],
+)
+def test_each_rewriting_key_gets_its_own_entry(texts, queries):
+    programs = [parse_program(t) for t in texts]
+    queries = [parse_query(t) for t in queries]
+    rewriter._rewrite_rule.cache_clear()
+    warm = []
+    for q, p in zip(queries, programs):
+        before = rewriter._rewrite_rule.cache_info().misses
+        warm.append(dms_with_details(q, p))
+        # the second rewriting still makes an entry of its own
+        assert rewriter._rewrite_rule.cache_info().misses > before
+    info = rewriter._rewrite_rule.cache_info()
+    assert info.misses == info.currsize
+    assert [_fields(d) for d in warm] == [
+        _fields(_uncached(q, p)) for q, p in zip(queries, programs)
+    ]
+    assert _fields(warm[0])[3] != _fields(warm[1])[3]

@@ -16,6 +16,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aspmagic import (
     Atom,
@@ -635,6 +636,72 @@ def test_every_relevant_atom_is_derivable_at_the_root():
             for t in range(len(fact_sets)):
                 _, masked = cut(t)
                 assert _closure(masked, 0) == _heads(masked)
+
+
+def _naive_closure(rules, blocked=0, start=0):
+    """The reference for ``_closure``: pass over every rule until a whole
+    pass adds nothing."""
+    i = start
+    changed = True
+    while changed:
+        changed = False
+        for h, p, n in rules:
+            if p & ~i == 0 and h & ~i and not n & blocked:
+                i |= h
+                changed = True
+    return i
+
+
+class _Passes(list):
+    """A rule list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+_atom_set = st.sets(st.integers(0, 7), max_size=3).map(lambda s: sum(1 << b for b in s))
+
+
+@given(
+    rules=st.lists(st.tuples(_atom_set, _atom_set, _atom_set), max_size=16),
+    blocked=st.integers(-(1 << 8), (1 << 8) - 1),
+    start=st.integers(0, (1 << 8) - 1),
+    rng=st.randoms(use_true_random=False),
+)
+def test_closure_is_the_repeated_pass_fixpoint(rules, blocked, start, rng):
+    # A negative ``blocked`` is how the search passes ``~f``.
+    shuffled = list(rules)
+    rng.shuffle(shuffled)
+    expected = _naive_closure(rules, blocked, start)
+    for order in (rules, rules[::-1], shuffled):
+        assert _closure(order, blocked, start) == expected
+
+
+def test_closure_rescans_only_for_a_rule_it_passed_over():
+    a, b, c = 1, 2, 4
+    # derivation order: one pass, where the repeated-pass fixpoint takes two
+    rules = _Passes([(a, 0, 0), (b, a, 0), (c, a | b, 0)])
+    assert _closure(rules) == a | b | c and rules.passes == 1
+    # b's rule comes before the rule that derives its body, so it fires
+    # on the second pass, and a third pass finds c
+    rules = _Passes([(c, b, 0), (b, a, 0), (a, 0, 0)])
+    assert _closure(rules) == a | b | c and rules.passes == 3
+    rules = _Passes([(b, a, 0), (a, 0, 0)])
+    assert _closure(rules) == a | b and rules.passes == 2
+    # a rule passed over for an atom nothing derives asks for no rescan
+    rules = _Passes([(c, b, 0), (a, 0, 0)])
+    assert _closure(rules) == a and rules.passes == 1
+    # a blocked rule is passed over too, and stays unfired on the rescan
+    rules = _Passes([(b, a, c), (a, 0, 0)])
+    assert _closure(rules, blocked=c) == a and rules.passes == 2
+    # only the atoms a head adds can ask for a rescan, not those it
+    # shares with the set
+    d = 8
+    rules = _Passes([(c, a | b, 0), (a | d, 0, 0)])
+    assert _closure(rules, start=a) == a | d and rules.passes == 1
 
 
 MODES = (("brave",), ("cautious",), ("brave", "cautious"))
