@@ -4,94 +4,64 @@ The proof relates an interpretation of a program to one of its magic-set
 rewriting.  :func:`magic_variant` rebuilds, from an interpretation of the
 original program, the matching interpretation of the rewritten one, and
 :func:`killed_atoms` names the atoms the rewriting proves irrelevant under
-an interpretation.  Both sit above the rewriter, and :func:`magic_variant`
-above the relevance grounder of :func:`~aspmagic.semantics.ground`, so
-neither of those depends on this module.
+an interpretation.  Both read the parts of the rewriting that
+:func:`~aspmagic.rewriter.dms_with_details` keeps apart, and reach an
+atom's magic versions through its adorned predicates and
+:func:`~aspmagic.rewriter.magic_atom`; neither reads a magic name.
+:func:`magic_variant` is the least model of a positive program, which the
+relevance grounder of :func:`~aspmagic.semantics.ground` computes.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from .rewriter import AdornedPredicate, dms_with_details, magic_atom, split_magic_name
+from .rewriter import DmsResult, dms_with_details, magic_atom
 from .semantics import ground
-from .syntax import Atom, Interpretation, Program, Query, Term, base
+from .syntax import Atom, Interpretation, Program, Query, Rule, base
 
 __all__ = ["killed_atoms", "magic_variant"]
 
 
-def _magic_lookup(n: Interpretation) -> dict[tuple[str, str], set[tuple[Term, ...]]]:
-    out: dict[tuple[str, str], set[tuple[Term, ...]]] = {}
-    for atom in n:
-        decoded = split_magic_name(atom.predicate)
-        if decoded is not None:
-            out.setdefault(decoded, set()).add(atom.args)
-    return out
+def _magic_versions(atom: Atom, details: DmsResult) -> list[Atom]:
+    """The magic atoms of ``atom`` under each adorned predicate of the
+    rewriting ``details`` that adorns its predicate."""
+    return [
+        magic_atom(ap, atom.args)
+        for ap in details.adorned
+        if ap.predicate == atom.predicate and len(ap.adornment) == atom.arity
+    ]
 
 
-def _covered_by_magic(
-    atom: Atom, lookup: Mapping[tuple[str, str], set[tuple[Term, ...]]]
-) -> bool:
-    for (pred, adornment), seen_args in lookup.items():
-        if pred != atom.predicate or len(adornment) != atom.arity:
-            continue
-        kept = tuple(a for a, l in zip(atom.args, adornment) if l == "b")
-        if kept in seen_args:
-            return True
-    return False
-
-
-def killed_atoms(m: Interpretation, n: Interpretation, p: Program) -> frozenset[Atom]:
-    """Atoms of the base of ``p`` outside ``n`` that the rewriting proves
-    irrelevant under ``n``: extensional atoms, and atoms whose magic version
-    belongs to ``n``."""
+def killed_atoms(
+    m: Interpretation, n: Interpretation, q: Query, p: Program
+) -> frozenset[Atom]:
+    """Atoms of the base of ``p`` outside ``n`` that the rewriting of ``p``
+    for ``q`` proves irrelevant under ``n``: extensional atoms, and atoms
+    with a magic version in ``n``."""
     if not n <= m:
         raise ValueError("n must be contained in m")
-    lookup = _magic_lookup(n)
+    details = dms_with_details(q, p)
     edb = p.edb_predicates
-    out = set()
-    for atom in base(p) - n:
-        if atom.predicate in edb or _covered_by_magic(atom, lookup):
-            out.add(atom)
-    return frozenset(out)
+    return frozenset(
+        atom
+        for atom in base(p) - n
+        if atom.predicate in edb
+        or any(g in n for g in _magic_versions(atom, details))
+    )
 
 
 def magic_variant(i: Interpretation, q: Query, p: Program) -> Interpretation:
     """Rebuild, from an interpretation of ``p``, the matching interpretation
-    of the rewritten program.
+    of the rewritten program: the least model of the extensional facts, the
+    magic rules (the seed among them), and one rule importing each atom of
+    ``i`` from each of its magic versions.
 
-    Starting from the extensional facts, the fixpoint alternately imports an
-    atom of ``i`` once one of its magic versions is present, and fires the
-    ground magic rules whose bodies are satisfied (the seed enters through
-    its empty body).  The magic rules range over the constants of the
-    rewriting and of ``i``."""
+    That program is positive and has no disjunction, so its least model is
+    the set of heads of its relevant instances."""
     details = dms_with_details(q, p)
-    # ``i`` need not be derivable in the rewritten program, so its atoms
-    # join the grounding as facts: then every magic instance the fixpoint
-    # can fire has a derivable positive body and is a relevant instance.
-    g = ground(details.program.with_facts(i))
-    magic_ground = [
-        r
-        for r in g.rules
-        if split_magic_name(r.head[0].predicate) is not None and len(r.head) == 1
-    ]
-    adorned_by_pred: dict[str, list[AdornedPredicate]] = {}
-    for ap in details.adorned:
-        adorned_by_pred.setdefault(ap.predicate, []).append(ap)
-
-    v: set[Atom] = {r.head[0] for r in details.edb_rules}
-    while True:
-        additions: set[Atom] = set()
-        for atom in i:
-            if atom in v:
-                continue
-            for ap in adorned_by_pred.get(atom.predicate, ()):
-                if len(ap.adornment) == atom.arity and magic_atom(ap, atom.args) in v:
-                    additions.add(atom)
-                    break
-        for rule in magic_ground:
-            if rule.head[0] not in v and all(a in v for a in rule.pos_body):
-                additions.add(rule.head[0])
-        if not additions:
-            return frozenset(v)
-        v |= additions
+    imports = (
+        Rule((atom,), (g,))
+        for atom in i
+        for g in _magic_versions(atom, details)
+    )
+    least = ground(Program((*details.edb_rules, *details.magic_rules, *imports)))
+    return frozenset(r.head[0] for r in least.rules)

@@ -228,7 +228,7 @@ def test_acceptance_6_lifting_artifacts():
                 assert _query_truths(q, m, domain) == _query_truths(q, v, domain)
                 variants += 1
             for w in rewritten_sets:
-                killed = killed_atoms(w, w, pf)
+                killed = killed_atoms(w, w, q, pf)
                 restriction = frozenset(
                     a for a in w if a.predicate in pf.predicates
                 )

@@ -99,3 +99,31 @@ def test_semantics_keeps_its_fact_keys_and_search_private():
             assert _private_semantics_names(tree) == allowed.get(module.stem, set()), (
                 module.stem
             )
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """The names a module reads, imports or reads as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_only_the_rewriter_decodes_magic_names():
+    # Neighbours reach a magic atom through ``magic_atom`` and the
+    # rewriting's adorned predicates: how magic predicates are named stays
+    # inside the rewriter.
+    decoding = {"split_magic_name", "MAGIC_PREFIX"}
+    modules = sorted(Path(aspmagic.__file__).parent.glob("*.py"))
+    assert {"lifting", "rewriter"} <= {m.stem for m in modules}
+    readers = {
+        module.stem
+        for module in modules
+        if decoding & _names_read(ast.parse(module.read_text(), filename=str(module)))
+    }
+    assert readers == {"rewriter"}
