@@ -11,11 +11,11 @@ rewriting relies on.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations, islice, product
+from itertools import combinations, islice, starmap
 from typing import Iterator, NamedTuple
 
 from .semantics import CANDIDATE_CAP_DEFAULT, GROUND_CAP_DEFAULT, _consistent
-from .syntax import Atom, Program, Term, universe
+from .syntax import Atom, Program, _atoms_over
 
 __all__ = [
     "DependencyEdge",
@@ -139,38 +139,17 @@ class ScVerdict(NamedTuple):
     via_shortcut: bool = False
 
 
-def _witness_constants(p: Program) -> list[Term]:
-    """The program's constants plus one fresh constant per rule variable.
+def _candidate_atoms(p: Program) -> Iterator[Atom]:
+    """Every atom a hostile fact set could contain, built one at a time in
+    atom order over the program's universe plus the witness constants
+    ``xi_1``, ``xi_2``, ..., one fresh constant per rule variable.
 
     Facts added to the program can only interact with a rule through the
     constants it mentions or through values a variable may take; one fresh
     constant per variable occurrence, with all rules renamed apart, is
     enough to expose any inconsistency that some larger fact set would."""
-    taken = {t.name for t in universe(p)}
-    fresh: list[Term] = []
-    counter = 0
-    for rule in p.rules:
-        for _ in sorted(rule.variables()):
-            counter += 1
-            name = f"xi_{counter}"
-            while name in taken:
-                counter += 1
-                name = f"xi_{counter}"
-            taken.add(name)
-            fresh.append(Term(name))
-    return sorted(universe(p) | set(fresh))
-
-
-def _candidate_atoms(p: Program) -> Iterator[Atom]:
-    """Every atom a hostile fact set could contain, built one at a time in
-    sorted order: predicates by name, then arguments over the sorted
-    witness constants."""
-    consts = _witness_constants(p)
-    return (
-        Atom(pred, args)
-        for pred, arity in sorted(p.predicates.items())
-        for args in product(consts, repeat=arity)
-    )
+    fresh = sum(len(rule.variables()) for rule in p.rules)
+    return starmap(Atom, _atoms_over(p, p.predicates, "xi_", fresh))
 
 
 def check_super_consistent(
@@ -184,8 +163,10 @@ def check_super_consistent(
     """Decide whether ``p`` stays consistent under every added fact set.
 
     With the shortcut enabled, an even-cycled dependency graph settles the
-    question immediately.  Otherwise fact sets over the witness constants
-    are enumerated by ascending size; ``budget`` bounds how many are tested
+    question immediately.  Otherwise fact sets of the atoms that
+    :func:`~aspmagic.syntax._atoms_over` enumerates over the universe of
+    ``p`` plus its witness constants (see :func:`_candidate_atoms`) are
+    tested by ascending size; ``budget`` bounds how many are tested
     before giving up.  Each fact set is passed beside ``p`` as its atoms
     (see :func:`_consistent`), with no extended program built, to one
     grounder that lays ``p`` out once for the whole check, and is

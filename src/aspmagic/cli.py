@@ -48,7 +48,7 @@ from .semantics import (
     answer_query,
     answer_sets,
 )
-from .syntax import Program, ProgramError, Query, universe
+from .syntax import Program, ProgramError, Query, _check_query_arity, universe
 
 __all__ = ["main"]
 
@@ -204,12 +204,7 @@ def _load_query(text: str, p: Program) -> Query:
     """Parse ``text`` as a query on ``p``: its predicate must have the arity
     it has in ``p``, if ``p`` uses it."""
     q = parse_query(text)
-    arity = p.predicates.get(q.atom.predicate)
-    if arity is not None and arity != q.atom.arity:
-        raise ProgramError(
-            f"query {q} has {q.atom.arity} arguments, but {q.atom.predicate} "
-            f"has arity {arity} in the program"
-        )
+    _check_query_arity(q, p)
     return q
 
 

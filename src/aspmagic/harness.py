@@ -16,7 +16,7 @@ import random
 import time
 from functools import cached_property
 from io import StringIO
-from itertools import count, islice, product, starmap
+from itertools import starmap
 from typing import Iterable, NamedTuple
 
 from .analysis import is_odd_cycle_free, is_stratified
@@ -38,6 +38,7 @@ from .syntax import (
     Rule,
     Term,
     _Frozen,
+    _atoms_over,
     fact,
     universe,
     var,
@@ -119,13 +120,15 @@ def random_edb(
     """A reproducible random set of ground facts over the extensional
     predicates of ``p``.
 
-    The constant pool is the universe of ``p`` plus ``fresh_constants``
-    constants not occurring in it; each candidate atom is kept with
-    probability ``density``.  ``max_facts``, when given, thins an
-    oversized draw so downstream exhaustive checks stay feasible.  The
-    candidates come from :func:`_edb_pool` and the draw from
-    :func:`_draw_edb`, which :func:`check_equivalence` calls itself so
-    that it builds the candidates once for all its trials.
+    The candidates are the atoms of its extensional predicates that
+    :func:`~aspmagic.syntax._atoms_over` enumerates over the universe of
+    ``p`` plus ``fresh_constants`` constants ``f1``, ``f2``, ... not
+    occurring in it; each is kept with probability ``density``.
+    ``max_facts``, when given, thins an oversized draw so downstream
+    exhaustive checks stay feasible.  The candidates come from
+    :func:`_edb_pool` and the draw from :func:`_draw_edb`, which
+    :func:`check_equivalence` calls itself so that it builds the
+    candidates once for all its trials.
     """
     chosen = _draw_edb(_edb_pool(p, fresh_constants), seed, density, max_facts)
     return frozenset(Atom(pred, args) for pred, args in chosen)
@@ -136,21 +139,11 @@ _Candidate = tuple[str, tuple[Term, ...]]
 
 
 def _edb_pool(p: Program, fresh_constants: int) -> list[_Candidate]:
-    """Every candidate fact of :func:`random_edb` on ``p``, in atom order:
-    each extensional predicate over the universe of ``p`` plus
-    ``fresh_constants`` fresh constants."""
-    edb = sorted(p.edb_predicates)
-    if not edb:
+    """Every candidate fact of :func:`random_edb` on ``p``, in atom order;
+    only the atoms drawn are built."""
+    if not p.edb_predicates:
         raise ProgramError("program has no extensional predicate")
-    pool = set(universe(p))
-    taken = {t.name for t in pool}
-    fresh = (f"f{i}" for i in count(1) if f"f{i}" not in taken)
-    pool.update(Term(name) for name in islice(fresh, max(fresh_constants, 0)))
-    pool = sorted(pool)
-    arities = p.predicates
-    # Sorted predicates over a sorted pool give the candidates in atom
-    # order; only the atoms drawn are built.
-    return [(q, a) for q in edb for a in product(pool, repeat=arities[q])]
+    return list(_atoms_over(p, p.edb_predicates, "f", max(fresh_constants, 0)))
 
 
 def _draw_edb(
@@ -276,13 +269,12 @@ def random_query(p: Program, seed: int) -> Query:
         raise ProgramError("program has no predicates to query")
     pred = rng.choice(preds)
     consts = sorted(universe(p))
-    names = "XYZW"
     args = []
     for i in range(p.predicates[pred]):
         if consts and rng.random() < 0.6:
             args.append(rng.choice(consts))
         else:
-            args.append(var(names[i % len(names)]))
+            args.append(var("XYZW"[i] if i < 4 else f"X{i}"))
     return Query(Atom(pred, tuple(args)))
 
 

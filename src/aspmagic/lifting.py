@@ -27,7 +27,7 @@ def _magic_versions(atom: Atom, details: DmsResult) -> list[Atom]:
     return [
         magic_atom(ap, atom.args)
         for ap in details.adorned
-        if ap.predicate == atom.predicate and len(ap.adornment) == atom.arity
+        if ap.predicate == atom.predicate
     ]
 
 

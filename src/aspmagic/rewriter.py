@@ -47,6 +47,7 @@ from .syntax import (
     Rule,
     Term,
     _Frozen,
+    _check_query_arity,
     edb_idb_split,
     fact,
 )
@@ -194,8 +195,6 @@ def _rewrite_rule(
     The result depends on these arguments alone, so it is made once per
     distinct set of them and kept while among the ``_REWRITINGS`` most
     recently used: the rules it holds are immutable."""
-    if len(adornment) != head_atom.arity:
-        raise ProgramError(f"adornment {adornment!r} does not fit {head_atom}")
     head_bound = frozenset(
         t.name
         for t, label in zip(head_atom.args, adornment)
@@ -270,9 +269,11 @@ def dms_with_details(q: Query, p: Program) -> DmsResult:
     guarded rules and the extensional part of the program.  The seed keeps
     every constant of the query, so they all belong to the rewriting's
     universe; an extensional query predicate defines no rule, so its
-    rewriting is the seed and the facts.
+    rewriting is the seed and the facts.  A query predicate that ``p``
+    uses at another arity is rejected with a :class:`ProgramError`.
     """
     _check_magic_free(p, q)
+    _check_query_arity(q, p)
     edb_rules, idb_rules = edb_idb_split(p)
     idb = p.idb_predicates
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import product
+from itertools import count, islice, product, starmap
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
@@ -370,6 +370,17 @@ class Query(NamedTuple):
         return f"{self.atom}?"
 
 
+def _check_query_arity(q: Query, p: Program) -> None:
+    """Reject a query whose predicate has another arity in ``p``; a
+    predicate ``p`` does not use may take any arity."""
+    arity = p.predicates.get(q.atom.predicate)
+    if arity is not None and arity != q.atom.arity:
+        raise ProgramError(
+            f"query {q} has {q.atom.arity} arguments, but {q.atom.predicate} "
+            f"has arity {arity} in the program"
+        )
+
+
 # Interpretations are plain frozensets of ground atoms.
 Interpretation = frozenset[Atom]
 
@@ -402,9 +413,23 @@ def universe(p: Program) -> frozenset[Term]:
 
 def base(p: Program) -> frozenset[Atom]:
     """All ground atoms built from the predicates of ``p`` over its universe."""
-    terms = sorted(universe(p))
-    out: set[Atom] = set()
-    for pred, arity in p.predicates.items():
-        for args in product(terms, repeat=arity):
-            out.add(Atom(pred, args))
-    return frozenset(out)
+    return frozenset(starmap(Atom, _atoms_over(p, p.predicates)))
+
+
+def _atoms_over(
+    p: Program, predicates: Iterable[str], prefix: str = "", fresh: int = 0
+) -> Iterator[tuple[str, tuple[Term, ...]]]:
+    """Every ground atom of ``predicates`` in ``p`` as a pair of predicate
+    and argument terms, in atom order: over the universe of ``p`` plus the
+    first ``fresh`` constants ``prefix1``, ``prefix2``, ... that ``p`` does
+    not already use.  The pairs come one at a time, and no atom is built,
+    so a caller that stops early pays only for what it took."""
+    terms = universe(p)
+    taken = {t.name for t in terms}
+    names = (f"{prefix}{i}" for i in count(1) if f"{prefix}{i}" not in taken)
+    terms = sorted(terms.union(map(Term, islice(names, fresh))))
+    arities = p.predicates
+    # sorted predicates over sorted terms give the atoms in atom order
+    for pred in sorted(predicates):
+        for args in product(terms, repeat=arities[pred]):
+            yield pred, args

@@ -31,7 +31,7 @@ from aspmagic import (
     run_benchmark,
     universe,
 )
-from aspmagic.harness import _diff
+from aspmagic.harness import _diff, _edb_pool
 from aspmagic.semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
@@ -136,6 +136,11 @@ def test_random_edb_draws_what_the_atom_list_drew(profile):
             ), (seed, density, max_facts)
 
 
+def test_edb_pool_skips_fresh_names_the_program_uses():
+    p = parse_program("e(f1). p(X) :- e(X).")
+    assert _edb_pool(p, 2) == [("e", (const(n),)) for n in ("f1", "f2", "f3")]
+
+
 def test_random_edb_needs_an_extensional_predicate(guarded_pair):
     with pytest.raises(ProgramError, match="no extensional"):
         random_edb(guarded_pair, 0, 0.5)
@@ -181,6 +186,17 @@ def test_random_query_targets_an_intensional_predicate():
 def test_random_query_varies_with_the_seed():
     p = random_program(2, "odd_cycle_free")
     assert len({random_query(p, s) for s in range(8)}) > 1
+
+
+def test_random_query_names_every_free_position_apart():
+    p = parse_program("e(a). p(A,B,C,D,E,F) :- e(A), e(B), e(C), e(D), e(E), e(F).")
+    free = []
+    for seed in range(20):
+        q = random_query(p, seed)
+        names = [t.name for t in q.atom.args if t.is_variable]
+        assert len(set(names)) == len(names), str(q)
+        free.append(len(names))
+    assert max(free) >= 5, free
 
 
 # ------------------------------------------------------- differential checks

@@ -23,6 +23,7 @@ from aspmagic import (
     CandidateSpaceTooLarge,
     GroundingTooLarge,
     Program,
+    ProgramError,
     Query,
     Rule,
     Substitution,
@@ -1555,8 +1556,8 @@ def test_magic_variant_equals_the_whole_universe_fixpoint(profile):
     ("edb(a). q(X) v p(X) :- edb(X). co(X) :- q(X), not co(X).", "q(a)?"),
     ("e(a,b). e(b,c). t(X,Y) :- e(X,Y). t(X,Y) :- e(X,Z), t(Z,Y).", "e(a,X)?"),
     ("e(a,b). e(b,c). t(X,Y) :- e(X,Y). t(X,Y) :- e(X,Z), t(Z,Y).", "t(zz,X)?"),
-    # the query's extensional predicate at another arity than the program's
-    ("e(a). p(X) :- e(X).", "e(a,b)?"),
+    # a query predicate the program does not use takes any arity
+    ("e(a). p(X) :- e(X).", "z(a,b)?"),
 ])
 def test_lifting_equals_the_references_on_corner_cases(text, query):
     p, q = parse_program(text), parse_query(query)
@@ -1565,6 +1566,20 @@ def test_lifting_equals_the_references_on_corner_cases(text, query):
         assert magic_variant(i, q, p) == _magic_variant_over_the_whole_universe(i, q, p)
     for w in rewritten:
         assert killed_atoms(w, w, q, p) == _killed_by_decoding_names(w, w, p)
+
+
+@pytest.mark.parametrize("query", ["e(a,b)?", "p(a,b)?"])
+def test_lifting_rejects_a_query_at_another_arity(query):
+    # an extensional query predicate as well as an intensional one
+    p, q = parse_program("e(a). p(X) :- e(X)."), parse_query(query)
+    (i,) = answer_sets(p).answer_sets
+    message = f"has 2 arguments, but {query[0]} has arity 1 in the program$"
+    with pytest.raises(ProgramError, match=message):
+        dms_with_details(q, p)
+    with pytest.raises(ProgramError, match=message):
+        magic_variant(i, q, p)
+    with pytest.raises(ProgramError, match=message):
+        killed_atoms(i, i, q, p)
 
 
 def test_the_pipeline_never_grounds_exhaustively(monkeypatch, ancestry):

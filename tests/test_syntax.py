@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+from itertools import starmap
 
 import pytest
 
@@ -34,7 +35,7 @@ from aspmagic import (
     var,
 )
 from aspmagic.harness import Mismatch
-from aspmagic.syntax import RESERVED_UNIVERSE_CONSTANT
+from aspmagic.syntax import RESERVED_UNIVERSE_CONSTANT, _atoms_over
 
 
 def test_term_kinds():
@@ -205,6 +206,42 @@ def test_base_is_all_predicate_instances():
     # two constants: 2^2 atoms for e plus 2 for p
     assert len(base(p)) == 6
     assert Atom("p", (const("b"),)) in base(p)
+
+
+def _atoms_by_brute_force(p, predicates, prefix="", fresh=0):
+    """The atoms ``_atoms_over`` enumerates, sorted: each of ``predicates``
+    over the universe of ``p`` plus the first ``fresh`` names ``prefix1``,
+    ``prefix2``, ... that ``p`` does not use, with argument tuples grown
+    one position at a time."""
+    terms = set(universe(p))
+    i = 0
+    while len(terms) < len(universe(p)) + fresh:
+        i += 1
+        terms.add(const(f"{prefix}{i}"))
+    atoms = []
+    for pred in predicates:
+        tuples = [()]
+        for _ in range(p.predicates[pred]):
+            tuples = [t + (c,) for t in tuples for c in terms]
+        atoms += [Atom(pred, t) for t in tuples]
+    return sorted(atoms)
+
+
+@pytest.mark.parametrize("text", [
+    "e(a,b). p(X) :- e(X,Y).",
+    "e(xi_1). e(xi_3). p(X) :- e(X), not q(X). q(X) :- e(X).",
+    "e(f1). g(f2,f4). p(X) :- e(X), g(X,Y).",
+    "p(X) :- e(X), not q(X). q(X) :- e(X).",  # no constant
+    "a :- not b. b :- not a. c :- a, d(X).",  # 0-ary predicates
+])
+def test_base_and_the_atom_enumeration_equal_brute_force(text):
+    p = parse_program(text)
+    assert base(p) == frozenset(_atoms_by_brute_force(p, p.predicates))
+    for predicates in (p.predicates, p.edb_predicates):
+        for prefix, fresh in (("", 0), ("f", 3), ("xi_", 2)):
+            atoms = list(starmap(Atom, _atoms_over(p, predicates, prefix, fresh)))
+            expected = _atoms_by_brute_force(p, predicates, prefix, fresh)
+            assert atoms == expected, (sorted(predicates), prefix)
 
 
 def test_with_facts_sorts_and_validates():
