@@ -22,6 +22,7 @@ _EXPORTS = {
         "random_program", "random_query", "run_benchmark",
     ),
     "lifting": ("killed_atoms", "magic_variant"),
+    "oracle": ("answer_sets_via_unfounded", "is_unfounded_set"),
     "parser": ("SourceError", "parse_program", "parse_query", "print_program"),
     "rewriter": (
         "MAGIC_PREFIX", "AdornedPredicate", "DmsResult",
@@ -32,8 +33,7 @@ _EXPORTS = {
         "CANDIDATE_CAP_DEFAULT", "GROUND_CAP_DEFAULT", "AnswerSetReport",
         "CandidateSpaceTooLarge", "GroundingTooLarge", "QueryAnswer",
         "SolverCapError", "Substitution", "answer_query", "answer_sets",
-        "answer_sets_via_unfounded", "ground", "is_unfounded_set",
-        "substitutions_brave", "substitutions_cautious",
+        "ground", "substitutions_brave", "substitutions_cautious",
     ),
     "syntax": (
         "RESERVED_UNIVERSE_CONSTANT", "Atom", "Interpretation", "Program",

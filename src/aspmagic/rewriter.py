@@ -265,7 +265,10 @@ def dms_with_details(q: Query, p: Program) -> DmsResult:
 
     Adorned predicates are processed first-in first-out, each exactly once;
     every defining rule of the popped predicate is adorned, its magic rules
-    generated and its guarded version collected.  The result combines the seed, the magic rules, the
+    generated and its guarded version collected.  The defining rules are
+    indexed by head predicate once, so a popped predicate visits its own
+    rules alone, in the order of the program's rules and then of their
+    head atoms.  The result combines the seed, the magic rules, the
     guarded rules and the extensional part of the program.  The seed keeps
     every constant of the query, so they all belong to the rewriting's
     universe; an extensional query predicate defines no rule, so its
@@ -286,30 +289,29 @@ def dms_with_details(q: Query, p: Program) -> DmsResult:
     magic_rules: list[Rule] = [seed]
     modified_rules: list[Rule] = []
 
-    # each rule as the key of its rewritings: its atoms in order, and its
-    # intensional predicates
-    shapes = [
-        (
-            _Shape(rule.head, rule.pos_body, rule.neg_body),
-            frozenset(a.predicate for a in rule.atoms() if a.predicate in idb),
-        )
-        for rule in idb_rules
-    ]
+    # each head predicate's defining rules, in program order, each as the
+    # key of its rewritings: its atoms in order, its intensional predicates
+    # and the head atom selected
+    defining: dict[str, list[tuple[_Shape, frozenset[str], Atom]]] = {}
+    for rule in idb_rules:
+        shape = _Shape(rule.head, rule.pos_body, rule.neg_body)
+        intensional = frozenset(a.predicate for a in rule.atoms() if a.predicate in idb)
+        for head_atom in rule.head:
+            defining.setdefault(head_atom.predicate, []).append(
+                (shape, intensional, head_atom)
+            )
     while queue:
         ap = queue.popleft()
-        for shape, intensional in shapes:
-            for head_atom in shape.head:
-                if head_atom.predicate != ap.predicate:
-                    continue
-                adorned, magic, modified = _rewrite_rule(
-                    shape, head_atom, ap.adornment, intensional
-                )
-                for new_ap in adorned:
-                    if new_ap not in seen:
-                        seen.add(new_ap)
-                        queue.append(new_ap)
-                magic_rules.extend(magic)
-                modified_rules.append(modified)
+        for shape, intensional, head_atom in defining.get(ap.predicate, ()):
+            adorned, magic, modified = _rewrite_rule(
+                shape, head_atom, ap.adornment, intensional
+            )
+            for new_ap in adorned:
+                if new_ap not in seen:
+                    seen.add(new_ap)
+                    queue.append(new_ap)
+            magic_rules.extend(magic)
+            modified_rules.append(modified)
 
     magic_part = tuple(dict.fromkeys(magic_rules))
     modified_part = tuple(dict.fromkeys(modified_rules))

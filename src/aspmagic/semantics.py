@@ -1,43 +1,40 @@
 """Reference evaluation: grounding, answer sets, query answering.
 
-Two independent routes compute answer sets.  The primary one grounds by
-relevance: a semi-naive join builds only the rule instances whose positive
-body is derivable with negation ignored, so the magic predicates of a
-rewritten program cut what is instantiated.  The join reads each body atom
-through an argument index on the positions already bound, and it codes
-atoms as integer ids and instances as tuples of ids; a positive body is
-the ids of the rows it matched, so only heads and negative bodies are
-keyed.  The search turns the instances straight into bitmasks, and
-:func:`ground` decodes them into rules.  One grounder serves each
-question, be it one query, one side of a differential check or one
-super-consistency check: it looks each of the program's rules up once, a
-bodiless one as the keys of its atoms and any other as a variable layout
-with one join plan per positive body atom, the pivot, built the first time
-a round can match that pivot, and every grounding it makes shares them.
-A layout is a function of the rule's ordered atoms alone, so the most
-recently used few hundred shapes keep theirs, plans included, for every
-grounder of the process: the checks of a differential sweep rewrite and
-ground the same few shapes over and over.  Nothing of this is kept on
-the :class:`Rule` objects.  Facts added to a fixed program, as those two
-checks add one fact set after another, are passed as
-atoms to the grounder and keyed like the program's own bodiless rules, so
-no extended program is built for them; how a fact is keyed and how the
-search is driven stay inside this module.  Since a relevant
-grounding is monotone in the facts, several fact sets share one grounding
-over their union, in one mask form, and each one's own grounding is cut
-from it by the search's own positive closure from its facts, the union's
-bits kept.  The search then
-branches over the atoms that occur in negative bodies, keeps monotone
-lower and upper bounds to cut hopeless branches early, the lower one
-carried from each node to its children, and enumerates the minimal models
-of the positive remainder at each leaf.  The cross-check route grounds
-every rule over the whole universe, enumerates candidate interpretations
-outright and accepts those that are models containing no nonempty
-unfounded subset; only it and the unfounded-set test use that exhaustive
-grounding, and both decide unfoundedness by one mask test.  Both routes
-are deterministic; neither is meant to compete with a real solver.
+The solver grounds by relevance: a semi-naive join builds only the rule
+instances whose positive body is derivable with negation ignored, so the
+magic predicates of a rewritten program cut what is instantiated.  The
+join reads each body atom through an argument index on the positions
+already bound, and it codes atoms as integer ids and instances as tuples
+of ids; a positive body is the ids of the rows it matched, so only heads
+and negative bodies are keyed.  Each round visits only the rules that
+read a predicate that grew in the previous one.  The search turns the
+instances straight into bitmasks, and :func:`ground` decodes them into
+rules.  One grounder serves each question, be it one query, one side of
+a differential check or one super-consistency check: it looks each of
+the program's rules up once, a bodiless one as the keys of its atoms and
+any other as a variable layout with one join plan per positive body atom,
+the pivot, built the first time a round can match that pivot, and every
+grounding it makes shares them.  A layout is a function of the rule's
+ordered atoms alone, so the most recently used few hundred shapes keep
+theirs, plans included, for every grounder of the process: the checks of
+a differential sweep rewrite and ground the same few shapes over and
+over.  Nothing of this is kept on the :class:`Rule` objects.  Facts added
+to a fixed program, as those two checks add one fact set after another,
+are passed as atoms to the grounder and keyed like the program's own
+bodiless rules, so no extended program is built for them; how a fact is
+keyed and how the search is driven stay inside this module.  Since a
+relevant grounding is monotone in the facts, several fact sets share one
+grounding over their union, in one mask form, and each one's own
+grounding is cut from it by the search's own positive closure from its
+facts, the union's bits kept.  The search then branches over the atoms
+that occur in negative bodies, keeps monotone lower and upper bounds to
+cut hopeless branches early, each carried to a child whose assumptions
+leave it as it was, and enumerates the minimal models of the positive
+remainder at each leaf.  It is deterministic and not meant to compete
+with a real solver; :mod:`~aspmagic.oracle` cross-checks it and shares
+none of its code.
 
-Query answering uses the primary search, directed by the query.  The
+Query answering uses the search, directed by the query.  The
 query atom is matched once against the coded atoms, none of them
 decoded, and once for all the trials cut from one union; the matches
 among the derivable atoms, the heads, are the candidates.  A brave
@@ -77,8 +74,6 @@ __all__ = [
     "Substitution",
     "ground",
     "answer_sets",
-    "is_unfounded_set",
-    "answer_sets_via_unfounded",
     "substitutions_brave",
     "substitutions_cautious",
     "QueryAnswer",
@@ -354,12 +349,14 @@ def _grounder(
     The rules of ``p`` are laid out here, with one lookup each: each
     bodiless rule as the keys of its atoms, every other one by
     :func:`_compile`, whose pivot plans the groundings build as they need
-    them.  The function keeps these for the caller's question: one query,
-    one side of a differential check, one super-consistency check.  A
-    layout and its plans belong to the rule's shape, not to the question,
-    so later questions that meet the same shape, such as the next check of
-    a differential sweep, find them made; nothing is kept on the rules
-    themselves."""
+    them, and indexed by the predicates of its positive body, the
+    ``readers`` through which a grounding round finds the rules a grown
+    predicate can feed.  The function keeps these for the caller's
+    question: one query, one side of a differential check, one
+    super-consistency check.  A layout and its plans belong to the rule's
+    shape, not to the question, so later questions that meet the same
+    shape, such as the next check of a differential sweep, find them made;
+    nothing is kept on the rules themselves."""
     # a bodiless rule is ground by safety: its atoms go straight to keys
     bodiless = [
         (tuple(map(_key_of, r.head)), tuple(map(_key_of, r.neg_body)))
@@ -367,12 +364,17 @@ def _grounder(
         if not r.pos_body
     ]
     joined = [_compile(r.head, r.pos_body, r.neg_body) for r in p.rules if r.pos_body]
-    return partial(_ground_coded, bodiless, joined, ground_cap)
+    readers: dict[str, list[int]] = {}
+    for k, c in enumerate(joined):
+        for pred in c.preds:
+            readers.setdefault(pred, []).append(k)
+    return partial(_ground_coded, bodiless, joined, readers, ground_cap)
 
 
 def _ground_coded(
     bodiless: Sequence[_Bodiless],
     joined: Sequence[_Compiled],
+    readers: Mapping[str, Sequence[int]],
     ground_cap: int,
     facts: Iterable[_Fact] = (),
 ) -> _Coded:
@@ -397,8 +399,11 @@ def _ground_coded(
     the previous round; atoms before the pivot match old atoms only, so
     each new combination is found once.  A round visits a pivot only when
     its predicate grew and every body atom before it has old rows, the only
-    pivots that can match, and a rule none of whose body predicates grew is
-    passed over whole; a pivot's plan is built by :func:`_pivot_plan` the
+    pivots that can match.  ``readers`` maps each body predicate to the
+    indices of the ``joined`` rules that read it, so a round visits, in
+    program order, only the readers of the predicates that grew; it marks
+    the old rows of those predicates alone, as every other predicate's
+    rows are all old.  A pivot's plan is built by :func:`_pivot_plan` the
     first time any grounding visits that pivot of the rule's shape.  A body
     atom reads only the rows of its predicate whose already-bound positions
     match, through the argument
@@ -472,25 +477,26 @@ def _ground_coded(
 
     relations: dict[str, _Relation] = {}
     while pending:
-        mark = {pred: len(rel.rows) for pred, rel in relations.items()}
-        grown = set()
+        # the old rows of each predicate that grew; any other has no new row
+        mark: dict[str, int] = {}
         for a in pending:
             pred, args = keys[a]
-            if pred not in relations:
-                relations[pred] = _Relation()
-            relations[pred].add(args, a)
-            grown.add(pred)
+            rel = relations.get(pred)
+            if rel is None:
+                rel = relations[pred] = _Relation()
+            if pred not in mark:
+                mark[pred] = len(rel.rows)
+            rel.add(args, a)
         pending.clear()
-        for c in joined:
-            if grown.isdisjoint(c.preds):
-                continue
+        for k in sorted({k for pred in mark for k in readers.get(pred, ())}):
+            c = joined[k]
             # each body atom's relation and old rows; no match without rows
             body = []
             for pred, _ in c.pos:
                 rel = relations.get(pred)
                 if rel is None:
                     break
-                body.append((rel, mark.get(pred, 0)))
+                body.append((rel, mark.get(pred, len(rel.rows))))
             else:
                 found = partial(fire, c.head + c.neg, len(c.head))
                 for i, (rel, old) in enumerate(body):
@@ -509,40 +515,12 @@ def _ground_coded(
     return _Coded(keys, derived, instances)
 
 
-def _ground_exhaustive(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> Program:
-    """Every instance of the rules of ``p`` over its universe, relevant or
-    not: the grounding of the reference oracles, which must see rules whose
-    bodies nothing derives.
-
-    The instance count is bounded before any instance is materialized;
-    crossing ``ground_cap`` raises :class:`GroundingTooLarge`.
-    """
-    terms = sorted(universe(p))
-    total = 0
-    for rule in p.rules:
-        total += len(terms) ** len(rule.variables())
-        if total > ground_cap:
-            raise GroundingTooLarge(
-                f"grounding needs more than {ground_cap} instances"
-            )
-    out: dict[Rule, None] = {}
-    for rule in p.rules:
-        rule_vars = sorted(rule.variables())
-        if not rule_vars:
-            out.setdefault(rule)
-            continue
-        for combo in product(terms, repeat=len(rule_vars)):
-            binding = dict(zip(rule_vars, combo))
-            out.setdefault(rule.substitute(binding))
-    return Program(out)
-
-
 class AnswerSetReport(NamedTuple):
     """The answer sets of a program and what it took to find them.
 
     ``ground_rules`` is the size of the grounding the solver searched: the
     relevant instances for :func:`answer_sets`, every instance over the
-    universe for :func:`answer_sets_via_unfounded`.
+    universe for :func:`~aspmagic.oracle.answer_sets_via_unfounded`.
     """
 
     answer_sets: frozenset[Interpretation]
@@ -563,24 +541,6 @@ class _Budget:
             raise CandidateSpaceTooLarge(
                 f"more than {self.cap} candidate states examined"
             )
-
-
-def _index_rules(
-    rules: Sequence[Rule],
-) -> tuple[list[Atom], dict[Atom, int], list[tuple[int, int, int]]]:
-    atoms = sorted({a for r in rules for a in r.atoms()})
-    pos_of = {a: i for i, a in enumerate(atoms)}
-    masked = []
-    for r in rules:
-        h = p = n = 0
-        for a in r.head:
-            h |= 1 << pos_of[a]
-        for a in r.pos_body:
-            p |= 1 << pos_of[a]
-        for a in r.neg_body:
-            n |= 1 << pos_of[a]
-        masked.append((h, p, n))
-    return atoms, pos_of, masked
 
 
 def _closure(
@@ -676,11 +636,18 @@ def _stable_models(
     so ``goal(possible, cert)`` is asked at every node, and a node where it
     fails is pruned too; a model ``m`` is yielded only if ``goal(m, m)``.
     The goal is called afresh each time, so a caller may narrow it between
-    yields.  The lower bound only grows as atoms are assumed false, so each
-    node closes it from its parent's rather than from nothing; with nothing
-    assumed true the upper bound is every head, since the heads of a
-    relevant grounding are exactly the atoms derivable with negation
-    ignored.  Each surviving leaf fixes the reduct; its minimal models that
+    yields.  The two bounds are the halves of the alternating fixpoint
+    (Van Gelder, Ross & Schlipf, JACM 1991): ``possible`` is a function of
+    the atoms assumed true ``t`` alone, and ``cert`` of the atoms assumed
+    false ``f`` alone.  So each bound is carried with the assumptions it
+    was closed for and recomputed only when they change: the false child
+    keeps its parent's ``possible``, and the true child, like a forcing
+    round that only forces atoms true, keeps ``cert``.  The lower bound
+    only grows as atoms are assumed false, so it is closed again from the
+    one it had rather than from nothing; at the root, with nothing assumed
+    true, the upper bound is every head, since the heads of a relevant
+    grounding are exactly the atoms derivable with negation ignored.  Each
+    surviving leaf fixes the reduct; its minimal models that
     reproduce the assumed assignment are exactly the stable models there.
     Without disjunctive rules the reduct's only minimal model is the lower
     bound itself, which still counts as one state.
@@ -699,15 +666,19 @@ def _stable_models(
     normal = [(h, p, n) for h, p, n in masked if h & (h - 1) == 0]
     disjunctive = [(h, p, n) for h, p, n in masked if h & (h - 1) != 0]
 
-    stack = [(0, 0, 0)]
+    # each node's assumptions, its upper bound or None to recompute it,
+    # and its lower bound with whether f grew since it was closed
+    stack = [(0, 0, everything, 0, True)]
     while stack:
-        t, f, cert = stack.pop()
+        t, f, possible, cert, f_grew = stack.pop()
         budget.spend()
         while True:
-            possible = _closure(masked, t) if t else everything
+            if possible is None:
+                possible = _closure(masked, t)
             if t & ~possible:
                 break
-            cert = _closure(normal, ~f, cert)
+            if f_grew:
+                cert = _closure(normal, ~f, cert)
             if cert & f or not goal(possible, cert):
                 break
             undecided = nb_mask & ~t & ~f
@@ -716,6 +687,9 @@ def _stable_models(
             if force_true or force_false:
                 t |= force_true
                 f |= force_false
+                if force_true:
+                    possible = None
+                f_grew = force_false != 0
                 continue
             if undecided == 0:
                 if disjunctive:
@@ -735,8 +709,8 @@ def _stable_models(
                         ready |= h
                 choice = undecided & ready or undecided
                 bit = choice & -choice
-                stack.append((t, f | bit, cert))
-                stack.append((t | bit, f, cert))
+                stack.append((t, f | bit, possible, cert, True))
+                stack.append((t | bit, f, None, cert, False))
             break
 
 
@@ -882,85 +856,6 @@ def answer_sets(
 
 def _interpretation(atoms: Sequence[Atom], m: int) -> Interpretation:
     return frozenset(a for i, a in enumerate(atoms) if m >> i & 1)
-
-
-def _unfounded(masked: Iterable[tuple[int, int, int]], x: int, i: int) -> bool:
-    """Whether the atoms of mask ``x`` are unfounded with respect to the
-    interpretation ``i``, over ``(head, pos, neg)`` rule masks: every rule
-    with a head atom in ``x`` is either blocked under ``i``, consumes an
-    atom of ``x`` positively, or is already satisfied by ``i`` outside
-    ``x``."""
-    for h, p, n in masked:
-        if h & x and p & ~i == 0 and n & i == 0 and p & x == 0 and h & i & ~x == 0:
-            return False
-    return True
-
-
-def is_unfounded_set(x: frozenset[Atom], p: Program, i: Interpretation) -> bool:
-    """Whether ``x`` is unfounded with respect to ``i`` (see
-    :func:`_unfounded`).
-
-    ``p`` is ground over its whole universe, since ``x`` and ``i`` may hold
-    atoms that nothing derives; a ground program grounds to itself.  An
-    atom that no ground rule mentions cannot decide the test, so only the
-    others get a bit."""
-    _, pos_of, masked = _index_rules(_ground_exhaustive(p).rules)
-
-    def mask(atoms: Iterable[Atom]) -> int:
-        return sum(1 << pos_of[a] for a in atoms if a in pos_of)
-
-    return _unfounded(masked, mask(x), mask(i))
-
-
-def answer_sets_via_unfounded(
-    p: Program,
-    *,
-    ground_cap: int = GROUND_CAP_DEFAULT,
-    candidate_cap: int = CANDIDATE_CAP_DEFAULT,
-) -> AnswerSetReport:
-    """Answer sets characterized without reducts: models of the ground
-    program containing no nonempty unfounded subset.
-
-    This route enumerates every subset of the ground head atoms, so it only
-    suits small programs; it exists as an independent oracle for the primary
-    solver.  It grounds exhaustively, so it does not share the primary
-    solver's relevance cut either."""
-    g = _ground_exhaustive(p, ground_cap)
-    atoms, pos_of, masked = _index_rules(g.rules)
-    head_atoms = sorted({a for r in g.rules for a in r.head})
-    if 2 ** len(head_atoms) > candidate_cap:
-        raise CandidateSpaceTooLarge(
-            f"{2 ** len(head_atoms)} candidate interpretations exceed the cap"
-        )
-    head_bits = [1 << pos_of[a] for a in head_atoms]
-
-    def unfounded_free(imask: int) -> bool:
-        # imask holds head atoms only; walk its nonempty subsets
-        sub = imask
-        while sub:
-            if _unfounded(masked, sub, imask):
-                return False
-            sub = (sub - 1) & imask
-        return True
-
-    found = []
-    for k in range(2 ** len(head_atoms)):
-        imask = 0
-        for j, b in enumerate(head_bits):
-            if k >> j & 1:
-                imask |= b
-        sat = True
-        for h, pb, nb in masked:
-            if pb & ~imask == 0 and nb & imask == 0 and h & imask == 0:
-                sat = False
-                break
-        if sat and unfounded_free(imask):
-            found.append(imask)
-    return AnswerSetReport(
-        answer_sets=frozenset(_interpretation(atoms, m) for m in found),
-        candidates_examined=2 ** len(head_atoms),
-        ground_rules=len(g.rules),
-    )
 
 
 class Substitution(NamedTuple):

@@ -646,8 +646,8 @@ def test_help_width_is_the_one_shutil_gives(monkeypatch, columns):
 
 
 def test_no_submodule_loads_dataclasses():
-    modules = ["analysis", "cli", "harness", "lifting", "parser", "rewriter",
-               "semantics", "syntax"]
+    modules = ["analysis", "cli", "harness", "lifting", "oracle", "parser",
+               "rewriter", "semantics", "syntax"]
     out = _run_bare(
         "import importlib, sys; "
         f"[importlib.import_module('aspmagic.' + m) for m in {modules!r}]; "
@@ -683,7 +683,7 @@ def test_plain_query_loads_no_rewriting_code(write):
         "'--rewrite', 'off'])"
     )
     assert "aspmagic.semantics" in loaded
-    for module in ("harness", "rewriter", "analysis", "lifting"):
+    for module in ("harness", "rewriter", "analysis", "lifting", "oracle"):
         assert f"aspmagic.{module}" not in loaded
 
 
@@ -695,6 +695,29 @@ def test_rewritten_query_loads_no_harness(write):
     )
     assert {"aspmagic.analysis", "aspmagic.rewriter"} <= set(loaded)
     assert "aspmagic.harness" not in loaded
+    assert "aspmagic.oracle" not in loaded
+
+
+def test_no_subcommand_loads_the_oracle(write):
+    # the oracle cross-checks the search and lifting the rewriting, both
+    # outside the command line
+    path = write(ANCESTRY)
+    q = ["--query", "ancestor(p1,p2)?"]
+    calls = [
+        ["solve", path],
+        ["query", path, *q, "--brave", "--rewrite", "on"],
+        ["query", path, *q, "--cautious", "--rewrite", "off"],
+        ["rewrite", path, *q],
+        ["check", path, "--odd-cycle-free"],
+        ["check", path, "--super-consistent", "--budget", "5"],
+        ["diff", path, *q, "--trials", "2"],
+        ["bench", "related", "--sizes", "1", "--mode", "both"],
+    ]
+    loaded = _loaded_after(
+        f"from aspmagic.cli import main; [main(argv) for argv in {calls!r}]"
+    )
+    assert {"aspmagic.harness", "aspmagic.rewriter", "aspmagic.analysis"} <= set(loaded)
+    assert not {"aspmagic.lifting", "aspmagic.oracle"} & set(loaded)
 
 
 @pytest.mark.parametrize(

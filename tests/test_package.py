@@ -89,8 +89,13 @@ def _private_semantics_names(tree: ast.Module) -> set[str]:
 
 def test_semantics_keeps_its_fact_keys_and_search_private():
     # Neighbours pass atoms and ask one question each: how a fact is keyed
-    # and how the search is driven stay inside semantics.
-    allowed = {"harness": {"_trial_answers"}, "analysis": {"_consistent"}}
+    # and how the search is driven stay inside semantics.  The oracle only
+    # decodes its models as the search does.
+    allowed = {
+        "harness": {"_trial_answers"},
+        "analysis": {"_consistent"},
+        "oracle": {"_interpretation"},
+    }
     modules = sorted(Path(aspmagic.__file__).parent.glob("*.py"))
     assert {"analysis", "cli", "harness", "semantics"} <= {m.stem for m in modules}
     for module in modules:
@@ -127,3 +132,37 @@ def test_only_the_rewriter_decodes_magic_names():
         if decoding & _names_read(ast.parse(module.read_text(), filename=str(module)))
     }
     assert readers == {"rewriter"}
+
+
+def _modules_imported(tree: ast.Module) -> set[str]:
+    """The modules a module imports, each as the last part of its dotted
+    name, with the names taken by ``from ... import``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_the_oracle_shares_no_code_with_the_search():
+    # The oracle cross-checks the search, so it reads none of the search's
+    # routines, and the search never reaches back into the oracle.
+    search = {
+        "_closure", "_stable_models", "_minimal_models_masks", "_grounder",
+        "_ground_coded", "_compile", "_join", "_mask_form",
+        "_relevant_searches", "_search_answers", "_trial_answers",
+        "answer_sets", "answer_query", "ground",
+    }
+    home = Path(aspmagic.__file__).parent
+    semantics = ast.parse((home / "semantics.py").read_text())
+    assert search <= {
+        node.name for node in semantics.body if isinstance(node, ast.FunctionDef)
+    }
+    oracle = ast.parse((home / "oracle.py").read_text())
+    assert not search & _names_read(oracle)
+    assert "semantics" in _modules_imported(oracle)
+    assert "oracle" not in _modules_imported(semantics) | _names_read(semantics)

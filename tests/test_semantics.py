@@ -53,17 +53,16 @@ from aspmagic import (
     universe,
     var,
 )
-from aspmagic import semantics
+from aspmagic import oracle, semantics
 from aspmagic.harness import _draw_edb, _edb_pool
+from aspmagic.oracle import _ground_exhaustive, _index_rules
 from aspmagic.semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
     _LAYOUTS,
     _closure,
     _compile,
-    _ground_exhaustive,
     _grounder,
-    _index_rules,
     _relevant_searches,
     _trial_answers,
 )
@@ -1273,6 +1272,67 @@ def test_answer_sets_repeat_the_grid_3_counts():
             assert answer.candidates_examined == states, (n, mode)
 
 
+def test_each_search_bound_is_closed_again_only_when_its_assumptions_change(calls):
+    # ``possible`` depends on the atoms assumed true alone and ``cert`` on
+    # those assumed false alone, so a child keeps the bound its branch
+    # leaves as it was; the states are those pinned above.
+    closures = calls("_closure")
+    for n, mode, plain, rewritten in (
+        (3, "brave", 29, 17),
+        (3, "cautious", 25, 5),
+        (6, "brave", 131, 41),
+        (6, "cautious", 121, 5),
+    ):
+        inst = gen_related_instance(n)
+        for target, expected in (
+            (inst.program, plain),
+            (dms(inst.query, inst.program), rewritten),
+        ):
+            closures.clear()
+            answer_query(target, inst.query, mode)
+            assert len(closures) == expected, (n, mode)
+
+
+def _lines_run(code, call):
+    """The number of lines of the function with code object ``code`` that
+    ``call()`` executes, counted by :func:`sys.settrace` in that
+    function's frames alone."""
+    count = 0
+
+    def line(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return line
+
+    def enter(frame, event, arg):
+        return line if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_grounding_and_rewriting_a_chain_take_linear_work():
+    # Each grounding round visits the readers of what grew, and each
+    # adorned predicate the rules defining it, so a 4n-rule chain takes
+    # about 4 times the lines of an n-rule one, on any Python version.
+    lines = []
+    for n in (50, 200):
+        p = parse_program("p0. " + " ".join(f"p{i} :- p{i - 1}." for i in range(1, n)))
+        q = parse_query(f"p{n - 1}?")
+        lines.append((
+            _lines_run(semantics._ground_coded.__code__, _grounder(p)),
+            _lines_run(dms_with_details.__code__, lambda: dms_with_details(q, p)),
+        ))
+    for small, large in zip(*lines):
+        assert large <= 4.5 * small, lines
+
+
 STRATEGIC_COMPANIES = """
 strategic(C1) v strategic(C2) :- produced_by(P,C1,C2).
 strategic(W) :- controlled_by(W,X,Y), strategic(X), strategic(Y).
@@ -1586,7 +1646,7 @@ def test_the_pipeline_never_grounds_exhaustively(monkeypatch, ancestry):
     def refuse(*args, **kwargs):
         raise AssertionError("exhaustive grounding outside the oracles")
 
-    monkeypatch.setattr(semantics, "_ground_exhaustive", refuse)
+    monkeypatch.setattr(oracle, "_ground_exhaustive", refuse)
     p = ancestry.with_facts([Atom("related", (const("p1"), const("p2")))])
     q = parse_query("ancestor(p1,p2)?")
     assert len(ground(p).rules) == 4
