@@ -338,16 +338,22 @@ def check_equivalence(
     exactly those of grounding the trial alone, kept in the union's order
     and bit numbering (see :func:`_trial_answers`).  No extended program
     is built.  When the union trips ``ground_cap``, that
-    side grounds each trial on its own instead.  The query is evaluated
+    side grounds each trial on its own instead.  A trial that keeps the
+    added facts of an earlier trial, the facts of ``p`` aside where the
+    side is cut from the union, is answered from that trial on that side,
+    with no cut, grounding or search; only answers are kept, each only
+    while a trial still to run keeps the same facts.  The query is evaluated
     over a shared substitution domain, the universe of ``p`` with the
     trial's facts added plus the query's constants, so any reported
     difference is a genuine answer difference.
     Each side is answered by one directed search, the one ``aspmagic
     query`` runs, settling its brave and cautious answers together;
     ``timings_ms`` holds the time of each side's grounding, search and
-    answering, and the first trial tested also carries each side's
-    shared grounding.  Trials tripping a solver cap are skipped and
-    counted.
+    answering, or of its lookup for a trial answered from an earlier
+    one, and the first trial tested also carries each side's shared
+    grounding.  Trials tripping a solver cap are skipped and counted;
+    nothing is kept for them, so a trial that repeats one trips the cap
+    again.
     """
     import hashlib  # loaded only here, not by every CLI call
 

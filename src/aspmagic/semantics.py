@@ -26,7 +26,9 @@ keyed and how the search is driven stay inside this module.  Since a
 relevant grounding is monotone in the facts, several fact sets share one
 grounding over their union, in one mask form, and each one's own
 grounding is cut from it by the search's own positive closure from its
-facts, the union's bits kept.  The search then branches over the atoms
+facts, the union's bits kept; fact sets that add the same facts, the
+program's own aside, have one grounding, so the answers found for one
+serve the others.  The search then branches over the atoms
 that occur in negative bodies, keeps monotone lower and upper bounds to
 cut hopeless branches early, each carried to a child whose assumptions
 leave it as it was, and enumerates the minimal models of the positive
@@ -660,11 +662,13 @@ def _stable_models(
     other goal visits a subset of the same nodes.
     """
     everything = nb_mask = 0
-    for h, _, n in masked:
+    normal: list[tuple[int, int, int]] = []
+    disjunctive: list[tuple[int, int, int]] = []
+    for r in masked:
+        h, _, n = r
         everything |= h
         nb_mask |= n
-    normal = [(h, p, n) for h, p, n in masked if h & (h - 1) == 0]
-    disjunctive = [(h, p, n) for h, p, n in masked if h & (h - 1) != 0]
+        (disjunctive if h & (h - 1) else normal).append(r)
 
     # each node's assumptions, its upper bound or None to recompute it,
     # and its lower bound with whether f grew since it was closed
@@ -744,66 +748,128 @@ def _mask_form(
     return [keys[i] for i in order], masked
 
 
+# What of a fact set fixes its grounding: one bit for each numbered fact,
+# set when the fact set holds it.
+_Kept = bytes
+
+_Masked = tuple[list[_Key], list[tuple[int, int, int]]]
+
+
 def _relevant_searches(
     p: Program, ground_cap: int, fact_sets: Sequence[Sequence[_Fact]]
-) -> Callable[[int], tuple[list[_Key], list[tuple[int, int, int]]]]:
-    """A function giving for each ``t`` the relevant grounding of ``p``
-    with ``fact_sets[t]`` added (see :func:`_ground_coded`) in the mask
-    form of :func:`_mask_form`, every grounding made by one
-    :func:`_grounder`.
+) -> Callable[[int], _Masked]:
+    """The ``search`` of :func:`_trial_groundings`, without what each
+    trial keeps, which :func:`_trial_answers` reads to answer a trial
+    that keeps an earlier trial's added facts from that trial."""
+    return _trial_groundings(p, ground_cap, fact_sets)[1]
 
-    With one fact set, the union of the fact sets is that set, so its
-    function grounds it when asked, with nothing cut.  With more, ``p`` is
-    ground once, here, with the union added, and put in mask form once.  A
-    relevant grounding is monotone in the facts: the instances for a fact
-    set are those of the union's grounding whose positive body the fact
-    set derives.  So trial ``t`` drops the instances of the facts that
-    only other trials add, closes the rest with :func:`_closure`, negation
-    ignored, and keeps the instances whose positive body lies in that
-    closure, their negative bodies cut down to it.  The bits keep the
-    union's key order, with holes where an atom is not derivable for the
-    trial; the search reads only the relative order of bits, so it takes
-    the same choices as on the trial's own grounding, whose instances
-    these are, in the union's order.  The keys are the union's, so a
-    caller reads which atoms are derivable off the heads.  When the union
-    trips ``ground_cap`` each fact set is ground on its own instead; a
-    trial's grounding is part of the union's, so no trial trips the cap
-    when the union does not."""
+
+def _marks(
+    fact_sets: Sequence[Sequence[_Fact]], number: Mapping[_Fact, int]
+) -> list[_Kept]:
+    """For each fact set, one bit for each fact ``number`` numbers, set
+    when the fact set holds it."""
+    size = (len(number) + 7) // 8
+    out = []
+    for facts in fact_sets:
+        marked = bytearray(size)
+        for f in facts:
+            i = number.get(f)
+            if i is not None:
+                marked[i >> 3] |= 1 << (i & 7)
+        out.append(bytes(marked))
+    return out
+
+
+def _bits(marked: _Kept) -> Iterator[int]:
+    """The places of the bits set in ``marked``, in increasing order."""
+    for i, byte in enumerate(marked):
+        while byte:
+            low = byte & -byte
+            yield 8 * i + low.bit_length() - 1
+            byte ^= low
+
+
+def _trial_groundings(
+    p: Program, ground_cap: int, fact_sets: Sequence[Sequence[_Fact]]
+) -> tuple[list[_Kept], Callable[[int], _Masked]]:
+    """What each fact set keeps, ``kept``, and a function ``search``
+    giving for each ``t`` the relevant grounding of ``p`` with
+    ``fact_sets[t]`` added (see :func:`_ground_coded`) in the mask form
+    of :func:`_mask_form`, every grounding made by one :func:`_grounder`.
+    The union's facts that can change a grounding, or all of them, are
+    numbered here, and ``kept[t]`` has one bit for each, set when trial
+    ``t`` adds it (see :func:`_marks`), so two trials with equal ``kept``
+    have the same grounding.
+
+    With one fact set, the union of the fact sets is that set, so
+    ``search`` grounds it when asked, with nothing cut, and no fact is
+    numbered.  With more, ``p`` is ground once, here, with the union
+    added, and put in mask form once.  A relevant grounding is monotone in
+    the facts: the instances for a fact set are those of the union's
+    grounding whose positive body the fact set derives.  The union's
+    instances of the facts only added, not facts of ``p``, are one run in
+    key order (see :func:`_ground_coded`), and each such fact is numbered
+    by its place in the run; a fact of ``p`` is an instance of ``p``'s own
+    whatever a trial adds.  Trial ``t`` keeps the run's instances of the
+    facts it adds and every instance outside the run, closes them with
+    :func:`_closure`, negation ignored, and keeps the instances whose
+    positive body lies in that closure, their negative bodies cut down to
+    it.  The bits keep the union's key order, with holes where an atom is
+    not derivable for the trial; the search reads only the relative order
+    of bits, so it takes the same choices as on the trial's own
+    grounding, whose instances these are, in the union's order.  The keys
+    are the union's, so a caller reads which atoms are derivable off the
+    heads.  When the union trips ``ground_cap``, every fact of the union
+    is numbered, and each fact set is ground on its own instead; a trial's
+    grounding is part of the union's, so no trial trips the cap when the
+    union does not."""
     ground = _grounder(p, ground_cap)
 
-    def own(t: int) -> tuple[list[_Key], list[tuple[int, int, int]]]:
+    def own(t: int) -> _Masked:
         return _mask_form(*ground(fact_sets[t]))
 
     if len(fact_sets) == 1:
-        return own
+        return [b""], own
+    union = {f for facts in fact_sets for f in facts}
     try:
-        keys, derived, instances = ground({f for facts in fact_sets for f in facts})
+        coded = ground(union)
     except GroundingTooLarge:
-        return own
+        # number the facts once the failed grounding is freed
+        coded = None
+    if coded is None:
+        return _marks(fact_sets, {f: i for i, f in enumerate(union)}), own
+    keys, derived, instances = coded
 
     program_facts = {
         _key_of(r.head[0])
         for r in p.rules
         if not r.pos_body and not r.neg_body and len(r.head) == 1
     }
-    # the instance of each fact only added, by its key
-    added = {
+    # the instance of each fact only added, by its key: one run, after
+    # the program's bodiless instances
+    at = {
         keys[head[0]]: j
         for j, (head, pos, neg) in enumerate(instances)
         if not pos and not neg and len(head) == 1 and keys[head[0]] not in program_facts
     }
-    fact_instances = set(added.values())
+    start = min(at.values(), default=0)
+    stop = start + len(at)
+    number: dict[_Fact, int] = {}
+    for f in union:
+        j = at.get(_key_of(f))
+        if j is not None:
+            number[f] = j - start
+    kept = _marks(fact_sets, number)
     keys, masked = _mask_form(keys, derived, instances)
 
-    def search(t: int) -> tuple[list[_Key], list[tuple[int, int, int]]]:
-        facts = {added[k] for k in map(_key_of, fact_sets[t]) if k in added}
-        rules = [
-            r for j, r in enumerate(masked) if j not in fact_instances or j in facts
-        ]
+    def search(t: int) -> _Masked:
+        added = [masked[start + i] for i in _bits(kept[t])]
+        rules = masked[:start] + added + masked[stop:]
         reach = _closure(rules)
         return keys, [(h, b, n & reach) for h, b, n in rules if not b & ~reach]
 
-    return search
+    return kept, search
 
 
 def _consistent(
@@ -988,33 +1054,55 @@ def answer_query(
     return QueryAnswer(answers[mode], *counts)
 
 
+_Answers = tuple[dict[str, frozenset[Substitution]], int, int]
+
+
 def _trial_answers(
     p: Program, q: Query, modes: Sequence[str], ground_cap: int,
     candidate_cap: int, fact_sets: Sequence[Sequence[_Fact]],
-) -> Callable[[int, Iterable[Term]], tuple[dict[str, frozenset[Substitution]], int, int]]:
+) -> Callable[[int, Iterable[Term]], _Answers]:
     """A function giving for each ``t`` and ``domain`` the answers to
     ``q`` over ``p`` with ``fact_sets[t]`` added, as
     :func:`_search_answers` gives them, over the groundings of
-    :func:`_relevant_searches`: one query passes one fact set, a
+    :func:`_trial_groundings`: one query passes one fact set, a
     differential check one per trial.
+
+    A search is a function of the domain and the trial's grounding, so
+    of the domain and what the trial keeps (see
+    :func:`_trial_groundings`), which is known for every trial before
+    anything is cut or ground.  So a trial that keeps what an earlier
+    trial kept, over the same domain, is answered from that trial, with
+    the counts its own search would repeat, and without a cut, a
+    grounding or a search.  Only answers are kept, never a grounding, and
+    each only until the last trial that keeps the same facts is answered;
+    a search that trips ``candidate_cap`` keeps nothing, so a trial that
+    repeats it trips it again.
 
     The query is unified with each key list once (see :func:`_matches`):
     the trials cut from one union share its keys, so a side of a check
     unifies once, and a fact set ground on its own, alone or because the
     union tripped ``ground_cap``, unifies with its own keys."""
-    search = _relevant_searches(p, ground_cap, fact_sets)
+    kept, search = _trial_groundings(p, ground_cap, fact_sets)
     # the last key list searched, and the query's matches among its keys
     last: list[_Key] | None = None
     matched: list[tuple[int, Substitution]] = []
+    # the last trial that keeps each fact set, and the answers found for
+    # a fact set that a later trial keeps
+    last_kept = {k: t for t, k in enumerate(kept)}
+    known: dict[tuple[_Kept, frozenset[Term]], _Answers] = {}
 
-    def answers(
-        t: int, domain: Iterable[Term]
-    ) -> tuple[dict[str, frozenset[Substitution]], int, int]:
+    def answers(t: int, domain: Iterable[Term]) -> _Answers:
         nonlocal last, matched
-        keys, masked = search(t)
-        if keys is not last:
-            last, matched = keys, _matches(q, keys)
-        return _search_answers(q, modes, domain, candidate_cap, matched, masked)
+        key = kept[t], frozenset(domain)
+        found = known.pop(key, None)
+        if found is None:
+            keys, masked = search(t)
+            if keys is not last:
+                last, matched = keys, _matches(q, keys)
+            found = _search_answers(q, modes, key[1], candidate_cap, matched, masked)
+        if last_kept[kept[t]] > t:
+            known[key] = found
+        return found
 
     return answers
 
@@ -1022,7 +1110,7 @@ def _trial_answers(
 def _search_answers(
     q: Query, modes: Sequence[str], domain: Iterable[Term], candidate_cap: int,
     matched: list[tuple[int, Substitution]], masked: list[tuple[int, int, int]],
-) -> tuple[dict[str, frozenset[Substitution]], int, int]:
+) -> _Answers:
     """The answers to ``q`` over a relevant grounding in the mask form of
     :func:`_relevant_searches`, substitutions ranging over ``domain``, in
     each of ``modes`` (``"brave"``, ``"cautious"`` or both) from one

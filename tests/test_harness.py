@@ -31,6 +31,7 @@ from aspmagic import (
     run_benchmark,
     universe,
 )
+from aspmagic import harness, semantics
 from aspmagic.harness import _diff, _edb_pool
 from aspmagic.semantics import (
     CANDIDATE_CAP_DEFAULT,
@@ -275,12 +276,14 @@ def test_equivalence_answers_the_grid_3_through_the_directed_search(text):
 
 
 def _check_by_programs(
-    p, q, trials, seed, density, max_facts, ground_cap=GROUND_CAP_DEFAULT
+    p, q, trials, seed, density, max_facts, ground_cap=GROUND_CAP_DEFAULT,
+    candidate_cap=CANDIDATE_CAP_DEFAULT,
 ):
     """The reference for ``check_equivalence``: each trial draws its facts
     with ``random_edb``, builds both extended programs with ``with_facts``,
-    grounds each on its own under ``ground_cap`` and takes the domain from
-    the extended original's universe."""
+    grounds and searches each on its own under ``ground_cap`` and
+    ``candidate_cap`` and takes the domain from the extended original's
+    universe."""
     import hashlib
 
     rewritten = dms(q, p)
@@ -294,10 +297,10 @@ def _check_by_programs(
         domain = universe(side_a) | qconsts
         try:
             answers_a, _, rules_a = _trial_answers(
-                side_a, q, modes, ground_cap, CANDIDATE_CAP_DEFAULT, [()]
+                side_a, q, modes, ground_cap, candidate_cap, [()]
             )(0, domain)
             answers_b, _, rules_b = _trial_answers(
-                side_b, q, modes, ground_cap, CANDIDATE_CAP_DEFAULT, [()]
+                side_b, q, modes, ground_cap, candidate_cap, [()]
             )(0, domain)
         except SolverCapError as exc:
             skipped.append(f"trial {t}: {exc}")
@@ -413,6 +416,104 @@ def test_a_side_over_the_cap_unifies_the_query_once_per_trial(calls, ancestry):
     report = check_equivalence(ancestry, q, 4, 0, 0.3, ground_cap=cap)
     assert report.fact_sets_tested == 4 and report.skipped == ()
     assert len(unified) == sum(4 if trips else 1 for trips in over)
+
+
+# Its pool is g1(c1), g1(f1) and g1(f2), and g1(c1) is a fact of the
+# program, so a trial keeps one of four added fact sets.
+_TINY_POOL = "g1(c1). p1(X) :- g1(X), not p2(X). p2(X) :- g1(X), not p1(X)."
+
+
+def _tiny_pool_draws(seed, trials=12):
+    """The program, its query ``p1(X)?``, its fact ``g1(c1)`` and the
+    draws of ``check_equivalence(p, q, trials, seed)``."""
+    p = parse_program(_TINY_POOL)
+    draws = [random_edb(p, seed * 1_000_003 + t, 0.3) for t in range(trials)]
+    return p, parse_query("p1(X)?"), frozenset({Atom("g1", (const("c1"),))}), draws
+
+
+def _searches_per_side(monkeypatch, *args, **kwargs):
+    """The report of ``check_equivalence(*args, **kwargs)`` and the number
+    of searches, ``semantics._search_answers`` calls, each side made:
+    the original's, then the rewriting's."""
+    searches = []
+    side = None
+    real_answers, real_search = harness._trial_answers, semantics._search_answers
+
+    def search(*search_args):
+        searches[side] += 1
+        return real_search(*search_args)
+
+    def trial_answers(*side_args):
+        answers = real_answers(*side_args)
+        mine = len(searches)
+        searches.append(0)
+
+        def answers_as_side(t, domain):
+            nonlocal side
+            side = mine
+            return answers(t, domain)
+
+        return answers_as_side
+
+    monkeypatch.setattr(semantics, "_search_answers", search)
+    monkeypatch.setattr(harness, "_trial_answers", trial_answers)
+    report = check_equivalence(*args, **kwargs)
+    monkeypatch.undo()
+    return report, searches
+
+
+def test_a_trial_keeping_an_earlier_trials_facts_is_answered_from_it(monkeypatch):
+    # Seed 5's 12 trials draw 8 distinct fact sets, and some differ only by
+    # the program's own fact, so they keep 4: each side searches 4 times.
+    p, q, given, draws = _tiny_pool_draws(5)
+    kept = {facts - given for facts in draws}
+    assert (len(set(draws)), len(kept)) == (8, 4)
+    report, searches = _searches_per_side(monkeypatch, p, q, 12, 5)
+    assert searches == [len(kept)] * 2
+    assert report.fact_sets_tested == len(report.timings_ms) == 12
+    assert report._replace(timings_ms=()) == _check_by_programs(p, q, 12, 5, 0.3, None)
+
+
+def test_a_trial_over_the_candidate_cap_trips_it_each_time_it_repeats(monkeypatch):
+    # Keeping g1(f1) and g1(f2) takes 15 states on each side, keeping less
+    # at most 9.  Seed 2's trials 2, 7 and 11 keep both, the last with
+    # g1(c1) too: nothing is kept for a search that trips the cap, so each
+    # searches the original again, trips it again and is skipped with the
+    # same message, and the rewriting is not searched for them.
+    p, q, given, draws = _tiny_pool_draws(2)
+    over = [t for t, facts in enumerate(draws) if len(facts - given) == 2]
+    assert over == [2, 7, 11]
+    under = {facts - given for facts in draws if len(facts - given) < 2}
+    report, searches = _searches_per_side(monkeypatch, p, q, 12, 2, candidate_cap=14)
+    assert searches == [len(under) + len(over), len(under)] == [6, 3]
+    assert report.skipped == tuple(
+        f"trial {t}: more than 14 candidate states examined" for t in over
+    )
+    assert report.fact_sets_tested == 9
+    assert report._replace(timings_ms=()) == _check_by_programs(
+        p, q, 12, 2, 0.3, None, candidate_cap=14
+    )
+
+
+def test_identical_draws_over_the_ground_cap_are_answered_once(monkeypatch):
+    # The fallback of the union-over-the-cap test on the tiny pool: none of
+    # seed 1's trials draws both g1(f1) and g1(f2), but their union holds
+    # both, and only the rewriting's union trips the largest trial's size.
+    # The original's trials are cut from its union and answered once per
+    # kept fact set; each of the rewriting's is ground on its own, so a
+    # trial is answered from an earlier one only when it draws the same
+    # facts, g1(c1) included.
+    p, q, given, draws = _tiny_pool_draws(1)
+    cap = max(max(_instance_counts(p, q, facts)) for facts in draws)
+    union = _instance_counts(p, q, frozenset().union(*draws))
+    assert [n > cap for n in union] == [False, True]
+    report, searches = _searches_per_side(monkeypatch, p, q, 12, 1, ground_cap=cap)
+    assert searches == [len({facts - given for facts in draws}), len(set(draws))]
+    assert searches == [3, 5]
+    assert report.fact_sets_tested == 12 and report.skipped == ()
+    assert report._replace(timings_ms=()) == _check_by_programs(
+        p, q, 12, 1, 0.3, None, ground_cap=cap
+    )
 
 
 def test_equivalence_report_is_reproducible(ancestry):
