@@ -337,12 +337,13 @@ def check_equivalence(
     facts: the instances whose positive body those facts derive, which are
     exactly those of grounding the trial alone, kept in the union's order
     and bit numbering (see :func:`_trial_answers`).  No extended program
-    is built.  When the union trips ``ground_cap``, that
-    side grounds each trial on its own instead.  A trial that keeps the
-    added facts of an earlier trial, the facts of ``p`` aside where the
-    side is cut from the union, is answered from that trial on that side,
-    with no cut, grounding or search; only answers are kept, each only
-    while a trial still to run keeps the same facts.  The query is evaluated
+    is built.  When the union trips ``ground_cap``, that side grounds each
+    trial on its own instead.  Either way, each side numbers the drawn
+    facts that ``p`` does not have once, and a trial that adds the same
+    of them as an earlier trial, as one int bitmask, is answered from
+    that trial on that side, with no cut, grounding or search; only
+    answers are kept, each only while a trial still to run keeps the same
+    facts.  The query is evaluated
     over a shared substitution domain, the universe of ``p`` with the
     trial's facts added plus the query's constants, so any reported
     difference is a genuine answer difference.

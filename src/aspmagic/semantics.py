@@ -26,9 +26,12 @@ keyed and how the search is driven stay inside this module.  Since a
 relevant grounding is monotone in the facts, several fact sets share one
 grounding over their union, in one mask form, and each one's own
 grounding is cut from it by the search's own positive closure from its
-facts, the union's bits kept; fact sets that add the same facts, the
+facts, the union's bits kept.  Fact sets that add the same facts, the
 program's own aside, have one grounding, so the answers found for one
-serve the others.  The search then branches over the atoms
+serve the others: the facts the program does not have are numbered once
+per check, and each fact set's are one int bitmask, whether the fact
+sets are cut from their union or, when it is too large, ground one by
+one.  The search then branches over the atoms
 that occur in negative bodies, keeps monotone lower and upper bounds to
 cut hopeless branches early, each carried to a child whose assumptions
 leave it as it was, and enumerates the minimal models of the positive
@@ -748,124 +751,89 @@ def _mask_form(
     return [keys[i] for i in order], masked
 
 
-# What of a fact set fixes its grounding: one bit for each numbered fact,
-# set when the fact set holds it.
-_Kept = bytes
-
 _Masked = tuple[list[_Key], list[tuple[int, int, int]]]
-
-
-def _relevant_searches(
-    p: Program, ground_cap: int, fact_sets: Sequence[Sequence[_Fact]]
-) -> Callable[[int], _Masked]:
-    """The ``search`` of :func:`_trial_groundings`, without what each
-    trial keeps, which :func:`_trial_answers` reads to answer a trial
-    that keeps an earlier trial's added facts from that trial."""
-    return _trial_groundings(p, ground_cap, fact_sets)[1]
-
-
-def _marks(
-    fact_sets: Sequence[Sequence[_Fact]], number: Mapping[_Fact, int]
-) -> list[_Kept]:
-    """For each fact set, one bit for each fact ``number`` numbers, set
-    when the fact set holds it."""
-    size = (len(number) + 7) // 8
-    out = []
-    for facts in fact_sets:
-        marked = bytearray(size)
-        for f in facts:
-            i = number.get(f)
-            if i is not None:
-                marked[i >> 3] |= 1 << (i & 7)
-        out.append(bytes(marked))
-    return out
-
-
-def _bits(marked: _Kept) -> Iterator[int]:
-    """The places of the bits set in ``marked``, in increasing order."""
-    for i, byte in enumerate(marked):
-        while byte:
-            low = byte & -byte
-            yield 8 * i + low.bit_length() - 1
-            byte ^= low
 
 
 def _trial_groundings(
     p: Program, ground_cap: int, fact_sets: Sequence[Sequence[_Fact]]
-) -> tuple[list[_Kept], Callable[[int], _Masked]]:
+) -> tuple[list[int], Callable[[int], _Masked]]:
     """What each fact set keeps, ``kept``, and a function ``search``
     giving for each ``t`` the relevant grounding of ``p`` with
     ``fact_sets[t]`` added (see :func:`_ground_coded`) in the mask form
     of :func:`_mask_form`, every grounding made by one :func:`_grounder`.
-    The union's facts that can change a grounding, or all of them, are
-    numbered here, and ``kept[t]`` has one bit for each, set when trial
-    ``t`` adds it (see :func:`_marks`), so two trials with equal ``kept``
-    have the same grounding.
 
-    With one fact set, the union of the fact sets is that set, so
-    ``search`` grounds it when asked, with nothing cut, and no fact is
-    numbered.  With more, ``p`` is ground once, here, with the union
-    added, and put in mask form once.  A relevant grounding is monotone in
-    the facts: the instances for a fact set are those of the union's
-    grounding whose positive body the fact set derives.  The union's
-    instances of the facts only added, not facts of ``p``, are one run in
-    key order (see :func:`_ground_coded`), and each such fact is numbered
-    by its place in the run; a fact of ``p`` is an instance of ``p``'s own
-    whatever a trial adds.  Trial ``t`` keeps the run's instances of the
-    facts it adds and every instance outside the run, closes them with
-    :func:`_closure`, negation ignored, and keeps the instances whose
-    positive body lies in that closure, their negative bodies cut down to
-    it.  The bits keep the union's key order, with holes where an atom is
-    not derivable for the trial; the search reads only the relative order
-    of bits, so it takes the same choices as on the trial's own
-    grounding, whose instances these are, in the union's order.  The keys
-    are the union's, so a caller reads which atoms are derivable off the
-    heads.  When the union trips ``ground_cap``, every fact of the union
-    is numbered, and each fact set is ground on its own instead; a trial's
-    grounding is part of the union's, so no trial trips the cap when the
-    union does not."""
+    The added facts are numbered once, here, before any trial is cut or
+    ground: the union's facts that ``p`` does not have as a single-head
+    fact, in key order.  ``kept[t]`` is an int with bit ``i`` set when
+    trial ``t`` adds the ``i``-th of them.  A fact of ``p`` is an instance
+    of ``p``'s own, which :func:`_ground_coded` keeps whatever a trial
+    adds, so two trials with equal ``kept`` have the same grounding.  With
+    one fact set nothing is numbered, and ``search`` grounds it when
+    asked.
+
+    With more, ``p`` is ground once, here, with the union added, and put
+    in mask form once.  A relevant grounding is monotone in the facts:
+    the instances for a fact set are those of the union's grounding whose
+    positive body the fact set derives.  The union's instances of the
+    numbered facts are one run in key order, after the bodiless instances
+    of ``p`` (see :func:`_ground_coded`), so the ``i``-th numbered fact is
+    the run's ``i``-th instance.  Trial ``t`` keeps the run's instances
+    of the bits of ``kept[t]`` and every instance outside the run, closes
+    them with :func:`_closure`, negation ignored, and keeps the instances
+    whose positive body lies in that closure, their negative bodies cut
+    down to it.  The bits keep the union's key order, with holes where an
+    atom is not derivable for the trial; the search reads only the
+    relative order of bits, so it takes the same choices as on the
+    trial's own grounding, whose instances these are, in the union's
+    order.  The keys are the union's, so a caller reads which atoms are
+    derivable off the heads.  When the union trips ``ground_cap``, each
+    fact set is ground on its own instead, with the same ``kept``; a
+    trial's grounding is part of the union's, so no trial trips the cap
+    when the union does not."""
     ground = _grounder(p, ground_cap)
 
     def own(t: int) -> _Masked:
         return _mask_form(*ground(fact_sets[t]))
 
     if len(fact_sets) == 1:
-        return [b""], own
+        return [0], own
     union = {f for facts in fact_sets for f in facts}
     try:
         coded = ground(union)
     except GroundingTooLarge:
         # number the facts once the failed grounding is freed
         coded = None
-    if coded is None:
-        return _marks(fact_sets, {f: i for i, f in enumerate(union)}), own
-    keys, derived, instances = coded
-
     program_facts = {
         _key_of(r.head[0])
         for r in p.rules
         if not r.pos_body and not r.neg_body and len(r.head) == 1
     }
-    # the instance of each fact only added, by its key: one run, after
-    # the program's bodiless instances
-    at = {
-        keys[head[0]]: j
-        for j, (head, pos, neg) in enumerate(instances)
-        if not pos and not neg and len(head) == 1 and keys[head[0]] not in program_facts
-    }
-    start = min(at.values(), default=0)
-    stop = start + len(at)
-    number: dict[_Fact, int] = {}
-    for f in union:
-        j = at.get(_key_of(f))
-        if j is not None:
-            number[f] = j - start
-    kept = _marks(fact_sets, number)
-    keys, masked = _mask_form(keys, derived, instances)
+    keyed = {f: _key_of(f) for f in union}
+    place = {k: i for i, k in enumerate(sorted(set(keyed.values()) - program_facts))}
+    number = {f: place[k] for f, k in keyed.items() if k in place}
+    kept: list[int] = []
+    for facts in fact_sets:
+        bits = 0
+        for f in facts:
+            i = number.get(f)
+            if i is not None:
+                bits |= 1 << i
+        kept.append(bits)
+    if coded is None:
+        return kept, own
+    keys, masked = _mask_form(*coded)
+    # the run of added facts ends where the first instance with a body is
+    stop = next((j for j, (_, b, _) in enumerate(masked) if b), len(masked))
+    start = stop - len(place)
 
     def search(t: int) -> _Masked:
-        added = [masked[start + i] for i in _bits(kept[t])]
-        rules = masked[:start] + added + masked[stop:]
+        rules = masked[:start]
+        bits = kept[t]
+        while bits:
+            low = bits & -bits
+            rules.append(masked[start + low.bit_length() - 1])
+            bits ^= low
+        rules += masked[stop:]
         reach = _closure(rules)
         return keys, [(h, b, n & reach) for h, b, n in rules if not b & ~reach]
 
@@ -907,7 +875,7 @@ def answer_sets(
     collects every stable model.  ``candidate_cap`` bounds the number of
     search states examined.
     """
-    keys, masked = _relevant_searches(p, ground_cap, [()])(0)
+    keys, masked = _mask_form(*_grounder(p, ground_cap)())
     atoms = _decode(p, keys)
     budget = _Budget(candidate_cap)
     out = frozenset(
@@ -1068,15 +1036,17 @@ def _trial_answers(
     differential check one per trial.
 
     A search is a function of the domain and the trial's grounding, so
-    of the domain and what the trial keeps (see
-    :func:`_trial_groundings`), which is known for every trial before
-    anything is cut or ground.  So a trial that keeps what an earlier
-    trial kept, over the same domain, is answered from that trial, with
-    the counts its own search would repeat, and without a cut, a
-    grounding or a search.  Only answers are kept, never a grounding, and
-    each only until the last trial that keeps the same facts is answered;
-    a search that trips ``candidate_cap`` keeps nothing, so a trial that
-    repeats it trips it again.
+    of the domain and what the trial keeps: the int bitmask of the facts
+    it adds that ``p`` does not have, numbered once by
+    :func:`_trial_groundings` before any trial is cut or ground, whether
+    the trials are then cut from their union or ground on their own.  So
+    a trial that keeps what an earlier trial kept, over the same domain,
+    is answered from that trial, with the counts its own search would
+    repeat, and without a cut, a grounding or a search.  Only answers are
+    kept, never a grounding, and each only until the last trial that
+    keeps the same facts is answered; a search that trips
+    ``candidate_cap`` keeps nothing, so a trial that repeats it trips it
+    again.
 
     The query is unified with each key list once (see :func:`_matches`):
     the trials cut from one union share its keys, so a side of a check
@@ -1089,7 +1059,7 @@ def _trial_answers(
     # the last trial that keeps each fact set, and the answers found for
     # a fact set that a later trial keeps
     last_kept = {k: t for t, k in enumerate(kept)}
-    known: dict[tuple[_Kept, frozenset[Term]], _Answers] = {}
+    known: dict[tuple[int, frozenset[Term]], _Answers] = {}
 
     def answers(t: int, domain: Iterable[Term]) -> _Answers:
         nonlocal last, matched
@@ -1112,7 +1082,7 @@ def _search_answers(
     matched: list[tuple[int, Substitution]], masked: list[tuple[int, int, int]],
 ) -> _Answers:
     """The answers to ``q`` over a relevant grounding in the mask form of
-    :func:`_relevant_searches`, substitutions ranging over ``domain``, in
+    :func:`_mask_form`, substitutions ranging over ``domain``, in
     each of ``modes`` (``"brave"``, ``"cautious"`` or both) from one
     search, with its number of states and the grounding's number of
     instances.

@@ -38,6 +38,7 @@ from aspmagic.semantics import (
     GROUND_CAP_DEFAULT,
     SolverCapError,
     _trial_answers,
+    _trial_groundings,
 )
 
 
@@ -499,21 +500,40 @@ def test_identical_draws_over_the_ground_cap_are_answered_once(monkeypatch):
     # The fallback of the union-over-the-cap test on the tiny pool: none of
     # seed 1's trials draws both g1(f1) and g1(f2), but their union holds
     # both, and only the rewriting's union trips the largest trial's size.
-    # The original's trials are cut from its union and answered once per
-    # kept fact set; each of the rewriting's is ground on its own, so a
-    # trial is answered from an earlier one only when it draws the same
-    # facts, g1(c1) included.
+    # The original's trials are cut from its union; each of the rewriting's
+    # is ground on its own.  Both sides number the same added facts, the
+    # program's g1(c1) aside, so on each side a trial is answered from an
+    # earlier one that adds the same facts, whether or not it draws g1(c1):
+    # 5 distinct draws keep 3 fact sets.
     p, q, given, draws = _tiny_pool_draws(1)
     cap = max(max(_instance_counts(p, q, facts)) for facts in draws)
     union = _instance_counts(p, q, frozenset().union(*draws))
     assert [n > cap for n in union] == [False, True]
     report, searches = _searches_per_side(monkeypatch, p, q, 12, 1, ground_cap=cap)
-    assert searches == [len({facts - given for facts in draws}), len(set(draws))]
-    assert searches == [3, 5]
+    kept = {facts - given for facts in draws}
+    assert (len(set(draws)), len(kept)) == (5, 3)
+    assert searches == [len(kept)] * 2 == [3, 3]
     assert report.fact_sets_tested == 12 and report.skipped == ()
     assert report._replace(timings_ms=()) == _check_by_programs(
         p, q, 12, 1, 0.3, None, ground_cap=cap
     )
+
+
+def test_one_numbering_serves_the_union_and_each_trial_alone():
+    # The rewriting's union of seed 1's draws has 22 instances and each
+    # trial at most 15, so under a cap of 15 each trial is ground on its
+    # own.  Both paths number the same added facts, g1(f1) then g1(f2) in
+    # key order, and not the program's g1(c1), so a trial that draws only
+    # g1(c1) keeps nothing.
+    p, q, given, draws = _tiny_pool_draws(1)
+    side = dms(q, p)
+    trials = [_instance_counts(p, q, facts)[1] for facts in draws]
+    union = _instance_counts(p, q, frozenset().union(*draws))[1]
+    assert union == 22 > 15 == max(trials)
+    over = _trial_groundings(side, 15, draws)[0]
+    cut = _trial_groundings(side, GROUND_CAP_DEFAULT, draws)[0]
+    assert over == cut == [0, 0, 0, 2, 2, 0, 0, 1, 0, 0, 1, 2]
+    assert [t for t, facts in enumerate(draws) if facts == given] == [0, 6, 8]
 
 
 def test_equivalence_report_is_reproducible(ancestry):

@@ -154,8 +154,8 @@ def test_the_oracle_shares_no_code_with_the_search():
     search = {
         "_closure", "_stable_models", "_minimal_models_masks", "_grounder",
         "_ground_coded", "_compile", "_join", "_mask_form",
-        "_relevant_searches", "_trial_groundings", "_search_answers",
-        "_trial_answers", "answer_sets", "answer_query", "ground",
+        "_trial_groundings", "_search_answers", "_trial_answers",
+        "answer_sets", "answer_query", "ground",
     }
     home = Path(aspmagic.__file__).parent
     semantics = ast.parse((home / "semantics.py").read_text())

@@ -63,8 +63,8 @@ from aspmagic.semantics import (
     _closure,
     _compile,
     _grounder,
-    _relevant_searches,
     _trial_answers,
+    _trial_groundings,
 )
 
 
@@ -230,7 +230,7 @@ def _search_form_of(rules):
 
 
 def _assert_search_reads_ground(p):
-    keys, masked = _relevant_searches(p, GROUND_CAP_DEFAULT, [()])(0)
+    keys, masked = _trial_groundings(p, GROUND_CAP_DEFAULT, [()])[1](0)
     atoms = semantics._decode(p, keys)
     assert (len(masked), atoms, masked) == _search_form_of(ground(p).rules)
 
@@ -627,12 +627,12 @@ def test_every_relevant_atom_is_derivable_at_the_root():
     # the union has holes among its bits, so there the heads are fewer
     # than the keys.
     for side, _, _, drawn in _corpus():
-        keys, masked = _relevant_searches(side, GROUND_CAP_DEFAULT, [drawn])(0)
+        keys, masked = _trial_groundings(side, GROUND_CAP_DEFAULT, [drawn])[1](0)
         assert _closure(masked, 0) == _heads(masked) == (1 << len(keys)) - 1
     for sides, _, draws in _corpus_checks():
         fact_sets = [drawn for _, drawn in draws]
         for side in sides:
-            cut = _relevant_searches(side, GROUND_CAP_DEFAULT, fact_sets)
+            cut = _trial_groundings(side, GROUND_CAP_DEFAULT, fact_sets)[1]
             for t in range(len(fact_sets)):
                 _, masked = cut(t)
                 assert _closure(masked, 0) == _heads(masked)
@@ -730,11 +730,11 @@ def _assert_cut_grounds_like_each_trial(side, q, draws):
     branching follows the instance order, the search takes the same
     states too."""
     fact_sets = [drawn for _, drawn in draws]
-    cut = _relevant_searches(side, GROUND_CAP_DEFAULT, fact_sets)
+    cut = _trial_groundings(side, GROUND_CAP_DEFAULT, fact_sets)[1]
     disjunctive = any(len(r.head) > 1 for r in side.rules)
     for t, (domain, drawn) in enumerate(draws):
         keys, masked = _renumbered(*cut(t))
-        own = _relevant_searches(side, GROUND_CAP_DEFAULT, [drawn])(0)
+        own = _trial_groundings(side, GROUND_CAP_DEFAULT, [drawn])[1](0)
         assert (len(masked), keys) == (len(own[1]), own[0])
         assert sorted(masked) == sorted(own[1])
         for modes in MODES:
