@@ -2,36 +2,34 @@
 
 The solver grounds by relevance: a semi-naive join builds only the rule
 instances whose positive body is derivable with negation ignored, so the
-magic predicates of a rewritten program cut what is instantiated.  The
-join reads each body atom through an argument index on the positions
-already bound, and it codes atoms as integer ids and instances as tuples
-of ids; a positive body is the ids of the rows it matched, so only heads
-and negative bodies are keyed.  Each round visits only the rules that
-read a predicate that grew in the previous one.  The search turns the
-instances straight into bitmasks, and :func:`ground` decodes them into
-rules.  One grounder serves each question, be it one query, one side of
-a differential check or one super-consistency check: it looks each of
-the program's rules up once, a bodiless one as the keys of its atoms and
-any other as a variable layout with one join plan per positive body atom,
-the pivot, built the first time a round can match that pivot, and every
-grounding it makes shares them.  A layout is a function of the rule's
-ordered atoms alone, so the most recently used few hundred shapes keep
-theirs, plans included, for every grounder of the process: the checks of
-a differential sweep rewrite and ground the same few shapes over and
-over.  Nothing of this is kept on the :class:`Rule` objects.  Facts added
-to a fixed program, as those two checks add one fact set after another,
-are passed as atoms to the grounder and keyed like the program's own
-bodiless rules, so no extended program is built for them; how a fact is
-keyed and how the search is driven stay inside this module.  Since a
-relevant grounding is monotone in the facts, several fact sets share one
-grounding over their union, in one mask form, and each one's own
-grounding is cut from it by the search's own positive closure from its
-facts, the union's bits kept.  Fact sets that add the same facts, the
-program's own aside, have one grounding, so the answers found for one
-serve the others: the facts the program does not have are numbered once
-per check, and each fact set's are one int bitmask, whether the fact
-sets are cut from their union or, when it is too large, ground one by
-one.  The search then branches over the atoms
+magic predicates of a rewritten program cut what is instantiated.  Atoms
+are coded as integer ids and instances as tuples of ids.  Each round
+visits only the rules that read a predicate that grew, and each pivot of
+such a rule, the body atom matched against the new atoms, is one loop:
+it reads each body atom through an argument index on the positions
+already bound, takes a positive body as the ids of the rows matched, and
+keys, deduplicates and keeps each instance by the rule's emit plan, with
+no call per instance.  The search turns the instances straight into
+bitmasks, and :func:`ground` decodes them into rules.  One grounder
+serves each question, be it one query, one side of a differential check
+or one super-consistency check: it looks each of the program's rules up
+once, a bodiless one as the keys of its atoms and any other as a layout
+with its emit plan and a join plan per pivot, and every grounding it
+makes shares them.  A layout is a function of the rule's ordered atoms
+alone, so the most recently used few hundred shapes keep theirs for
+every grounder of the process: the checks of a differential sweep
+rewrite and ground the same few shapes over and over.  Facts added to a
+fixed program, as those two checks add one fact set after another, are
+keyed like the program's own bodiless rules, so no extended program is
+built for them.  Since a relevant grounding is monotone in the facts,
+several fact sets share one grounding over their union, in one mask
+form, and each one's own grounding is cut from it by the search's own
+positive closure from its facts, the union's bits kept.  Fact sets that
+add the same facts, the program's own aside, have one grounding, so the
+answers found for one serve the others: the facts the program does not
+have are numbered once per check, and each fact set's are one int
+bitmask, whether the fact sets are cut from their union or, when it is
+too large, ground one by one.  The search then branches over the atoms
 that occur in negative bodies, keeps monotone lower and upper bounds to
 cut hopeless branches early, each carried to a child whose assumptions
 leave it as it was, and enumerates the minimal models of the positive
@@ -39,16 +37,15 @@ remainder at each leaf.  It is deterministic and not meant to compete
 with a real solver; :mod:`~aspmagic.oracle` cross-checks it and shares
 none of its code.
 
-Query answering uses the search, directed by the query.  The
-query atom is matched once against the coded atoms, none of them
-decoded, and once for all the trials cut from one union; the matches
-among the derivable atoms, the heads, are the candidates.  A brave
-query prunes every
-branch whose upper bound holds no candidate still unwitnessed, and each
-answer set found witnesses the candidates it holds; a cautious query
-prunes every branch whose lower bound holds every candidate still
-unrefuted, and each answer set found refutes the candidates it lacks.
-One search may do both, keeping each branch either keeps; it ends once no
+Query answering uses the search, directed by the query.  The query atom
+is matched once against the coded atoms, none of them decoded, and once
+for all the trials cut from one union; the matches among the derivable
+atoms, the heads, are the candidates.  A brave query prunes every branch
+whose upper bound holds no candidate still unwitnessed, and each answer
+set found witnesses the candidates it holds; a cautious query prunes
+every branch whose lower bound holds every candidate still unrefuted,
+and each answer set found refutes the candidates it lacks.  One search
+may do both, keeping each branch either keeps; it ends once no
 candidate is left open.
 """
 
@@ -56,6 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache, partial
+from operator import itemgetter
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -107,17 +105,12 @@ def ground(p: Program, ground_cap: int = GROUND_CAP_DEFAULT) -> Program:
     with negative bodies ignored.
 
     No other instance can fire in an answer set, so these are exactly the
-    instances the search needs.  They are found by a semi-naive join in
-    which each body atom reads only the derived atoms whose already-bound
-    arguments match, through an argument index kept per predicate and per
-    set of bound positions.  The grounder codes atoms as integer ids and
-    instances as tuples of ids; the search reads those directly, and this
-    function decodes the same instances into the rules of a ground
-    :class:`Program`.  Each rule's join plans are built as the rounds
-    need them and kept with its shape's layout (see :func:`_compile`);
-    bodiless rules are ground without a plan.  Instances come in
-    derivation order: each positive body atom heads an earlier instance,
-    and of two instances that collide the first one derived is kept.
+    instances the search needs.  A semi-naive join finds them, in integer
+    coding, keying and keeping each instance in the loop that finds it
+    (see :func:`_ground_coded`); this function decodes them into the rules
+    of a ground :class:`Program`.  Instances come in derivation order:
+    each positive body atom heads an earlier instance, and of two
+    instances that collide the first one derived is kept.
 
     ``ground_cap`` bounds the number of distinct instances as they are
     emitted; crossing it raises :class:`GroundingTooLarge`.
@@ -155,31 +148,33 @@ class _Coded(NamedTuple):
 class _Relation:
     """The argument tuples of one predicate and their atom ids, numbered
     in the order added, with an index per set of bound positions, built
-    on its first lookup and extended by every later row."""
+    on its first lookup and extended by every later row.  An index keys a
+    row by ``itemgetter(*positions)``: one name alone, several as a tuple."""
 
     __slots__ = ("rows", "ids", "_index")
 
     def __init__(self) -> None:
         self.rows: list[tuple[str, ...]] = []
         self.ids: list[int] = []
-        self._index: dict[tuple[int, ...], dict[tuple[str, ...], list[int]]] = {}
+        self._index: dict[tuple[int, ...], tuple[Callable, dict]] = {}
 
     def add(self, args: tuple[str, ...], atom: int) -> None:
         row = len(self.rows)
         self.rows.append(args)
         self.ids.append(atom)
-        for positions, buckets in self._index.items():
-            buckets.setdefault(tuple(args[i] for i in positions), []).append(row)
+        for values, buckets in self._index.values():
+            buckets.setdefault(values(args), []).append(row)
 
-    def lookup(self, positions: tuple[int, ...], key: tuple[str, ...]) -> list[int]:
+    def lookup(self, positions: tuple[int, ...], key: object) -> list[int]:
         """The row numbers, ascending, whose values at ``positions`` are
         ``key``."""
-        buckets = self._index.get(positions)
-        if buckets is None:
-            buckets = self._index[positions] = {}
+        entry = self._index.get(positions)
+        if entry is None:
+            values = itemgetter(*positions)
+            entry = self._index[positions] = values, {}
             for row, args in enumerate(self.rows):
-                buckets.setdefault(tuple(args[i] for i in positions), []).append(row)
-        return buckets.get(key, [])
+                entry[1].setdefault(values(args), []).append(row)
+        return entry[1].get(key, [])
 
 
 def _layout(atoms: Iterable[Atom]) -> tuple[int, list[str | None], dict[str, int]]:
@@ -195,11 +190,11 @@ def _layout(atoms: Iterable[Atom]) -> tuple[int, list[str | None], dict[str, int
     return len(names), template, slot
 
 
-# One join step: the bound positions of a body atom and the slots their
-# values come from, the slots its other positions bind, and the positions
-# that repeat a variable first bound by this same atom.
+# One join step: a body atom's bound positions and an itemgetter of the
+# slots their values come from (None if none), the slots its other positions
+# bind, and the positions repeating a variable this same atom first binds.
 _Pairs = tuple[tuple[int, int], ...]
-_Step = tuple[tuple[int, ...], tuple[int, ...], _Pairs, _Pairs]
+_Step = tuple[tuple[int, ...], Callable[[list], object] | None, _Pairs, _Pairs]
 
 
 def _plan(slots: Sequence[tuple[int, ...]], n: int) -> list[_Step]:
@@ -220,56 +215,9 @@ def _plan(slots: Sequence[tuple[int, ...]], n: int) -> list[_Step]:
                 fresh.add(s)
                 binds.append((pos, s))
         bound |= fresh
-        steps.append((tuple(positions), tuple(keys), tuple(binds), tuple(checks)))
+        values = itemgetter(*keys) if keys else None
+        steps.append((tuple(positions), values, tuple(binds), tuple(checks)))
     return steps
-
-
-def _rows(step: tuple[_Relation, _Step, int, int, int], binding: list) -> Iterator[int]:
-    """The row numbers, ascending, of the rows of the step's relation
-    numbered in ``[lo, hi)`` whose bound positions match ``binding``."""
-    rel, (positions, keys, _, _), _, lo, hi = step
-    if positions:
-        bucket = rel.lookup(positions, tuple([binding[s] for s in keys]))
-        return iter(bucket[bisect_left(bucket, lo) : bisect_left(bucket, hi)])
-    return iter(range(lo, hi))
-
-
-def _join(
-    steps: Sequence[tuple[_Relation, _Step, int, int, int]],
-    binding: list,
-    matched: list[int],
-    found: Callable[[list, list[int]], None],
-) -> None:
-    """Call ``found`` with every extension of ``binding`` under which each
-    step's atom matches a row of its relation numbered in ``[lo, hi)``,
-    and with the atom id of each such row in ``matched`` at the step's
-    body position.
-
-    The steps are walked depth first with an explicit stack holding the
-    row iterator of each step entered, so a long body does not recurse;
-    the extensions come in the order of a recursive walk."""
-    last = len(steps) - 1
-    entered = [_rows(steps[0], binding)]
-    while entered:
-        k = len(entered) - 1
-        rel, (_, _, binds, checks), at, _, _ = steps[k]
-        rows, ids = rel.rows, rel.ids
-        for r in entered[k]:
-            args = rows[r]
-            for pos, s in binds:
-                binding[s] = args[pos]
-            for pos, s in checks:
-                if args[pos] != binding[s]:
-                    break
-            else:
-                matched[at] = ids[r]
-                if k == last:
-                    found(binding, matched)
-                else:
-                    entered.append(_rows(steps[k + 1], binding))
-                    break
-        else:
-            entered.pop()
 
 
 def _key_of(a: _Fact) -> _Key:
@@ -279,31 +227,46 @@ def _key_of(a: _Fact) -> _Key:
     return pred, tuple([t.name for t in args])
 
 
+def _forms(a: _Fact) -> tuple[object, _Key]:
+    """The key of a ground atom, as :func:`_key_of` gives it, after its
+    lookup form: predicate and argument names as one tuple, or the bare
+    predicate of an atom without arguments, as :func:`_compile`'s getters read."""
+    pred, args = a
+    names = tuple([t.name for t in args])
+    return (pred, *names) if names else pred, (pred, names)
+
+
 # A pivot's join plan: its step, then each other positive body atom's step
 # and body position.
 _Plan = tuple[_Step, tuple[tuple[_Step, int], ...]]
+# An atom of an emit plan: an itemgetter of its lookup form (see _forms)
+# from a complete binding, its predicate and its arity.
+_Keyed = tuple[Callable[[list], object], str, int]
 
 
 class _Compiled(NamedTuple):
     """A rule shape with a positive body, laid out for the join: the
-    number of variables and the template binding of :func:`_layout`, and
-    the predicate and argument slots of each atom of its head, positive
-    body and negative body.  ``plans[i]`` is the join plan with positive
-    body atom ``i`` as the pivot, ``None`` until a grounding first needs
-    it: the pivot's join step, then ``(step, position)`` for each other
-    atom, matched after the pivot in body order.  ``preds`` holds the
-    predicates of the positive body."""
+    number of variables, the template binding of :func:`_layout` with a
+    slot for each keyed atom's predicate added, the predicate and slots of
+    each positive body atom, and the emit plan: ``keyed`` reads the head
+    atoms, then from ``split`` on the negative body atoms, off a complete
+    binding, and ``collapse`` tells whether a part has two atoms or more,
+    so that an instance is not its own signature.  ``preds`` holds the
+    positive body's predicates; ``plans[i]`` is the join plan with body
+    atom ``i`` as the pivot, ``None`` until a grounding first needs it:
+    the pivot's step, then ``(step, position)`` for each other atom."""
 
     n: int
     template: tuple[str | None, ...]
-    head: tuple[tuple[str, tuple[int, ...]], ...]
     pos: tuple[tuple[str, tuple[int, ...]], ...]
-    neg: tuple[tuple[str, tuple[int, ...]], ...]
+    keyed: tuple[_Keyed, ...]
+    split: int
+    collapse: bool
     preds: frozenset[str]
     plans: list[_Plan | None]
 
 
-# At most this many rule shapes keep their layout: 512 hold about 1.2 MB
+# At most this many rule shapes keep their layout: 512 hold about 1.1 MB
 # with their plans, and the shapes of a differential sweep repeat enough
 # for two lookups in three to hit.
 _LAYOUTS = 512
@@ -313,21 +276,29 @@ _LAYOUTS = 512
 def _compile(
     head: tuple[Atom, ...], pos_body: tuple[Atom, ...], neg_body: tuple[Atom, ...]
 ) -> _Compiled:
-    """The layout of the rule shape with these atoms, in this order.
+    """The layout of the rule shape with these atoms, in this order, and
+    its emit plan.
 
     A layout depends on nothing but the ordered atoms, so it is made once
     per shape and shared, with the pivot plans :func:`_pivot_plan` adds to
     it, by every grounder that meets the shape.  The key is the ordered
     atoms, not the :class:`Rule`: rules equal as sets of atoms may list
     their bodies in different orders, and a plan records each atom's body
-    position."""
+    position.  The emit plan is as static: one ``itemgetter`` of its
+    predicate's slot and argument slots reads each head and negative body
+    atom's lookup form (see :func:`_forms`) off a complete binding."""
     n, template, slot = _layout((*head, *pos_body, *neg_body))
-    parts = [
-        tuple((a.predicate, tuple(slot[t.name] for t in a.args)) for a in part)
-        for part in (head, pos_body, neg_body)
-    ]
-    preds = frozenset(a.predicate for a in pos_body)
-    return _Compiled(n, tuple(template), *parts, preds, [None] * len(pos_body))
+    keyed = []
+    for a in (*head, *neg_body):
+        template.append(a.predicate)
+        lookup = itemgetter(len(template) - 1, *(slot[t.name] for t in a.args))
+        keyed.append((lookup, a.predicate, len(a.args)))
+    pos = tuple((a.predicate, tuple(slot[t.name] for t in a.args)) for a in pos_body)
+    collapse = max(len(head), len(pos_body), len(neg_body)) > 1
+    return _Compiled(
+        n, tuple(template), pos, tuple(keyed), len(head), collapse,
+        frozenset(a.predicate for a in pos_body), [None] * len(pos),
+    )
 
 
 def _pivot_plan(c: _Compiled, i: int) -> _Plan:
@@ -341,8 +312,9 @@ def _pivot_plan(c: _Compiled, i: int) -> _Plan:
     return plan
 
 
-# A bodiless rule, laid out: the keys of its head and negative body atoms.
-_Bodiless = tuple[tuple[_Key, ...], tuple[_Key, ...]]
+# A bodiless rule, laid out: the lookup forms and keys of its head, then
+# negative body atoms, where the head ends, and whether a part can collapse.
+_Bodiless = tuple[tuple[tuple[object, _Key], ...], int, bool]
 
 
 def _grounder(
@@ -351,22 +323,20 @@ def _grounder(
     """A function ``ground(facts=())`` giving the relevant grounding of
     ``p`` with the ground atoms ``facts`` added (see :func:`_ground_coded`).
 
-    The rules of ``p`` are laid out here, with one lookup each: each
-    bodiless rule as the keys of its atoms, every other one by
-    :func:`_compile`, whose pivot plans the groundings build as they need
-    them, and indexed by the predicates of its positive body, the
-    ``readers`` through which a grounding round finds the rules a grown
-    predicate can feed.  The function keeps these for the caller's
-    question: one query, one side of a differential check, one
+    The rules of ``p`` are laid out here, with one lookup each: a bodiless
+    rule as the lookup forms and keys of its atoms (see :func:`_forms`),
+    any other by :func:`_compile` and indexed by the predicates of its
+    positive body, the ``readers`` through which a round finds the rules
+    a grown predicate can feed.  The function keeps these for the
+    caller's question: one query, one side of a differential check, one
     super-consistency check.  A layout and its plans belong to the rule's
-    shape, not to the question, so later questions that meet the same
-    shape, such as the next check of a differential sweep, find them made;
-    nothing is kept on the rules themselves."""
+    shape, so later questions that meet the shape, such as the next check
+    of a differential sweep, find them made."""
     # a bodiless rule is ground by safety: its atoms go straight to keys
     bodiless = [
-        (tuple(map(_key_of, r.head)), tuple(map(_key_of, r.neg_body)))
-        for r in p.rules
-        if not r.pos_body
+        (tuple(map(_forms, (*r.head, *r.neg_body))), len(r.head),
+         max(len(r.head), len(r.neg_body)) > 1)
+        for r in p.rules if not r.pos_body
     ]
     joined = [_compile(r.head, r.pos_body, r.neg_body) for r in p.rules if r.pos_body]
     readers: dict[str, list[int]] = {}
@@ -388,112 +358,85 @@ def _ground_coded(
     order, with the ground atoms ``facts``, each a ``(predicate, terms)``
     pair such as an :class:`Atom`, added as facts, in integer coding.
 
-    Each derived atom gets an id the first time it is derived, keyed by
-    predicate and argument names; an atom of a negative body that nothing
-    derives gets one too, so instances compare by their ids alone.
-    Bodiless rules come first, their atoms keyed already, followed by
-    ``facts``, keyed the same way, in key order; a fact that repeats an
-    instance is dropped like any other repeat.  So the result is that of
-    ``p.with_facts(facts)``, order included, without building that
-    program; the caller takes the predicates of ``facts`` from ``p`` with
-    their arities, which is what :meth:`Program.with_facts` would check.
-    Every other rule joins along its layout, each join starting from a
-    copy of its template binding.  The join runs in
-    semi-naive rounds.  Each round matches every positive body against the
-    atoms derived so far with one body atom, the pivot, on an atom new in
-    the previous round; atoms before the pivot match old atoms only, so
-    each new combination is found once.  A round visits a pivot only when
-    its predicate grew and every body atom before it has old rows, the only
-    pivots that can match.  ``readers`` maps each body predicate to the
-    indices of the ``joined`` rules that read it, so a round visits, in
-    program order, only the readers of the predicates that grew; it marks
-    the old rows of those predicates alone, as every other predicate's
-    rows are all old.  A pivot's plan is built by :func:`_pivot_plan` the
-    first time any grounding visits that pivot of the rule's shape.  A body
-    atom reads only the rows of its predicate whose already-bound positions
-    match, through the argument
-    index of :class:`_Relation`, and the old/new split is a bisection on
-    the row numbers.  Each row carries its atom id, so an instance's
-    positive body is the ids of the rows matched and only its head and
-    negative body are keyed, inline; the join writes each id at its atom's
-    body position, so the positive body comes out in body order.
-    Instances are kept in the order first emitted, deduplicated on their
-    parts as sets of ids: a part with fewer than two ids as it is, a
-    longer one as its sorted distinct ids.  ``ground_cap`` bounds the
-    distinct ones, bodiless ones and added facts included.
+    An atom gets an id, found by its lookup form (see :func:`_forms`), the
+    first time it is derived or read in a negative body, so instances
+    compare by ids alone.  Instances are kept in the order first emitted,
+    deduplicated on their parts as sets of ids; ``ground_cap`` bounds the
+    distinct ones as each is kept.  One pass seeds the bodiless rules,
+    then ``facts`` in key order, so the result is that of
+    ``p.with_facts(facts)``, order included, without building it; the
+    caller takes the predicates of ``facts`` from ``p`` with their
+    arities, which is what :meth:`Program.with_facts` would check.
+
+    Every other rule joins in semi-naive rounds: a pivot matches the atoms
+    new in the previous round, the body atoms before it old atoms only, so
+    each new combination is found once.  A round visits, in program order,
+    the ``readers`` of the predicates that grew, and in each the pivots
+    whose predicate grew and whose earlier body atoms have old rows, the
+    only pivots that can match.  Each pivot is one loop: it walks its
+    plan's steps depth first from a copy of the rule's template binding,
+    with an explicit stack of row iterators, so a long body does not
+    recurse.  A step reads the rows whose bound positions match through
+    the index of :class:`_Relation`, split old from new by bisection.  A
+    row's atom id is written at its body position, so a positive body is
+    the ids of the rows matched, and a complete binding is keyed by the
+    emit plan (see :class:`_Compiled`), deduplicated and kept in the loop.
     """
     keys: list[_Key] = []
-    ids: dict[_Key, int] = {}
+    ids: dict[object, int] = {}
     derived: list[int] = []
     known: set[int] = set()
-    pending: list[int] = []
     instances: list[_Instance] = []
     distinct: set[tuple] = set()
+    too_large = f"grounding needs more than {ground_cap} instances"
 
-    def atom_id(key: _Key) -> int:
-        i = ids.get(key)
-        if i is None:
-            i = ids[key] = len(keys)
-            keys.append(key)
-        return i
-
-    def emit(
-        head: tuple[int, ...], pos: tuple[int, ...], neg: tuple[int, ...]
-    ) -> None:
-        # each part as a set: sorted and without repeats
-        signature = (
-            head if len(head) < 2 else tuple(sorted(set(head))),
-            pos if len(pos) < 2 else tuple(sorted(set(pos))),
-            neg if len(neg) < 2 else tuple(sorted(set(neg))),
-        )
-        if signature in distinct:
-            return
-        distinct.add(signature)
-        if len(distinct) > ground_cap:
-            raise GroundingTooLarge(
-                f"grounding needs more than {ground_cap} instances"
-            )
-        instances.append((head, pos, neg))
-        for a in head:
-            if a not in known:
-                known.add(a)
-                derived.append(a)
-                pending.append(a)
-
-    def fire(keyed, split: int, binding: list, matched: list) -> None:
-        """Emit the instance of a complete binding: ``keyed`` holds the
-        head atoms, then from ``split`` on the negative body atoms, each
-        keyed here rather than through ``atom_id``, which would cost a call
-        per atom, and the positive body is the ids of the rows matched."""
+    added = [((a,), 1, False) for a in sorted(map(_forms, facts), key=itemgetter(1))]
+    for atoms, split, collapse in [*bodiless, *added]:
         out = []
-        for pred, slots in keyed:
-            key = (pred, tuple([binding[s] for s in slots]))
-            i = ids.get(key)
-            if i is None:
-                i = ids[key] = len(keys)
+        for flat, key in atoms:
+            atom = ids.get(flat)
+            if atom is None:
+                atom = ids[flat] = len(keys)
                 keys.append(key)
-            out.append(i)
-        emit(tuple(out[:split]), tuple(matched), tuple(out[split:]))
-
-    for head, neg in bodiless:
-        emit(tuple([atom_id(k) for k in head]), (), tuple([atom_id(k) for k in neg]))
-    for key in sorted(map(_key_of, facts)):
-        emit((atom_id(key),), (), ())
+            out.append(atom)
+        head, neg = tuple(out[:split]), tuple(out[split:])
+        instance = head, (), neg
+        # sorting a part of fewer than two ids leaves it as it is
+        signature = instance if not collapse else (
+            tuple(sorted(set(head))), (), tuple(sorted(set(neg)))
+        )
+        if signature not in distinct:
+            distinct.add(signature)
+            if len(distinct) > ground_cap:
+                raise GroundingTooLarge(too_large)
+            instances.append(instance)
+            for atom in head:
+                if atom not in known:
+                    known.add(atom)
+                    derived.append(atom)
 
     relations: dict[str, _Relation] = {}
-    while pending:
+    # derived[done:] are the atoms new since the last round
+    done = 0
+    while done < len(derived):
         # the old rows of each predicate that grew; any other has no new row
         mark: dict[str, int] = {}
-        for a in pending:
-            pred, args = keys[a]
+        for atom in derived[done:]:
+            pred, args = keys[atom]
             rel = relations.get(pred)
             if rel is None:
                 rel = relations[pred] = _Relation()
             if pred not in mark:
                 mark[pred] = len(rel.rows)
-            rel.add(args, a)
-        pending.clear()
-        for k in sorted({k for pred in mark for k in readers.get(pred, ())}):
+            rel.add(args, atom)
+        done = len(derived)
+        if len(mark) == 1:
+            visit = readers.get(next(iter(mark)), ())
+        else:
+            visit = sorted({k for pred in mark for k in readers.get(pred, ())})
+        # each pivot that can match, in visiting order, with its plan's steps
+        walks = []
+        for k in visit:
             c = joined[k]
             # each body atom's relation and old rows; no match without rows
             body = []
@@ -503,7 +446,6 @@ def _ground_coded(
                     break
                 body.append((rel, mark.get(pred, len(rel.rows))))
             else:
-                found = partial(fire, c.head + c.neg, len(c.head))
                 for i, (rel, old) in enumerate(body):
                     if old < len(rel.rows):
                         first, others = _pivot_plan(c, i)
@@ -512,10 +454,68 @@ def _ground_coded(
                             other, other_old = body[j]
                             hi = other_old if j < i else len(other.rows)
                             steps.append((other, step, j, 0, hi))
-                        _join(steps, list(c.template), [0] * len(steps), found)
+                        walks.append((c, steps))
                     if not old:
                         # pivots after this atom match it against old rows
                         break
+
+        for c, steps in walks:
+            keyed, split, collapse = c.keyed, c.split, c.collapse
+            binding = list(c.template)
+            matched = [0] * len(steps)
+            last = len(steps) - 1
+            entered: list[Iterator[int]] = []
+            d = 0
+            while d >= 0:
+                rel, (positions, values, binds, checks), at, lo, hi = steps[d]
+                if d == len(entered):
+                    if positions:
+                        bucket = rel.lookup(positions, values(binding))
+                        hits = bucket[bisect_left(bucket, lo) : bisect_left(bucket, hi)]
+                    else:
+                        hits = range(lo, hi)
+                    entered.append(iter(hits))
+                rows, row_ids = rel.rows, rel.ids
+                for r in entered[d]:
+                    args = rows[r]
+                    for p, s in binds:
+                        binding[s] = args[p]
+                    for p, s in checks:
+                        if args[p] != binding[s]:
+                            break
+                    else:
+                        matched[at] = row_ids[r]
+                        if d < last:
+                            d += 1
+                            break
+                        out = []
+                        for lookup, pred, arity in keyed:
+                            flat = lookup(binding)
+                            atom = ids.get(flat)
+                            if atom is None:
+                                atom = ids[flat] = len(keys)
+                                keys.append((pred, flat[1:] if arity else ()))
+                            out.append(atom)
+                        out = tuple(out)
+                        head, pos, neg = out[:split], tuple(matched), out[split:]
+                        instance = head, pos, neg
+                        signature = instance if not collapse else (
+                            head if len(head) < 2 else tuple(sorted(set(head))),
+                            pos if len(pos) < 2 else tuple(sorted(set(pos))),
+                            neg if len(neg) < 2 else tuple(sorted(set(neg))),
+                        )
+                        if signature not in distinct:
+                            distinct.add(signature)
+                            if len(distinct) > ground_cap:
+                                raise GroundingTooLarge(too_large)
+                            instances.append(instance)
+                            for atom in head:
+                                if atom not in known:
+                                    known.add(atom)
+                                    derived.append(atom)
+                else:
+                    entered.pop()
+                    d -= 1
 
     return _Coded(keys, derived, instances)
 

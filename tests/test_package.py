@@ -153,7 +153,7 @@ def test_the_oracle_shares_no_code_with_the_search():
     # routines, and the search never reaches back into the oracle.
     search = {
         "_closure", "_stable_models", "_minimal_models_masks", "_grounder",
-        "_ground_coded", "_compile", "_join", "_mask_form",
+        "_ground_coded", "_compile", "_mask_form",
         "_trial_groundings", "_search_answers", "_trial_answers",
         "answer_sets", "answer_query", "ground",
     }

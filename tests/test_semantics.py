@@ -150,6 +150,71 @@ def test_ground_cap_counts_instantiated_rules():
         ground(p, ground_cap=205)
 
 
+@pytest.mark.parametrize(
+    "text, added, last",
+    [
+        # the last instance is a bodiless rule, two atoms in each part
+        ("e(a). e(b). f v g :- not h, not k.", [], ((2, 3), (), (4, 5))),
+        # the last is an added fact; e(b) repeats a fact of the program
+        ("e(a). e(b). p(X) :- f(X).", ["e(b)", "e(c)"], ((2,), (), ())),
+        # the last is joined; q(b), q(a) repeats q(a), q(b) as a set
+        ("q(a). q(b). r :- q(X), q(Y).", [], ((2,), (1, 1), ())),
+    ],
+    ids=["bodiless", "added_fact", "joined"],
+)
+def test_ground_cap_counts_distinct_instances_on_every_path(text, added, last):
+    p = parse_program(text)
+    facts = [next(iter(_atoms(a))) for a in added]
+    coded = _grounder(p)(facts)
+    n = len(coded.instances)
+    assert coded.instances[-1] == last
+    assert _grounder(p, n)(facts) == coded
+    message = f"grounding needs more than {n - 1} instances"
+    with pytest.raises(GroundingTooLarge, match=f"^{message}$"):
+        _grounder(p, n - 1)(facts)
+
+
+def test_an_instance_whose_parts_collapse_keeps_its_listed_form():
+    # Each part is deduplicated as a set of ids, but an instance is kept
+    # as it was derived: p(a) v p(a) holds atom 2 twice.
+    p = parse_program(
+        "e(a,a). e(a,b). p(X) v p(Y) :- e(X,Y). "
+        "r(X) :- e(X,Y), not p(X), not p(Y)."
+    )
+    assert _grounder(p)().instances == [
+        ((0,), (), ()), ((1,), (), ()), ((2, 2), (0,), ()), ((2, 3), (1,), ()),
+        ((4,), (0,), (2, 2)), ((4,), (1,), (2, 3)),
+    ]
+
+
+def test_grounding_makes_no_call_per_instance():
+    # 30 facts e and 900 instances of the rule over 60 atoms: the join
+    # binds, keys and deduplicates each instance without a call.
+    p = parse_program("p(X) :- e(X), e(Y). " + " ".join(f"e(c{i})." for i in range(30)))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        # comprehensions and generators are frames of their own before
+        # Python 3.12, and a generator's every resumption is a call
+        if (
+            event == "call"
+            and frame.f_globals.get("__name__") == semantics.__name__
+            and not code.co_name.startswith("<")
+        ):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        coded = _grounder(p)()
+    finally:
+        sys.setprofile(previous)
+    assert (len(coded.instances), len(coded.keys)) == (930, 60)
+    assert calls < 2 * len(coded.keys), calls
+
+
 def _derivable(rules):
     """The atoms derivable from ``rules`` with negative bodies ignored, by
     naive iteration to the least fixpoint."""
