@@ -27,6 +27,7 @@ from .semantics import (
     GROUND_CAP_DEFAULT,
     SolverCapError,
     Substitution,
+    _number,
     _trial_answers,
     answer_query,
 )
@@ -331,30 +332,34 @@ def check_equivalence(
     The rewriting is computed once, and so are the candidate facts of
     :func:`random_edb`, before the first trial.  Each trial draws its
     facts as ``random_edb`` would, and every draw is made before the first
-    trial.  Each side is ground once, with the union of the draws added as
-    facts, and put in the search's mask form once.  Each trial's grounding
-    is cut from it by the search's own positive closure from the trial's
-    facts: the instances whose positive body those facts derive, which are
-    exactly those of grounding the trial alone, kept in the union's order
-    and bit numbering (see :func:`_trial_answers`).  No extended program
-    is built.  When the union trips ``ground_cap``, that side grounds each
-    trial on its own instead.  Either way, each side numbers the drawn
-    facts that ``p`` does not have once, and a trial that adds the same
-    of them as an earlier trial, as one int bitmask, is answered from
-    that trial on that side, with no cut, grounding or search; only
-    answers are kept, each only while a trial still to run keeps the same
-    facts.  The query is evaluated
-    over a shared substitution domain, the universe of ``p`` with the
-    trial's facts added plus the query's constants, so any reported
-    difference is a genuine answer difference.
+    trial.  The draws are then prepared once for both sides: the drawn
+    facts that ``p`` does not have are formed, sorted and numbered, and
+    each trial keeps an int bitmask of those it adds.  The rewriting
+    keeps the extensional facts of ``p``, over which the draws range, so
+    this one numbering serves it too.  Each side is ground once, with the
+    union of the draws added as facts, and put in the search's mask form
+    once.  Each trial's grounding is cut from it by the search's own
+    positive closure from the trial's facts: the instances whose positive
+    body those facts derive, which are exactly those of grounding the
+    trial alone, kept in the union's order and bit numbering (see
+    :func:`_trial_answers`).  No extended program is built.  When the
+    union trips ``ground_cap``, that side grounds each trial on its own
+    instead.  Either way, a trial that keeps what an earlier trial kept
+    is answered from that trial on that side, with no cut, grounding or
+    search; only answers are kept, each only while a trial still to run
+    keeps the same facts.  The query is evaluated over a shared
+    substitution domain, the universe of ``p`` with the trial's facts
+    added plus the query's constants, so any reported difference is a
+    genuine answer difference.
     Each side is answered by one directed search, the one ``aspmagic
     query`` runs, settling its brave and cautious answers together;
     ``timings_ms`` holds the time of each side's grounding, search and
     answering, or of its lookup for a trial answered from an earlier
     one, and the first trial tested also carries each side's shared
-    grounding.  Trials tripping a solver cap are skipped and counted;
-    nothing is kept for them, so a trial that repeats one trips the cap
-    again.
+    grounding.  Like the draws, their preparation is set-up of the
+    check, and neither side's time includes it.  Trials tripping a
+    solver cap are skipped and counted; nothing is kept for them, so a
+    trial that repeats one trips the cap again.
     """
     import hashlib  # loaded only here, not by every CLI call
 
@@ -368,12 +373,15 @@ def check_equivalence(
         _draw_edb(candidates, seed * 1_000_003 + t, density, max_facts)
         for t in range(trials)
     ]
+    numbered = _number(p, draws)
     # each side is ground once for all trials, and the first trial
     # tested is charged with that time
     sides, shared = [], []
     for side in (p, rewritten) if draws else ():
         t0 = time.perf_counter()
-        sides.append(_trial_answers(side, q, modes, ground_cap, candidate_cap, draws))
+        sides.append(
+            _trial_answers(side, q, modes, ground_cap, candidate_cap, numbered)
+        )
         shared.append((time.perf_counter() - t0) * 1000.0)
     bad: dict[str, list[Mismatch]] = {mode: [] for mode in modes}
     counts: list[tuple[int, int]] = []

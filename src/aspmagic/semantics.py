@@ -27,15 +27,15 @@ form, and each one's own grounding is cut from it by the search's own
 positive closure from its facts, the union's bits kept.  Fact sets that
 add the same facts, the program's own aside, have one grounding, so the
 answers found for one serve the others: the facts the program does not
-have are numbered once per check, and each fact set's are one int
-bitmask, whether the fact sets are cut from their union or, when it is
-too large, ground one by one.  The search then branches over the atoms
-that occur in negative bodies, keeps monotone lower and upper bounds to
-cut hopeless branches early, each carried to a child whose assumptions
-leave it as it was, and enumerates the minimal models of the positive
-remainder at each leaf.  It is deterministic and not meant to compete
-with a real solver; :mod:`~aspmagic.oracle` cross-checks it and shares
-none of its code.
+have are numbered once per check, for both of its sides, and each fact
+set's are one int bitmask, whether the fact sets are cut from their
+union or, when it is too large, ground one by one.  The search then
+branches over the atoms that occur in negative bodies, keeps monotone
+lower and upper bounds to cut hopeless branches early, each carried to a
+child whose assumptions leave it as it was, and enumerates the minimal
+models of the positive remainder at each leaf.  It is deterministic and
+not meant to compete with a real solver; :mod:`~aspmagic.oracle`
+cross-checks it and shares none of its code.
 
 Query answering uses the search, directed by the query.  The query atom
 is matched once against the coded atoms, none of them decoded, and once
@@ -320,8 +320,8 @@ _Bodiless = tuple[tuple[tuple[object, _Key], ...], int, bool]
 def _grounder(
     p: Program, ground_cap: int = GROUND_CAP_DEFAULT
 ) -> Callable[..., _Coded]:
-    """A function ``ground(facts=())`` giving the relevant grounding of
-    ``p`` with the ground atoms ``facts`` added (see :func:`_ground_coded`).
+    """A function ``ground(added=())`` giving the relevant grounding of
+    ``p`` with the facts ``added`` (see :func:`_ground_coded`).
 
     The rules of ``p`` are laid out here, with one lookup each: a bodiless
     rule as the lookup forms and keys of its atoms (see :func:`_forms`),
@@ -351,22 +351,22 @@ def _ground_coded(
     joined: Sequence[_Compiled],
     readers: Mapping[str, Sequence[int]],
     ground_cap: int,
-    facts: Iterable[_Fact] = (),
+    added: Iterable[tuple[object, _Key]] = (),
 ) -> _Coded:
     """The relevant grounding of a program ``p``, laid out by
     :func:`_grounder` as its ``bodiless`` and ``joined`` rules in program
-    order, with the ground atoms ``facts``, each a ``(predicate, terms)``
-    pair such as an :class:`Atom`, added as facts, in integer coding.
+    order, with facts ``added``, ground atoms in key order, each as its
+    lookup form and key (see :func:`_forms`), in integer coding.
 
     An atom gets an id, found by its lookup form (see :func:`_forms`), the
     first time it is derived or read in a negative body, so instances
     compare by ids alone.  Instances are kept in the order first emitted,
     deduplicated on their parts as sets of ids; ``ground_cap`` bounds the
     distinct ones as each is kept.  One pass seeds the bodiless rules,
-    then ``facts`` in key order, so the result is that of
-    ``p.with_facts(facts)``, order included, without building it; the
-    caller takes the predicates of ``facts`` from ``p`` with their
-    arities, which is what :meth:`Program.with_facts` would check.
+    then ``added``, so the result is that of ``p.with_facts`` of those
+    atoms, order included, without building it; the caller takes their
+    predicates from ``p`` with their arities, which is what
+    :meth:`Program.with_facts` would check, and forms and sorts them.
 
     Every other rule joins in semi-naive rounds: a pivot matches the atoms
     new in the previous round, the body atoms before it old atoms only, so
@@ -390,8 +390,7 @@ def _ground_coded(
     distinct: set[tuple] = set()
     too_large = f"grounding needs more than {ground_cap} instances"
 
-    added = [((a,), 1, False) for a in sorted(map(_forms, facts), key=itemgetter(1))]
-    for atoms, split, collapse in [*bodiless, *added]:
+    for atoms, split, collapse in [*bodiless, *[((a,), 1, False) for a in added]]:
         out = []
         for flat, key in atoms:
             atom = ids.get(flat)
@@ -754,77 +753,78 @@ def _mask_form(
 _Masked = tuple[list[_Key], list[tuple[int, int, int]]]
 
 
+# The facts that fact sets add to a program, in the form and order that
+# _ground_coded takes, and what each fact set keeps of them (see _number).
+_Draws = tuple[list[tuple[object, _Key]], list[int]]
+
+
+def _number(p: Program, fact_sets: Sequence[Iterable[_Fact]]) -> _Draws:
+    """The facts of ``fact_sets`` that ``p`` does not have as a single-head
+    fact, numbered once in key order, which is their order as atoms, and
+    each fact set's ``kept``, an int with bit ``i`` set when it adds the
+    ``i``-th.  A fact of ``p`` is an instance of ``p``'s own, which
+    :func:`_ground_coded` keeps whatever a fact set adds, so fact sets
+    with equal ``kept`` have the same grounding.
+
+    A differential check numbers its draws once, on the original, for
+    both sides: the draws range over the original's extensional
+    predicates, whose facts the rewriting keeps; the facts it changes are
+    intensional ones, which it guards, and the magic seed, which it adds,
+    and neither is ever drawn."""
+    union = {f for facts in fact_sets for f in facts}
+    for r in p.rules:
+        if len(r.head) == 1 and not r.pos_body and not r.neg_body:
+            union.discard(r.head[0])
+    order = sorted(union)
+    place = {f: 1 << i for i, f in enumerate(order)}
+    kept = [sum({place.get(f, 0) for f in facts}) for facts in fact_sets]
+    return list(map(_forms, order)), kept
+
+
 def _trial_groundings(
-    p: Program, ground_cap: int, fact_sets: Sequence[Sequence[_Fact]]
-) -> tuple[list[int], Callable[[int], _Masked]]:
-    """What each fact set keeps, ``kept``, and a function ``search``
-    giving for each ``t`` the relevant grounding of ``p`` with
-    ``fact_sets[t]`` added (see :func:`_ground_coded`) in the mask form
-    of :func:`_mask_form`, every grounding made by one :func:`_grounder`.
+    p: Program, ground_cap: int, draws: _Draws
+) -> Callable[[int], _Masked]:
+    """A function ``search`` giving for each ``t`` the relevant grounding
+    of ``p`` with the facts that trial ``t`` keeps of ``draws`` added (see
+    :func:`_number` and :func:`_ground_coded`) in the mask form of
+    :func:`_mask_form`, every grounding made by one :func:`_grounder`.
+    With one fact set, ``search`` grounds it when asked.
 
-    The added facts are numbered once, here, before any trial is cut or
-    ground: the union's facts that ``p`` does not have as a single-head
-    fact, in key order.  ``kept[t]`` is an int with bit ``i`` set when
-    trial ``t`` adds the ``i``-th of them.  A fact of ``p`` is an instance
-    of ``p``'s own, which :func:`_ground_coded` keeps whatever a trial
-    adds, so two trials with equal ``kept`` have the same grounding.  With
-    one fact set nothing is numbered, and ``search`` grounds it when
-    asked.
-
-    With more, ``p`` is ground once, here, with the union added, and put
-    in mask form once.  A relevant grounding is monotone in the facts:
-    the instances for a fact set are those of the union's grounding whose
-    positive body the fact set derives.  The union's instances of the
-    numbered facts are one run in key order, after the bodiless instances
-    of ``p`` (see :func:`_ground_coded`), so the ``i``-th numbered fact is
-    the run's ``i``-th instance.  Trial ``t`` keeps the run's instances
-    of the bits of ``kept[t]`` and every instance outside the run, closes
-    them with :func:`_closure`, negation ignored, and keeps the instances
-    whose positive body lies in that closure, their negative bodies cut
-    down to it.  The bits keep the union's key order, with holes where an
-    atom is not derivable for the trial; the search reads only the
-    relative order of bits, so it takes the same choices as on the
-    trial's own grounding, whose instances these are, in the union's
-    order.  The keys are the union's, so a caller reads which atoms are
-    derivable off the heads.  When the union trips ``ground_cap``, each
-    fact set is ground on its own instead, with the same ``kept``; a
-    trial's grounding is part of the union's, so no trial trips the cap
-    when the union does not."""
+    With more, ``p`` is ground once, here, with every fact of ``draws``
+    added, and put in mask form once.  A relevant grounding is monotone
+    in the facts: the instances for a fact set are those of the union's
+    grounding whose positive body the fact set derives.  The union's
+    instances of the added facts are one run in key order, after the
+    bodiless instances of ``p`` (see :func:`_ground_coded`), so
+    ``added[i]`` is the run's ``i``-th instance.  Trial ``t`` keeps the
+    run's instances of the bits of ``kept[t]`` and every instance outside
+    the run, closes them with :func:`_closure`, negation ignored, and
+    keeps the instances whose positive body lies in that closure, their
+    negative bodies cut down to it.  The bits keep the union's key order,
+    with holes where an atom is not derivable for the trial; the search
+    reads only the relative order of bits, so it takes the same choices
+    as on the trial's own grounding, whose instances these are, in the
+    union's order.  The keys are the union's, so a caller reads which
+    atoms are derivable off the heads.  When the union trips
+    ``ground_cap``, each fact set is ground on its own instead; a trial's
+    grounding is part of the union's, so no trial trips the cap when the
+    union does not."""
     ground = _grounder(p, ground_cap)
+    added, kept = draws
 
     def own(t: int) -> _Masked:
-        return _mask_form(*ground(fact_sets[t]))
+        bits = kept[t]
+        return _mask_form(*ground([a for i, a in enumerate(added) if bits >> i & 1]))
 
-    if len(fact_sets) == 1:
-        return [0], own
-    union = {f for facts in fact_sets for f in facts}
+    if len(kept) == 1:
+        return own
     try:
-        coded = ground(union)
+        keys, masked = _mask_form(*ground(added))
     except GroundingTooLarge:
-        # number the facts once the failed grounding is freed
-        coded = None
-    program_facts = {
-        _key_of(r.head[0])
-        for r in p.rules
-        if not r.pos_body and not r.neg_body and len(r.head) == 1
-    }
-    keyed = {f: _key_of(f) for f in union}
-    place = {k: i for i, k in enumerate(sorted(set(keyed.values()) - program_facts))}
-    number = {f: place[k] for f, k in keyed.items() if k in place}
-    kept: list[int] = []
-    for facts in fact_sets:
-        bits = 0
-        for f in facts:
-            i = number.get(f)
-            if i is not None:
-                bits |= 1 << i
-        kept.append(bits)
-    if coded is None:
-        return kept, own
-    keys, masked = _mask_form(*coded)
+        return own
     # the run of added facts ends where the first instance with a body is
     stop = next((j for j, (_, b, _) in enumerate(masked) if b), len(masked))
-    start = stop - len(place)
+    start = stop - len(added)
 
     def search(t: int) -> _Masked:
         rules = masked[:start]
@@ -837,7 +837,7 @@ def _trial_groundings(
         reach = _closure(rules)
         return keys, [(h, b, n & reach) for h, b, n in rules if not b & ~reach]
 
-    return kept, search
+    return search
 
 
 def _consistent(
@@ -850,7 +850,7 @@ def _consistent(
     ground = _grounder(p, ground_cap)
 
     def consistent(facts: Iterable[_Fact]) -> bool:
-        _, masked = _mask_form(*ground(facts))
+        _, masked = _mask_form(*ground(map(_forms, sorted(facts))))
         return next(_stable_models(masked, _Budget(candidate_cap)), None) is not None
 
     return consistent
@@ -1017,7 +1017,7 @@ def answer_query(
     if mode not in ("brave", "cautious"):
         raise ValueError(f"unknown query mode {mode!r}")
     answers, *counts = _trial_answers(
-        p, q, (mode,), ground_cap, candidate_cap, [()]
+        p, q, (mode,), ground_cap, candidate_cap, ([], [0])
     )(0, universe(p) if domain is None else domain)
     return QueryAnswer(answers[mode], *counts)
 
@@ -1027,32 +1027,32 @@ _Answers = tuple[dict[str, frozenset[Substitution]], int, int]
 
 def _trial_answers(
     p: Program, q: Query, modes: Sequence[str], ground_cap: int,
-    candidate_cap: int, fact_sets: Sequence[Sequence[_Fact]],
+    candidate_cap: int, draws: _Draws,
 ) -> Callable[[int, Iterable[Term]], _Answers]:
     """A function giving for each ``t`` and ``domain`` the answers to
-    ``q`` over ``p`` with ``fact_sets[t]`` added, as
-    :func:`_search_answers` gives them, over the groundings of
-    :func:`_trial_groundings`: one query passes one fact set, a
-    differential check one per trial.
+    ``q`` over ``p`` with the facts that trial ``t`` keeps of ``draws``
+    added, as :func:`_search_answers` gives them, over the groundings of
+    :func:`_trial_groundings`: one query passes one empty fact set, a
+    differential check one per trial, numbered by :func:`_number`.
 
     A search is a function of the domain and the trial's grounding, so
     of the domain and what the trial keeps: the int bitmask of the facts
-    it adds that ``p`` does not have, numbered once by
-    :func:`_trial_groundings` before any trial is cut or ground, whether
-    the trials are then cut from their union or ground on their own.  So
-    a trial that keeps what an earlier trial kept, over the same domain,
-    is answered from that trial, with the counts its own search would
-    repeat, and without a cut, a grounding or a search.  Only answers are
-    kept, never a grounding, and each only until the last trial that
-    keeps the same facts is answered; a search that trips
-    ``candidate_cap`` keeps nothing, so a trial that repeats it trips it
-    again.
+    it adds that ``p`` does not have, numbered once before any trial is
+    cut or ground, whether the trials are then cut from their union or
+    ground on their own.  So a trial that keeps what an earlier trial
+    kept, over the same domain, is answered from that trial, with the
+    counts its own search would repeat, and without a cut, a grounding or
+    a search.  Only answers are kept, never a grounding, and each only
+    until the last trial that keeps the same facts is answered; a search
+    that trips ``candidate_cap`` keeps nothing, so a trial that repeats
+    it trips it again.
 
     The query is unified with each key list once (see :func:`_matches`):
     the trials cut from one union share its keys, so a side of a check
     unifies once, and a fact set ground on its own, alone or because the
     union tripped ``ground_cap``, unifies with its own keys."""
-    kept, search = _trial_groundings(p, ground_cap, fact_sets)
+    search = _trial_groundings(p, ground_cap, draws)
+    _, kept = draws
     # the last key list searched, and the query's matches among its keys
     last: list[_Key] | None = None
     matched: list[tuple[int, Substitution]] = []

@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from itertools import count, islice, product, starmap
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
@@ -313,8 +314,9 @@ class Program(_Frozen):
 
     @property
     def predicates(self) -> Mapping[str, int]:
-        """Predicate name to arity, over every atom of the program."""
-        return dict(self._arities)
+        """Predicate name to arity, over every atom of the program, as a
+        read-only view: nothing is copied."""
+        return MappingProxyType(self._arities)
 
     @cached_property
     def constants(self) -> frozenset[Term]:
@@ -391,16 +393,15 @@ def edb_idb_split(p: Program) -> tuple[tuple[Rule, ...], tuple[Rule, ...]]:
     A predicate is extensional when all of its defining rules are facts
     (predicates without defining rules count as extensional too).  The first
     component holds the facts of extensional predicates, the second holds
-    every other rule; together they partition the program.
+    every other rule; together they partition the program.  A rule that
+    is not a fact heads intensional predicates alone, so its first head
+    atom's predicate decides on which side a rule falls.
     """
-    edb = p.edb_predicates
+    idb = p.idb_predicates
     edb_rules = []
     idb_rules = []
     for rule in p.rules:
-        if rule.is_fact and rule.head[0].predicate in edb:
-            edb_rules.append(rule)
-        else:
-            idb_rules.append(rule)
+        (idb_rules if rule.head[0].predicate in idb else edb_rules).append(rule)
     return tuple(edb_rules), tuple(idb_rules)
 
 

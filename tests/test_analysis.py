@@ -26,6 +26,7 @@ from aspmagic.semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
     _Budget,
+    _number,
     _stable_models,
     _trial_groundings,
 )
@@ -266,8 +267,9 @@ def _sc_by_programs(p, budget):
         if tested >= budget:
             return ScStatus.BUDGET_EXCEEDED, None, tested
         tested += 1
-        search = _trial_groundings(p.with_facts(combo), GROUND_CAP_DEFAULT, [()])[1]
-        _, masked = search(0)
+        _, masked = _trial_groundings(
+            p.with_facts(combo), GROUND_CAP_DEFAULT, _number(p, [()])
+        )(0)
         if next(_stable_models(masked, _Budget(CANDIDATE_CAP_DEFAULT)), None) is None:
             return ScStatus.NOT_SUPER_CONSISTENT, frozenset(combo), tested
     return ScStatus.SUPER_CONSISTENT, None, tested

@@ -37,6 +37,7 @@ from aspmagic.semantics import (
     CANDIDATE_CAP_DEFAULT,
     GROUND_CAP_DEFAULT,
     SolverCapError,
+    _number,
     _trial_answers,
     _trial_groundings,
 )
@@ -298,10 +299,10 @@ def _check_by_programs(
         domain = universe(side_a) | qconsts
         try:
             answers_a, _, rules_a = _trial_answers(
-                side_a, q, modes, ground_cap, candidate_cap, [()]
+                side_a, q, modes, ground_cap, candidate_cap, _number(side_a, [()])
             )(0, domain)
             answers_b, _, rules_b = _trial_answers(
-                side_b, q, modes, ground_cap, candidate_cap, [()]
+                side_b, q, modes, ground_cap, candidate_cap, _number(side_b, [()])
             )(0, domain)
         except SolverCapError as exc:
             skipped.append(f"trial {t}: {exc}")
@@ -322,18 +323,33 @@ def _check_by_programs(
     )
 
 
-@pytest.mark.parametrize("profile", ["stratified", "odd_cycle_free", "arbitrary"])
-def test_equivalence_reports_what_extended_programs_report(profile):
+@pytest.mark.parametrize(
+    ("profile", "ground_cap"),
+    [
+        pytest.param(profile, cap, id=profile + suffix)
+        for cap, suffix in ((GROUND_CAP_DEFAULT, ""), (30, "-cap30"))
+        for profile in ("stratified", "odd_cycle_free", "arbitrary")
+    ],
+)
+def test_equivalence_reports_what_extended_programs_report(profile, ground_cap):
+    # At a cap of 30, 191 of the 600 sides trip it on the union of their
+    # draws and ground each trial on its own.
     with_facts = 0
     for seed in range(100):
         p = random_program(seed, profile)
         q = random_query(p, seed)
         max_facts = (8, None, 3)[seed % 3]
-        report = check_equivalence(p, q, 4, seed, 0.3, max_facts=max_facts)
+        report = check_equivalence(
+            p, q, 4, seed, 0.3, max_facts=max_facts, ground_cap=ground_cap
+        )
         assert len(report.timings_ms) == report.fact_sets_tested
         assert report._replace(timings_ms=()) == _check_by_programs(
-            p, q, 4, seed, 0.3, max_facts
+            p, q, 4, seed, 0.3, max_facts, ground_cap=ground_cap
         ), seed
+        # the rewriting numbers the check's draws as the original does
+        draws = [random_edb(p, seed * 1_000_003 + t, 0.3, max_facts=max_facts)
+                 for t in range(4)]
+        assert _kept(p, draws) == _kept(dms(q, p), draws), seed
         with_facts += sum(
             1 for mm in report.brave_mismatches + report.cautious_mismatches
             if mm.fact_set
@@ -519,21 +535,47 @@ def test_identical_draws_over_the_ground_cap_are_answered_once(monkeypatch):
     )
 
 
+def _kept(side, draws):
+    """What each of ``draws`` keeps on ``side``: the int bitmask of the
+    added facts it draws that ``side`` does not have."""
+    return _number(side, draws)[1]
+
+
+# g1(c1) is an extensional fact, and p1(c1) an intensional one, which the
+# rewriting for p1(c1)? guards: p1(c1) :- magic_p1_b(c1).
+_IDB_FACT = "g1(c1). p1(c1). p1(X) :- g1(X), not p2(X). p2(X) :- g1(X), not p1(X)."
+
+
 def test_one_numbering_serves_the_union_and_each_trial_alone():
     # The rewriting's union of seed 1's draws has 22 instances and each
     # trial at most 15, so under a cap of 15 each trial is ground on its
-    # own.  Both paths number the same added facts, g1(f1) then g1(f2) in
-    # key order, and not the program's g1(c1), so a trial that draws only
-    # g1(c1) keeps nothing.
+    # own, and else cut from the union.  Both paths read one numbering of
+    # the added facts, made on the original: g1(f1) then g1(f2) in key
+    # order, and not the program's g1(c1), so a trial that draws only
+    # g1(c1) keeps nothing.  The rewriting would number them alike.
     p, q, given, draws = _tiny_pool_draws(1)
     side = dms(q, p)
     trials = [_instance_counts(p, q, facts)[1] for facts in draws]
     union = _instance_counts(p, q, frozenset().union(*draws))[1]
     assert union == 22 > 15 == max(trials)
-    over = _trial_groundings(side, 15, draws)[0]
-    cut = _trial_groundings(side, GROUND_CAP_DEFAULT, draws)[0]
-    assert over == cut == [0, 0, 0, 2, 2, 0, 0, 1, 0, 0, 1, 2]
+    numbered = added, kept = _number(p, draws)
+    assert [key for _, key in added] == [("g1", ("f1",)), ("g1", ("f2",))]
+    assert kept == _kept(side, draws) == [0, 0, 0, 2, 2, 0, 0, 1, 0, 0, 1, 2]
     assert [t for t, facts in enumerate(draws) if facts == given] == [0, 6, 8]
+    over = _trial_groundings(side, 15, numbered)
+    cut = _trial_groundings(side, GROUND_CAP_DEFAULT, numbered)
+    for search in (over, cut):
+        assert [len(search(t)[1]) for t in range(len(draws))] == trials
+    # The draws range over the extensional predicates, whose facts the
+    # rewriting keeps, so an intensional fact it guards is never drawn.
+    p, q = parse_program(_IDB_FACT), parse_query("p1(c1)?")
+    side = dms(q, p)
+    guarded = parse_program("p1(c1) :- magic_p1_b(c1).").rules[0]
+    assert guarded in side.rules and p.rules[1] not in side.rules
+    draws = [random_edb(p, 3 * 1_000_003 + t, 0.3) for t in range(6)]
+    assert _kept(p, draws) == _kept(side, draws) == [2, 2, 0, 0, 1, 2]
+    report = check_equivalence(p, q, trials=6, seed=3)
+    assert report._replace(timings_ms=()) == _check_by_programs(p, q, 6, 3, 0.3, None)
 
 
 def test_equivalence_report_is_reproducible(ancestry):

@@ -89,10 +89,11 @@ def _private_semantics_names(tree: ast.Module) -> set[str]:
 
 def test_semantics_keeps_its_fact_keys_and_search_private():
     # Neighbours pass atoms and ask one question each: how a fact is keyed
-    # and how the search is driven stay inside semantics.  The oracle only
-    # decodes its models as the search does.
+    # and how the search is driven stay inside semantics.  The harness
+    # also has a check's draws numbered once for both sides.  The oracle
+    # only decodes its models as the search does.
     allowed = {
-        "harness": {"_trial_answers"},
+        "harness": {"_number", "_trial_answers"},
         "analysis": {"_consistent"},
         "oracle": {"_interpretation"},
     }

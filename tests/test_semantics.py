@@ -62,10 +62,18 @@ from aspmagic.semantics import (
     _LAYOUTS,
     _closure,
     _compile,
+    _forms,
     _grounder,
+    _number,
     _trial_answers,
     _trial_groundings,
 )
+
+
+def _key_order(facts):
+    """``facts`` as a grounder takes them added: in key order, which is
+    their order as atoms, each as its lookup form and key."""
+    return [_forms(f) for f in sorted(facts)]
 
 
 def _sets(report):
@@ -118,7 +126,7 @@ def test_instances_equal_as_sets_are_one_instance():
         assert coded.instances == [((0,), (), ()), ((1,), pos, ())]
     # an added fact repeating a fact of the program is dropped
     added = [Atom("q", (const("b"),)), Atom("q", (const("a"),))]
-    assert _grounder(p)(added) == _grounder(p)()
+    assert _grounder(p)(_key_order(added)) == _grounder(p)()
 
 
 def test_ground_cap_is_checked_before_materializing():
@@ -164,7 +172,7 @@ def test_ground_cap_counts_instantiated_rules():
 )
 def test_ground_cap_counts_distinct_instances_on_every_path(text, added, last):
     p = parse_program(text)
-    facts = [next(iter(_atoms(a))) for a in added]
+    facts = _key_order(next(iter(_atoms(a))) for a in added)
     coded = _grounder(p)(facts)
     n = len(coded.instances)
     assert coded.instances[-1] == last
@@ -295,7 +303,7 @@ def _search_form_of(rules):
 
 
 def _assert_search_reads_ground(p):
-    keys, masked = _trial_groundings(p, GROUND_CAP_DEFAULT, [()])[1](0)
+    keys, masked = _trial_groundings(p, GROUND_CAP_DEFAULT, _number(p, [()]))(0)
     atoms = semantics._decode(p, keys)
     assert (len(masked), atoms, masked) == _search_form_of(ground(p).rules)
 
@@ -319,11 +327,11 @@ def _assert_keyed_facts_ground_like_with_facts(p, facts):
     added = list(facts)
     added += [tuple(a) for a in added[:1]]
     expected = _grounder(p.with_facts(facts))()
-    assert _grounder(p)(added) == expected
+    assert _grounder(p)(_key_order(added)) == expected
     cap = len(expected.instances) - 1
     if cap >= 0:
         with pytest.raises(GroundingTooLarge):
-            _grounder(p, cap)(added)
+            _grounder(p, cap)(_key_order(added))
         with pytest.raises(GroundingTooLarge):
             _grounder(p.with_facts(facts), cap)()
 
@@ -448,7 +456,7 @@ def test_reused_rules_ground_like_fresh_ones(profile):
             reused = _grounder(side)
             for facts in (f1, f2, f1):
                 pf = side.with_facts(facts)
-                assert reused(facts) == _grounder(pf)()
+                assert reused(_key_order(facts)) == _grounder(pf)()
             if seed % 4:
                 continue
             try:
@@ -536,9 +544,9 @@ def test_a_warm_layout_cache_grounds_like_a_cold_one():
             cold = []
             for _, drawn in draws:
                 _compile.cache_clear()
-                cold.append(_grounder(side)(drawn))
+                cold.append(_grounder(side)(_key_order(drawn)))
             made = _compile.cache_info().misses
-            warm = [_grounder(side)(drawn) for _, drawn in draws[::-1]]
+            warm = [_grounder(side)(_key_order(drawn)) for _, drawn in draws[::-1]]
             assert _compile.cache_info().misses == made
             assert warm[::-1] == cold
         _compile.cache_clear()
@@ -667,11 +675,12 @@ def test_grounding_and_search_are_unchanged_on_the_corpus():
     digest = hashlib.sha256()
     states = 0
     for side, q, domain, drawn in _corpus():
-        coded = _grounder(side)(drawn)
+        coded = _grounder(side)(_key_order(drawn))
         digest.update(repr(coded).encode())
         for modes in (("brave",), ("cautious",), ("brave", "cautious")):
             answers, spent, instances = _trial_answers(
-                side, q, modes, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT, [drawn]
+                side, q, modes, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT,
+                _number(side, [drawn]),
             )(0, domain)
             states += spent
             got = sorted((mode, sorted(subs)) for mode, subs in answers.items())
@@ -692,12 +701,14 @@ def test_every_relevant_atom_is_derivable_at_the_root():
     # the union has holes among its bits, so there the heads are fewer
     # than the keys.
     for side, _, _, drawn in _corpus():
-        keys, masked = _trial_groundings(side, GROUND_CAP_DEFAULT, [drawn])[1](0)
+        keys, masked = _trial_groundings(
+            side, GROUND_CAP_DEFAULT, _number(side, [drawn])
+        )(0)
         assert _closure(masked, 0) == _heads(masked) == (1 << len(keys)) - 1
     for sides, _, draws in _corpus_checks():
         fact_sets = [drawn for _, drawn in draws]
         for side in sides:
-            cut = _trial_groundings(side, GROUND_CAP_DEFAULT, fact_sets)[1]
+            cut = _trial_groundings(side, GROUND_CAP_DEFAULT, _number(side, fact_sets))
             for t in range(len(fact_sets)):
                 _, masked = cut(t)
                 assert _closure(masked, 0) == _heads(masked)
@@ -795,20 +806,22 @@ def _assert_cut_grounds_like_each_trial(side, q, draws):
     branching follows the instance order, the search takes the same
     states too."""
     fact_sets = [drawn for _, drawn in draws]
-    cut = _trial_groundings(side, GROUND_CAP_DEFAULT, fact_sets)[1]
+    numbered = _number(side, fact_sets)
+    cut = _trial_groundings(side, GROUND_CAP_DEFAULT, numbered)
     disjunctive = any(len(r.head) > 1 for r in side.rules)
     for t, (domain, drawn) in enumerate(draws):
         keys, masked = _renumbered(*cut(t))
-        own = _trial_groundings(side, GROUND_CAP_DEFAULT, [drawn])[1](0)
+        own = _trial_groundings(side, GROUND_CAP_DEFAULT, _number(side, [drawn]))(0)
         assert (len(masked), keys) == (len(own[1]), own[0])
         assert sorted(masked) == sorted(own[1])
         for modes in MODES:
             answer = _trial_answers(
-                side, q, modes, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT, fact_sets
+                side, q, modes, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT, numbered
             )
             got = answer(t, domain)
             expected = _trial_answers(
-                side, q, modes, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT, [drawn]
+                side, q, modes, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT,
+                _number(side, [drawn]),
             )(0, domain)
             assert (got[0], got[2]) == (expected[0], expected[2])
             if not disjunctive:
@@ -835,8 +848,8 @@ def test_a_cross_product_cut_from_the_union_is_the_trials_own():
             draws.append((terms, drawn))
         union = {f for _, drawn in draws for f in drawn}
         grounder = _grounder(p)
-        own = sum(len(grounder(d).instances) for _, d in draws)
-        larger += len(grounder(union).instances) > own
+        own = sum(len(grounder(_key_order(d)).instances) for _, d in draws)
+        larger += len(grounder(_key_order(union)).instances) > own
         for text in ("p(X,Y)?", "p(X,X)?", "p(f1,Y)?"):
             q = parse_query(text)
             for side in (p, dms(q, p)):
@@ -1253,7 +1266,8 @@ def test_one_search_answers_both_modes(profile):
             domain = universe(side) | {t for t in q.atom.args if t.is_constant}
             for query in {q, open_q}:
                 answers, states, rules = _trial_answers(
-                    side, query, modes, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT, [()]
+                    side, query, modes, GROUND_CAP_DEFAULT, CANDIDATE_CAP_DEFAULT,
+                    _number(side, [()]),
                 )(0, domain)
                 assert answers == {
                     "brave": substitutions_brave(report, query, domain),

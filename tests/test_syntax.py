@@ -153,6 +153,10 @@ def test_rule_substitute_grounds_everything():
 def test_program_arity_conflict():
     ok = Program((fact(Atom("p", (const("a"),))),))
     assert ok.predicates == {"p": 1}
+    # the arities are read through a view that refuses assignment
+    with pytest.raises(TypeError):
+        ok.predicates["q"] = 2
+    assert ok.predicates == {"p": 1}
     with pytest.raises(ProgramError, match="arities 1 and 2"):
         Program((
             fact(Atom("p", (const("a"),))),
